@@ -9,10 +9,8 @@
 
 #include "bench_util.h"
 #include "control/system_id.h"
-#include "power/model.h"
-#include "sim/chip.h"
-#include "thermal/rc_model.h"
 #include "core/simulation.h"
+#include "power/model.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -29,39 +27,30 @@ int main() {
     mix.islands.push_back({&workload::find_profile("btrack"),
                            &workload::find_profile("btrack")});
   }
-  sim::Chip chip(cfg, mix, /*seed=*/42);
-  power::PowerModel power_model(cfg);
-  thermal::RcThermalModel thermal(core::make_floorplan(8), {});
+  core::SimulationConfig plant_cfg;
+  plant_cfg.cmp = cfg;
+  plant_cfg.mix = mix;
+  plant_cfg.seed = 42;
+  const power::PowerModel power_model(cfg);
+  core::ChipPlant plant(plant_cfg, power_model);
+  sim::Chip& chip = plant.chip();
   util::Xoshiro256pp rng(7);
 
   const double dt = cfg.tick_seconds();
   const std::size_t intervals = 400;
   std::vector<double> chip_power, freq0;
-  std::vector<std::vector<double>> island_power(4), island_freq(4);
-  std::vector<double> core_powers(8, 0.0);
+  std::vector<std::vector<double>> island_w(4), island_freq(4);
 
   for (std::size_t k = 0; k < intervals; ++k) {
     double interval_power = 0.0;
     std::vector<double> ip(4, 0.0);
     for (std::size_t t = 0; t < cfg.ticks_per_pic_interval; ++t) {
-      const sim::ChipTick tick = chip.step(dt);
-      for (std::size_t i = 0; i < 4; ++i) {
-        const auto op = chip.island(i).operating_point();
-        for (std::size_t c = 0; c < 2; ++c) {
-          const double p =
-              power_model
-                  .core_power(tick.islands[i].cores[c], op, i,
-                              thermal.temperature(i * 2 + c))
-                  .total();
-          core_powers[i * 2 + c] = p;
-          ip[i] += p;
-        }
-      }
-      thermal.step(core_powers, dt);
+      plant.step(dt);
+      for (std::size_t i = 0; i < 4; ++i) ip[i] += plant.island_power_w()[i];
     }
     const double ticks = static_cast<double>(cfg.ticks_per_pic_interval);
     for (std::size_t i = 0; i < 4; ++i) {
-      island_power[i].push_back(ip[i] / ticks);
+      island_w[i].push_back(ip[i] / ticks);
       island_freq[i].push_back(chip.island(i).operating_point().freq_ghz);
       interval_power += ip[i] / ticks;
       // White-noise DVFS excitation.
@@ -82,7 +71,7 @@ int main() {
     std::vector<double> df, dp;
     for (std::size_t k = 1; k < half; ++k) {
       df.push_back(island_freq[i][k] - island_freq[i][k - 1]);
-      dp.push_back((island_power[i][k] - island_power[i][k - 1]) /
+      dp.push_back((island_w[i][k] - island_w[i][k - 1]) /
                    p_max.value() * 100.0);
     }
     const control::GainEstimate est = control::estimate_plant_gain(df, dp);
@@ -97,9 +86,9 @@ int main() {
   for (std::size_t k = half; k + 1 < intervals; ++k) {
     double pred = 0.0, act = 0.0;
     for (std::size_t i = 0; i < 4; ++i) {
-      pred += island_power[i][k] +
+      pred += island_w[i][k] +
               gains[i] * (island_freq[i][k + 1] - island_freq[i][k]);
-      act += island_power[i][k + 1];
+      act += island_w[i][k + 1];
     }
     predicted.push_back(pred);
     actual.push_back(act);

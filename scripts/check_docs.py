@@ -13,6 +13,11 @@ Checked, over README.md and every docs/*.md:
   * build-system target names matching the project's naming scheme
     (bench_*, fuzz_*, *_tests, lint, cpm_lint*, layers_md, tidy,
     check_docs) -- must be declared in a CMakeLists.txt;
+  * C++ qualified names in backticks (`core::ChipPlant`,
+    `PowerModel::chip_power_batch()`) -- the last identifier of the chain
+    must appear in the code under src/, bench/, examples/, tests/ or
+    tools/; `{a,b}` shorthand (`ClusterResult::invariant_{checks,violations}`)
+    expands to one name per alternative;
   * every file in docs/ must be reachable from README.md via markdown
     links or backticked `docs/...` references (no orphan docs).
 
@@ -38,6 +43,12 @@ EXTERNAL_FLAGS = {
 TARGET_RE = re.compile(
     r"^(bench_\w+|fuzz_\w+|\w+_tests|lint|cpm_lint\w*|layers_md|tidy"
     r"|check_docs)$")
+
+# A qualified C++ name: one or more `ns::` qualifiers, then the named
+# identifier (group 1), which may carry `{a,b}` alternatives.
+QUALIFIED_RE = re.compile(
+    r"(?<![\w:])(?:[A-Za-z_]\w*::)+~?((?:\w|\{\w+(?:,\w+)*\})+)")
+BRACE_RE = re.compile(r"\{(\w+(?:,\w+)*)\}")
 
 CODE_EXT = {
     ".h", ".cpp", ".cc", ".py", ".sh", ".md", ".json", ".jsonl", ".yml",
@@ -90,6 +101,29 @@ def gather_cli_flags(root: pathlib.Path) -> set[str]:
     return flags
 
 
+def gather_identifiers(root: pathlib.Path) -> set[str]:
+    """Every identifier-shaped word in the tree's code."""
+    names: set[str] = set()
+    for top in ("src", "bench", "examples", "tests", "tools"):
+        for path in (root / top).rglob("*"):
+            if path.is_file() and (path.suffix in {".h", ".cpp", ".py", ".sh"}
+                                   or path.name == "CMakeLists.txt"):
+                names.update(re.findall(r"[A-Za-z_]\w*",
+                                        path.read_text(errors="replace")))
+    return names
+
+
+def expand_braces(name: str) -> list[str]:
+    """`invariant_{checks,violations}` -> both full names."""
+    match = BRACE_RE.search(name)
+    if not match:
+        return [name]
+    return [expanded
+            for alt in match.group(1).split(",")
+            for expanded in expand_braces(
+                name[:match.start()] + alt + name[match.end():])]
+
+
 def gather_cmake_targets(root: pathlib.Path) -> set[str]:
     targets: set[str] = set()
     for path in root.rglob("CMakeLists.txt"):
@@ -132,6 +166,7 @@ def main() -> int:
         pathlib.Path(__file__).resolve().parent.parent
     cli_flags = gather_cli_flags(root)
     targets = gather_cmake_targets(root)
+    identifiers = gather_identifiers(root)
 
     errors: list[str] = []
     checked = 0
@@ -139,6 +174,13 @@ def main() -> int:
         rel = doc.relative_to(root)
         for token in extract_tokens(doc.read_text(errors="replace")):
             token = token.strip()
+            # C++ name claims: `ns::Name`, `Class::method()`, ...
+            for match in QUALIFIED_RE.finditer(token):
+                checked += 1
+                for name in expand_braces(match.group(1)):
+                    if name not in identifiers:
+                        errors.append(f"{rel}: C++ name {match.group(0)} "
+                                      f"({name}) not found in the code")
             # CLI flag claim: `--flag` or `--flag VALUE`.
             flag_match = re.match(r"^(--[a-zA-Z][a-zA-Z0-9-]*)( |=|$)", token)
             if flag_match:

@@ -122,31 +122,51 @@ Simulation::Simulation(SimulationConfig config,
   }
 }
 
-namespace {
-
-/// Per-island accumulator over one calibration interval.
-struct IntervalAccum {
-  double utilization = 0.0;
-  double bips = 0.0;
-  double instructions = 0.0;
-  double true_power_w = 0.0;
-  std::size_t ticks = 0;
-
-  void add(double u, double b, double instr, double p_true) {
-    utilization += u;
-    bips += b;
-    instructions += instr;
-    true_power_w += p_true;
-    ++ticks;
+ChipPlant::ChipPlant(const SimulationConfig& config,
+                     const power::PowerModel& power)
+    : power_(&power),
+      chip_(config.cmp, config.mix, config.seed, config.tick_kernel),
+      thermal_(make_floorplan(config.cmp.total_cores()),
+               config.thermal_params),
+      core_leak_mult_(config.cmp.total_cores()),
+      island_power_w_(config.cmp.num_islands, 0.0) {
+  // Per-core tick detail is consumed from the chip's SoA arrays; the
+  // IslandTick record mirrors are never read on this path.
+  chip_.set_record_cores(false);
+  for (std::size_t i = 0; i < chip_.num_islands(); ++i) {
+    const std::size_t g0 = chip_.island_offset(i);
+    const double lm = power.island_leak_mult(i);
+    for (std::size_t c = 0; c < chip_.island_size(i); ++c) {
+      core_leak_mult_[g0 + c] = lm;
+    }
   }
-  double mean_util() const { return ticks ? utilization / double(ticks) : 0.0; }
-  double mean_power() const {
-    return ticks ? true_power_w / double(ticks) : 0.0;
-  }
-  void reset() { *this = IntervalAccum{}; }
-};
+}
 
-}  // namespace
+const sim::ChipTick& ChipPlant::step(double dt,
+                                     std::span<double> core_leak_w) {
+  const sim::ChipTick& tick = chip_.step(dt);
+  const sim::ChipSoa& soa = chip_.soa();
+  // One flat whole-chip power sweep (voltage / frequency / leak multiplier
+  // are per-core SoA columns), at the temperatures before this tick's RC
+  // step; island totals are partial sums over the same buffer.
+  power_->chip_power_batch(soa.utilization, soa.demand_activity,
+                           soa.activity_idle, soa.ceff_scale, soa.voltage,
+                           soa.freq_ghz, core_leak_mult_,
+                           thermal_.temperatures(), chip_.core_power_w(),
+                           core_leak_w);
+  const std::span<const double> core_power = chip_.core_power_w();
+  chip_power_w_ = 0.0;
+  for (std::size_t i = 0; i < island_power_w_.size(); ++i) {
+    const std::size_t g0 = chip_.island_offset(i);
+    const std::size_t sz = chip_.island_size(i);
+    double island_power = 0.0;
+    for (std::size_t c = 0; c < sz; ++c) island_power += core_power[g0 + c];
+    island_power_w_[i] = island_power;
+    chip_power_w_ += island_power;
+  }
+  thermal_.step(core_power, dt);
+  return tick;
+}
 
 double Simulation::level_scale(std::size_t level) const {
   const auto& dvfs = config_.cmp.dvfs;
@@ -158,12 +178,8 @@ void Simulation::calibrate() {
   CPM_TRACE_SCOPE1("sim", "Simulation::calibrate", "islands",
                    config_.cmp.num_islands);
   const auto& cmp = config_.cmp;
-  sim::Chip chip(cmp, config_.mix, config_.seed, config_.tick_kernel);
-  // The SoA arrays carry all the per-core data calibration needs; skip the
-  // per-core record mirrors in this hot loop.
-  chip.set_record_cores(false);
-  thermal::RcThermalModel thermal(make_floorplan(cmp.total_cores()),
-                                  config_.thermal_params);
+  ChipPlant plant(config_, power_model_);
+  sim::Chip& chip = plant.chip();
   util::Xoshiro256pp rng(config_.seed ^ 0xCA11B7A7E5EEDULL);
 
   const double dt = cmp.tick_seconds();
@@ -179,38 +195,36 @@ void Simulation::calibrate() {
 
   std::vector<std::vector<double>> utils(n), powers_ref(n), powers_raw(n),
       freqs(n);
-  std::vector<IntervalAccum> accum(n);
+  std::vector<SimulationRun::Accum> accum(n);
   double peak_chip_power = 0.0;
   std::vector<double> island_peak(n, 0.0);
   std::vector<util::RunningStats> island_fmax_bips(n);
   std::vector<util::RunningStats> island_fmax_leak(n);
+  std::vector<double> core_leak(cmp.total_cores(), 0.0);
 
-  const sim::ChipSoa& soa = chip.soa();
   for (std::size_t t = 0; t < total_ticks; ++t) {
-    const sim::ChipTick& tick = chip.step(dt);
-    double chip_power = 0.0;
+    const bool phase_a = t < phase_a_ticks;
+    const sim::ChipTick& tick =
+        plant.step(dt, phase_a ? std::span<double>(core_leak)
+                               : std::span<double>());
+    const std::span<const double> island_power = plant.island_power_w();
     for (std::size_t i = 0; i < n; ++i) {
-      const auto op = chip.island(i).operating_point();
-      const std::size_t g0 = chip.island_offset(i);
-      const std::size_t sz = chip.island_size(i);
-      const power::IslandPowerSums sums = power_model_.core_powers_batch(
-          std::span<const double>(soa.utilization).subspan(g0, sz),
-          std::span<const double>(soa.demand_activity).subspan(g0, sz),
-          std::span<const double>(soa.activity_idle).subspan(g0, sz),
-          std::span<const double>(soa.ceff_scale).subspan(g0, sz), op, i,
-          std::span<const double>(thermal.temperatures()).subspan(g0, sz),
-          chip.core_power_w().subspan(g0, sz));
-      chip_power += sums.total_w;
       accum[i].add(tick.islands[i].utilization, tick.islands[i].bips,
-                   tick.islands[i].instructions, sums.total_w);
-      if (t < phase_a_ticks) {
-        island_peak[i] = std::max(island_peak[i], sums.total_w);
+                   tick.islands[i].instructions, island_power[i]);
+      if (phase_a) {
+        island_peak[i] = std::max(island_peak[i], island_power[i]);
         island_fmax_bips[i].add(tick.islands[i].bips);
-        island_fmax_leak[i].add(sums.leakage_w);
+        const std::size_t g0 = chip.island_offset(i);
+        double leakage = 0.0;
+        for (std::size_t c = 0; c < chip.island_size(i); ++c) {
+          leakage += core_leak[g0 + c];
+        }
+        island_fmax_leak[i].add(leakage);
       }
     }
-    thermal.step(chip.core_power_w(), dt);
-    if (t < phase_a_ticks) peak_chip_power = std::max(peak_chip_power, chip_power);
+    if (phase_a) {
+      peak_chip_power = std::max(peak_chip_power, plant.chip_power_w());
+    }
 
     if ((t + 1) % cmp.ticks_per_pic_interval == 0) {
       for (std::size_t i = 0; i < n; ++i) {
@@ -222,7 +236,7 @@ void Simulation::calibrate() {
         powers_raw[i].push_back(accum[i].mean_power());
         freqs[i].push_back(chip.island(i).operating_point().freq_ghz);
         accum[i].reset();
-        if (t >= phase_a_ticks) {
+        if (!phase_a) {
           // White-noise DVFS excitation (paper Fig. 5 methodology): jump to
           // a uniformly random level each local interval.
           chip.island(i).actuator().set_level(
@@ -296,10 +310,7 @@ SimulationRun::~SimulationRun() = default;
 
 SimulationRun::SimulationRun(Simulation& owner, RecordSink* sink)
     : owner_(&owner),
-      chip_(owner.config_.cmp, owner.config_.mix, owner.config_.seed,
-            owner.config_.tick_kernel),
-      thermal_(make_floorplan(owner.config_.cmp.total_cores()),
-               owner.config_.thermal_params),
+      plant_(owner.config_, owner.power_model_),
       hotspots_(owner.config_.cmp.total_cores(),
                 owner.config_.hotspot_threshold_c),
       sensor_rng_(owner.config_.seed ^ 0x5E4504ULL),
@@ -315,7 +326,8 @@ SimulationRun::SimulationRun(Simulation& owner, RecordSink* sink)
   const SimulationConfig& config = owner.config_;
   const auto& cmp = config.cmp;
   const CalibrationResult& calibration = owner.calibration_;
-  chip_.set_max_power(units::Watts{owner.max_power_w_});
+  sim::Chip& chip = plant_.chip();
+  chip.set_max_power(units::Watts{owner.max_power_w_});
 
   // ---- build the manager -------------------------------------------------
   if (config.manager == ManagerKind::kCpm) {
@@ -376,8 +388,8 @@ SimulationRun::SimulationRun(Simulation& owner, RecordSink* sink)
              owner.level_scale(init_level) > config.budget_fraction) {
         --init_level;
       }
-      chip_.island(i).actuator().set_level(init_level);
-      chip_.island(i).actuator().consume_stall(1.0);  // no startup stall
+      chip.island(i).actuator().set_level(init_level);
+      chip.island(i).actuator().consume_stall(1.0);  // no startup stall
       pics_.emplace_back(pc, calibration.transducers[i],
                          units::GigaHertz{cmp.dvfs.level(init_level).freq_ghz});
       pics_.back().set_target(
@@ -419,20 +431,6 @@ SimulationRun::SimulationRun(Simulation& owner, RecordSink* sink)
   gpm_accum_.resize(n_);
   gpm_sensed_energy_.assign(n_, 0.0);
   core_util_sum_.assign(cmp.total_cores(), 0.0);
-  // Per-core leakage multiplier, island-major: lets the tick loop run the
-  // whole-chip flat power sweep instead of a per-island batched call. The
-  // multiplier is an island property (process variation), so migration does
-  // not move it.
-  core_leak_mult_.resize(cmp.total_cores());
-  for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t g0 = chip_.island_offset(i);
-    const std::size_t sz = chip_.island_size(i);
-    const double lm = owner.power_model_.island_leak_mult(i);
-    for (std::size_t c = 0; c < sz; ++c) core_leak_mult_[g0 + c] = lm;
-  }
-  // Per-core tick detail is consumed from the chip's SoA arrays; the
-  // IslandTick record mirrors are never read on this path.
-  chip_.set_record_cores(false);
 }
 
 double SimulationRun::elapsed_s() const noexcept {
@@ -489,31 +487,19 @@ void SimulationRun::advance(double seconds) {
 void SimulationRun::tick_once() {
   const SimulationConfig& config = owner_->config_;
   const double now = static_cast<double>(tick_ + 1) * dt_;
-  const sim::ChipTick& tick = chip_.step(dt_);
-  const sim::ChipSoa& soa = chip_.soa();
+  const sim::ChipTick& tick = plant_.step(dt_);
+  const sim::Chip& chip = plant_.chip();
+  const sim::ChipSoa& soa = chip.soa();
+  const std::span<const double> island_power = plant_.island_power_w();
 
-  // One flat whole-chip power sweep (voltage / frequency / leak multiplier
-  // are per-core SoA columns); per-island totals are partial sums over the
-  // same buffer, bit-identical to the per-island batched path.
-  owner_->power_model_.chip_power_batch(
-      soa.utilization, soa.demand_activity, soa.activity_idle, soa.ceff_scale,
-      soa.voltage, soa.freq_ghz, core_leak_mult_, thermal_.temperatures(),
-      chip_.core_power_w());
-  const std::span<const double> core_power = chip_.core_power_w();
-
-  double chip_power = 0.0;
   for (std::size_t i = 0; i < n_; ++i) {
-    const std::size_t g0 = chip_.island_offset(i);
-    const std::size_t sz = chip_.island_size(i);
-    double island_power = 0.0;
-    for (std::size_t c = 0; c < sz; ++c) island_power += core_power[g0 + c];
-    chip_power += island_power;
     if (config.enable_migration) {
       // Frequency-normalized utilization (u_ref = u f / (u f + fmax (1-u)))
       // makes cores on islands at different frequencies comparable for the
       // migration advisor.
+      const std::size_t g0 = chip.island_offset(i);
       const double f = soa.freq_ghz[g0];
-      for (std::size_t c = 0; c < sz; ++c) {
+      for (std::size_t c = 0; c < chip.island_size(i); ++c) {
         const double u = soa.utilization[g0 + c];
         const double denom = u * f + fmax_ * (1.0 - u);
         core_util_sum_[g0 + c] += denom > 0.0 ? u * f / denom : 0.0;
@@ -522,15 +508,14 @@ void SimulationRun::tick_once() {
     // The GPM window is fed once per PIC boundary (pic_accum_ merges into
     // gpm_accum_ before it resets), not per tick.
     pic_accum_[i].add(tick.islands[i].utilization, tick.islands[i].bips,
-                      tick.islands[i].instructions, island_power);
+                      tick.islands[i].instructions, island_power[i]);
     result_.island_instructions[i] += tick.islands[i].instructions;
-    result_.island_energy_j[i] += island_power * dt_;
+    result_.island_energy_j[i] += island_power[i] * dt_;
     result_.island_avg_bips[i] += tick.islands[i].bips;
   }
-  thermal_.step(chip_.core_power_w(), dt_);
-  hotspots_.record(thermal_.temperatures(), dt_);
+  hotspots_.record(plant_.thermal().temperatures(), dt_);
   if (config.enable_migration) ++core_util_ticks_;
-  chip_power_stats_.add(chip_power);
+  chip_power_stats_.add(plant_.chip_power_w());
   chip_bips_stats_.add(tick.total_bips);
   result_.total_instructions += tick.total_instructions;
   ++tick_;
@@ -563,8 +548,8 @@ void SimulationRun::pic_boundary(double now) {
     rec.actual_w = pic_accum_[i].mean_power();
     rec.utilization = u;
     rec.bips = pic_accum_[i].mean_bips();
-    rec.freq_ghz = chip_.island(i).operating_point().freq_ghz;
-    rec.dvfs_level = chip_.island(i).actuator().current_level();
+    rec.freq_ghz = plant_.chip().island(i).operating_point().freq_ghz;
+    rec.dvfs_level = plant_.chip().island(i).actuator().current_level();
 
     if (config.manager == ManagerKind::kCpm) {
       const double scale = owner_->level_scale(rec.dvfs_level);
@@ -578,7 +563,7 @@ void SimulationRun::pic_boundary(double now) {
       rec.sensed_w = pics_[i].sensed_power(u, scale).value();
       gpm_sensed_energy_[i] += rec.sensed_w * cmp.pic_interval_s;
       const units::GigaHertz freq_req = pics_[i].invoke(u, scale);
-      chip_.island(i).actuator().request_frequency(freq_req);
+      plant_.chip().island(i).actuator().request_frequency(freq_req);
     } else {
       rec.target_w = live_budget_w_ / static_cast<double>(n_);
       rec.sensed_w = rec.actual_w;
@@ -624,14 +609,14 @@ void SimulationRun::gpm_boundary(double now) {
   GpmIntervalRecord rec;
   rec.time_s = now;
   rec.chip_budget_w = live_budget_w_;
-  rec.max_temp_c = thermal_.max_temperature();
+  rec.max_temp_c = plant_.thermal().max_temperature();
   for (std::size_t i = 0; i < n_; ++i) {
     obs[i].bips = gpm_accum_[i].mean_bips();
     obs[i].utilization = gpm_accum_[i].mean_util();
     obs[i].instructions = gpm_accum_[i].instructions;
     obs[i].energy_j = gpm_sensed_energy_[i];
     obs[i].power_w = gpm_sensed_energy_[i] / cmp.gpm_interval_s;
-    obs[i].dvfs_level = chip_.island(i).actuator().current_level();
+    obs[i].dvfs_level = plant_.chip().island(i).actuator().current_level();
 
     rec.island_actual_w.push_back(gpm_accum_[i].mean_power());
     rec.island_bips.push_back(obs[i].bips);
@@ -653,7 +638,7 @@ void SimulationRun::gpm_boundary(double now) {
                                : std::span<const IslandObservation>(
                                      maxbips_static_));
     for (std::size_t i = 0; i < n_; ++i) {
-      chip_.island(i).actuator().set_level(levels[i]);
+      plant_.chip().island(i).actuator().set_level(levels[i]);
     }
     rec.island_alloc_w.assign(n_, live_budget_w_ / static_cast<double>(n_));
   } else {
@@ -682,9 +667,9 @@ void SimulationRun::gpm_boundary(double now) {
       const auto proposal =
           migration_advisor_.propose(means, n_, cmp.cores_per_island);
       if (proposal) {
-        chip_.migrate(proposal->island_a, proposal->core_a,
-                      proposal->island_b, proposal->core_b,
-                      config.migration.migration_stall_s);
+        plant_.chip().migrate(proposal->island_a, proposal->core_a,
+                              proposal->island_b, proposal->core_b,
+                              config.migration.migration_stall_s);
         ++result_.migrations;
         migration_cooldown_ = config.migration.cooldown_windows;
         // The moved threads invalidate both islands' utilization->power
@@ -724,7 +709,7 @@ SimulationResult SimulationRun::finish() {
     result_.island_avg_bips[i] /=
         static_cast<double>(std::max<std::uint64_t>(1, tick_));
     result_.dvfs_transitions += static_cast<double>(
-        chip_.island(i).actuator().transition_count());
+        plant_.chip().island(i).actuator().transition_count());
   }
   sink_->finish(result_);
   return std::move(result_);

@@ -14,6 +14,7 @@
 #include <memory>
 #include <utility>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "control/stability.h"
@@ -161,6 +162,45 @@ std::vector<std::pair<std::size_t, std::size_t>> island_adjacency(
 /// simulation wiring and the invariant checker so both see the same limits.
 ThermalConstraints resolved_thermal_constraints(const SimulationConfig& config);
 
+/// The controlled plant: the chip, its per-core power sweep and the RC
+/// thermal model, stepped one tick at a time. `step()` is the only place a
+/// plant tick is computed, so the offline calibration that fits the
+/// transducers and plant gains (paper Figs. 5-6) and the live run that the
+/// PICs then control step the same model.
+class ChipPlant {
+ public:
+  /// Builds the chip (config.tick_kernel, per-core record mirrors off) and
+  /// the RC thermal model from `config`. `power` is borrowed and must
+  /// outlive the plant.
+  ChipPlant(const SimulationConfig& config, const power::PowerModel& power);
+
+  /// Advances one tick: Chip::step, then the flat chip_power_batch sweep at
+  /// the pre-step core temperatures, then the island sums in flat core
+  /// order, then the RC thermal step. A non-empty `core_leak_w` (one slot per
+  /// core) also receives each core's leakage. The returned record is
+  /// overwritten by the next step().
+  const sim::ChipTick& step(double dt, std::span<double> core_leak_w = {});
+
+  sim::Chip& chip() noexcept { return chip_; }
+  const thermal::RcThermalModel& thermal() const noexcept { return thermal_; }
+  /// Per-island power of the last step.
+  std::span<const double> island_power_w() const noexcept {
+    return island_power_w_;
+  }
+  /// Chip power of the last step (the sum of the island powers).
+  double chip_power_w() const noexcept { return chip_power_w_; }
+
+ private:
+  const power::PowerModel* power_;
+  sim::Chip chip_;
+  thermal::RcThermalModel thermal_;
+  /// Per-core island leakage multiplier in flat island-major order (process
+  /// variation stays with the island, so migration does not move it).
+  std::vector<double> core_leak_mult_;
+  std::vector<double> island_power_w_;
+  double chip_power_w_ = 0.0;
+};
+
 class Simulation;
 class RecordSink;
 
@@ -216,8 +256,7 @@ class SimulationRun {
 
   Simulation* owner_;
   // Substrate.
-  sim::Chip chip_;
-  thermal::RcThermalModel thermal_;
+  ChipPlant plant_;
   thermal::HotspotDetector hotspots_;
   util::Xoshiro256pp sensor_rng_;
   // Managers.
@@ -235,7 +274,7 @@ class SimulationRun {
   std::uint64_t tick_ = 0;
   double tick_carry_ = 0.0;  // fractional ticks owed by advance()
   std::size_t pic_count_in_window_ = 0;
-  // Rolling per-interval accumulators.
+  // Rolling per-interval accumulators (also the calibration run's).
   struct Accum {
     double utilization = 0.0, bips = 0.0, instructions = 0.0, power_w = 0.0;
     std::size_t ticks = 0;
@@ -271,9 +310,6 @@ class SimulationRun {
   std::vector<Accum> gpm_accum_;
   std::vector<double> gpm_sensed_energy_;
   std::vector<double> core_util_sum_;
-  /// Per-core island leakage multiplier in flat island-major order (constant
-  /// for a run: process variation stays with the island, not the thread).
-  std::vector<double> core_leak_mult_;
   std::size_t core_util_ticks_ = 0;
   std::size_t migration_cooldown_ = 0;
   double fmax_;

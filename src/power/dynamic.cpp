@@ -31,26 +31,4 @@ units::Watts DynamicPowerModel::power(units::Volts voltage,
                       voltage.value() * freq.value() * effective_activity};
 }
 
-void DynamicPowerModel::power_batch(std::span<const double> utilization,
-                                    std::span<const double> activity_busy,
-                                    std::span<const double> activity_idle,
-                                    std::span<const double> ceff_scale,
-                                    const sim::DvfsPoint& op,
-                                    std::span<double> out_w) const noexcept {
-  const std::size_t n = out_w.size();
-  const double voltage = op.voltage;
-  const double freq = op.freq_ghz;
-  const double* u_in = utilization.data();
-  const double* ab = activity_busy.data();
-  const double* ai = activity_idle.data();
-  const double* cs = ceff_scale.data();
-  double* out = out_w.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double u = std::clamp(u_in[i], 0.0, 1.0);
-    const double effective_activity = u * ab[i] + (1.0 - u) * ai[i];
-    out[i] = ceff_base_ * cs[i] * voltage * voltage * freq *
-             effective_activity;
-  }
-}
-
 }  // namespace cpm::power

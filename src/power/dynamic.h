@@ -9,8 +9,6 @@
 // exploits (Fig. 6).
 #pragma once
 
-#include <span>
-
 #include "sim/core.h"
 #include "sim/dvfs.h"
 #include "util/units.h"
@@ -31,15 +29,6 @@ class DynamicPowerModel {
   units::Watts power(units::Volts voltage, units::GigaHertz freq,
                      double utilization, double activity_busy,
                      double activity_idle, double ceff_scale) const noexcept;
-
-  /// Flat batched form of power(): one auto-vectorizable sweep over a span
-  /// of cores sharing one operating point (a voltage/frequency island).
-  /// Element-wise identical to power() -- same operations, same order.
-  void power_batch(std::span<const double> utilization,
-                   std::span<const double> activity_busy,
-                   std::span<const double> activity_idle,
-                   std::span<const double> ceff_scale, const sim::DvfsPoint& op,
-                   std::span<double> out_w) const noexcept;
 
   double ceff_base() const noexcept { return ceff_base_; }
 

@@ -20,17 +20,4 @@ units::Watts LeakageModel::core_power(units::Volts voltage, double temp_c,
                       util::exp_fast(beta_ * (temp_c - ref_temp_c_))};
 }
 
-void LeakageModel::power_batch(units::Volts voltage,
-                               std::span<const double> temps_c,
-                               double leak_mult,
-                               std::span<double> out_add_w) const noexcept {
-  const std::size_t n = out_add_w.size();
-  const double scale = k_design_ * leak_mult * voltage.value();
-  const double* temps = temps_c.data();
-  double* out = out_add_w.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] += scale * util::exp_fast(beta_ * (temps[i] - ref_temp_c_));
-  }
-}
-
 }  // namespace cpm::power

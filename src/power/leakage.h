@@ -5,11 +5,9 @@
 // exponential captures the leakage-temperature feedback HotLeakage models.
 //
 // Every leakage path evaluates the exponential through util::exp_fast (the
-// deterministic ~1e-11-relative straight-line exp), so the scalar, per-island
-// batched, and whole-chip batched power paths all agree bit-for-bit.
+// deterministic ~1e-11-relative straight-line exp), so the scalar and the
+// whole-chip batched power paths agree bit-for-bit.
 #pragma once
-
-#include <span>
 
 #include "util/units.h"
 
@@ -23,13 +21,6 @@ class LeakageModel {
 
   units::Watts core_power(units::Volts voltage, double temp_c,
                           double leak_mult = 1.0) const noexcept;
-
-  /// Flat batched form of core_power() over per-core temperatures, ADDING
-  /// each core's leakage into out_add_w (so one buffer accumulates
-  /// dynamic + leakage without a scratch array). Element-wise bit-identical
-  /// to core_power() (same util::exp_fast evaluation per element).
-  void power_batch(units::Volts voltage, std::span<const double> temps_c,
-                   double leak_mult, std::span<double> out_add_w) const noexcept;
 
   double ref_temp_c() const noexcept { return ref_temp_c_; }
   double k_design() const noexcept { return k_design_; }

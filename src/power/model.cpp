@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 
 #include "util/fastmath.h"
 
@@ -43,52 +44,23 @@ PowerBreakdown PowerModel::core_power(const sim::CoreTick& tick,
   return out;
 }
 
-IslandPowerSums PowerModel::core_powers_batch(
-    std::span<const double> utilization, std::span<const double> activity_busy,
-    std::span<const double> activity_idle, std::span<const double> ceff_scale,
-    const sim::DvfsPoint& op, std::size_t island_idx,
-    std::span<const double> temps_c, std::span<double> out_total_w) const {
-  const std::size_t n = out_total_w.size();
-  if (utilization.size() != n || activity_busy.size() != n ||
-      activity_idle.size() != n || ceff_scale.size() != n ||
-      temps_c.size() != n) {
-    throw std::invalid_argument("core_powers_batch: span length mismatch");
-  }
-  dynamic_.power_batch(utilization, activity_busy, activity_idle, ceff_scale,
-                       op, out_total_w);
-  // Leakage is added core-by-core here (not via LeakageModel::power_batch) so
-  // the island leakage sum accumulates in the same flat core order that the
-  // scalar path's `total += core_power(...)` loop uses.
-  const double lm = island_leak_mult(island_idx);
-  IslandPowerSums sums;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double leak =
-        leakage_.core_power(units::Volts{op.voltage}, temps_c[i], lm).value();
-    out_total_w[i] += leak;
-    sums.leakage_w += leak;
-    sums.total_w += out_total_w[i];
-  }
-  return sums;
-}
-
 void PowerModel::chip_power_batch(
     std::span<const double> utilization, std::span<const double> activity_busy,
     std::span<const double> activity_idle, std::span<const double> ceff_scale,
     std::span<const double> voltage, std::span<const double> freq_ghz,
     std::span<const double> leak_mult, std::span<const double> temps_c,
-    std::span<double> out_total_w) const {
+    std::span<double> out_total_w, std::span<double> out_leak_w) const {
   const std::size_t n = out_total_w.size();
   if (utilization.size() != n || activity_busy.size() != n ||
       activity_idle.size() != n || ceff_scale.size() != n ||
       voltage.size() != n || freq_ghz.size() != n || leak_mult.size() != n ||
-      temps_c.size() != n) {
+      temps_c.size() != n || (!out_leak_w.empty() && out_leak_w.size() != n)) {
     throw std::invalid_argument("chip_power_batch: span length mismatch");
   }
-  // Multiplication order mirrors DynamicPowerModel::power_batch and
+  // Multiplication order mirrors DynamicPowerModel::power and
   // LeakageModel::core_power exactly (including the util::exp_fast leakage
-  // exponential), so this sweep is element-wise bit-identical to the
-  // per-island core_powers_batch path while staying straight-line and
-  // auto-vectorizable.
+  // exponential), so this sweep is element-wise bit-identical to the scalar
+  // core_power() path while staying straight-line and auto-vectorizable.
   const double ceff_base = dynamic_.ceff_base();
   const double k_design = leakage_.k_design();
   const double beta = leakage_.temp_beta();
@@ -102,33 +74,26 @@ void PowerModel::chip_power_batch(
   const double* lm = leak_mult.data();
   const double* t = temps_c.data();
   double* out = out_total_w.data();
-  for (std::size_t i = 0; i < n; ++i) {
-    const double u = std::clamp(u_in[i], 0.0, 1.0);
-    const double effective_activity = u * ab[i] + (1.0 - u) * ai[i];
-    const double dyn =
-        ceff_base * cs[i] * v[i] * v[i] * f[i] * effective_activity;
-    const double leak =
-        k_design * lm[i] * v[i] * util::exp_fast(beta * (t[i] - ref_c));
-    out[i] = dyn + leak;
+  double* leak_out = out_leak_w.data();
+  // One instantiation per tag, so the tick hot loop (no leakage output)
+  // carries no per-core store or branch for it.
+  const auto sweep = [&](auto write_leak) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double u = std::clamp(u_in[i], 0.0, 1.0);
+      const double effective_activity = u * ab[i] + (1.0 - u) * ai[i];
+      const double dyn =
+          ceff_base * cs[i] * v[i] * v[i] * f[i] * effective_activity;
+      const double leak =
+          k_design * lm[i] * v[i] * util::exp_fast(beta * (t[i] - ref_c));
+      if constexpr (decltype(write_leak)::value) leak_out[i] = leak;
+      out[i] = dyn + leak;
+    }
+  };
+  if (out_leak_w.empty()) {
+    sweep(std::false_type{});
+  } else {
+    sweep(std::true_type{});
   }
-}
-
-PowerBreakdown PowerModel::island_power(
-    const sim::IslandTick& tick, const sim::DvfsPoint& op,
-    std::size_t island_idx, const std::vector<double>& core_temps_c) const {
-  if (core_temps_c.empty()) {
-    throw std::invalid_argument("island_power: need at least one temperature");
-  }
-  PowerBreakdown out;
-  for (std::size_t c = 0; c < tick.cores.size(); ++c) {
-    const double temp =
-        core_temps_c.size() == 1 ? core_temps_c[0] : core_temps_c.at(c);
-    const PowerBreakdown p =
-        core_power(tick.cores[c], op, island_idx, temp);
-    out.dynamic_w += p.dynamic_w;
-    out.leakage_w += p.leakage_w;
-  }
-  return out;
 }
 
 units::Watts PowerModel::max_chip_power(const workload::Mix& mix,

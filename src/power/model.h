@@ -20,13 +20,6 @@ struct PowerBreakdown {
   double total() const noexcept { return dynamic_w + leakage_w; }
 };
 
-/// Island-level sums returned by the batched per-core sweep (accumulated in
-/// flat core order).
-struct IslandPowerSums {
-  double total_w = 0.0;
-  double leakage_w = 0.0;
-};
-
 class PowerModel {
  public:
   /// Builds from the CMP config; `island_leak_mults` (one per island) carries
@@ -38,29 +31,17 @@ class PowerModel {
   PowerBreakdown core_power(const sim::CoreTick& tick, const sim::DvfsPoint& op,
                             std::size_t island_idx, double temp_c) const;
 
-  /// Batched per-core power for one island's flat core range (the SoA hot
-  /// path): out_total_w[i] = dynamic + leakage of core i, with the island
-  /// sums returned. All spans must have the same length. Element-wise
-  /// bit-identical to core_power() on the same inputs.
-  IslandPowerSums core_powers_batch(std::span<const double> utilization,
-                                    std::span<const double> activity_busy,
-                                    std::span<const double> activity_idle,
-                                    std::span<const double> ceff_scale,
-                                    const sim::DvfsPoint& op,
-                                    std::size_t island_idx,
-                                    std::span<const double> temps_c,
-                                    std::span<double> out_total_w) const;
-
-  /// Whole-chip flat power sweep for the tick hot loop: ONE pass over all
-  /// cores of the chip, with voltage / frequency / leak multiplier already
-  /// broadcast per core (island-major flat order), writing each core's
-  /// dynamic + leakage total. Same operations in the same order as the
-  /// per-island core_powers_batch path (both leakage exponentials evaluate
-  /// through util::exp_fast), so the two paths agree bit-for-bit; there is
-  /// no per-island call or span plumbing, whose overhead rivals the
-  /// arithmetic on small islands.
-  /// Island sums are left to the caller (a per-island partial sum over
-  /// out_total_w). All spans must have length out_total_w.size().
+  /// Whole-chip flat power sweep, the plant tick's only power evaluation
+  /// (core::ChipPlant::step): ONE pass over all cores of the chip, with
+  /// voltage / frequency / leak multiplier already broadcast per core
+  /// (island-major flat order), writing each core's dynamic + leakage total.
+  /// Element-wise bit-identical to core_power() on the same inputs (the
+  /// leakage exponential evaluates through util::exp_fast on both paths).
+  /// Island sums are left to the caller. When `out_leak_w` is non-empty,
+  /// each core's leakage share is also written there; an empty span writes
+  /// nothing and costs nothing. Every span must have length
+  /// out_total_w.size() (out_leak_w may also be empty), else
+  /// std::invalid_argument.
   void chip_power_batch(std::span<const double> utilization,
                         std::span<const double> activity_busy,
                         std::span<const double> activity_idle,
@@ -69,13 +50,8 @@ class PowerModel {
                         std::span<const double> freq_ghz,
                         std::span<const double> leak_mult,
                         std::span<const double> temps_c,
-                        std::span<double> out_total_w) const;
-
-  /// Island power: sum over the tick's cores, one temperature per core
-  /// (temps may be a single value broadcast if sized 1).
-  PowerBreakdown island_power(const sim::IslandTick& tick,
-                              const sim::DvfsPoint& op, std::size_t island_idx,
-                              const std::vector<double>& core_temps_c) const;
+                        std::span<double> out_total_w,
+                        std::span<double> out_leak_w = {}) const;
 
   /// Maximum chip power for this mix: every core at the top DVFS level, full
   /// utilization, its own activity/capacitance, leakage at the reference

@@ -41,12 +41,6 @@ Chip::Chip(const CmpConfig& config, const workload::Mix& mix,
   if (mix.total_cores() != config.total_cores()) {
     throw std::invalid_argument("Chip: mix cores/island != config");
   }
-#if !CPM_ENABLE_SCALAR_KERNEL
-  if (kernel_ == TickKernel::kScalarReference) {
-    throw std::invalid_argument(
-        "Chip: scalar reference kernel compiled out (CPM_SCALAR_KERNEL=OFF)");
-  }
-#endif
   util::Xoshiro256pp master(seed);
   islands_.reserve(mix.islands.size());
   offsets_.reserve(mix.islands.size() + 1);
@@ -114,12 +108,10 @@ const ChipTick& Chip::step(double dt_seconds) {
   tick_.total_bips = 0.0;
   tick_.total_instructions = 0.0;
   tick_.utilization = 0.0;
-#if CPM_ENABLE_SCALAR_KERNEL
   if (kernel_ == TickKernel::kScalarReference) {
     step_scalar(dt_seconds, congestion);
     return tick_;
   }
-#endif
   step_batched(dt_seconds, congestion);
   return tick_;
 }
@@ -235,7 +227,6 @@ void Chip::step_batched(double dt_seconds, double congestion) {
   memory_.update(total_demand);
 }
 
-#if CPM_ENABLE_SCALAR_KERNEL
 void Chip::step_scalar(double dt_seconds, double congestion) {
   // The original object-walking tick loop, kept verbatim as the batched
   // kernel's differential oracle. It additionally mirrors its results into
@@ -272,6 +263,5 @@ void Chip::step_scalar(double dt_seconds, double congestion) {
   tick_.utilization = chip_util / static_cast<double>(num_cores());
   memory_.update(total_demand);
 }
-#endif  // CPM_ENABLE_SCALAR_KERNEL
 
 }  // namespace cpm::sim

@@ -22,27 +22,19 @@
 #include "sim/memory.h"
 #include "workload/mixes.h"
 
-/// Compile-time gate for the legacy scalar tick kernel (CMake option
-/// CPM_SCALAR_KERNEL, default ON). With the kernel compiled out, requesting
-/// TickKernel::kScalarReference throws.
-#ifndef CPM_ENABLE_SCALAR_KERNEL
-#define CPM_ENABLE_SCALAR_KERNEL 1
-#endif
-
 namespace cpm::sim {
 
 /// Which tick kernel Chip::step runs. kBatched is the production path;
 /// kScalarReference preserves the original per-object loop purely so
 /// differential tests (tests/fuzz/fuzz_sim --scenarios N runs every scenario
-/// through both) can prove the refactor bit-honest. It can be compiled out
-/// with -DCPM_ENABLE_SCALAR_KERNEL=0 once parity has soaked.
+/// through both) can prove the batched kernel bit-honest.
 enum class TickKernel { kBatched, kScalarReference };
 
 /// Contiguous per-core tick state, island-major (island i owns flat core
 /// indices [island_offset(i), island_offset(i+1))). Inputs are refreshed by
 /// the per-core workload pass, constants on construction/migration, outputs
 /// by the flat micro-model kernel. `power_w` is written by the power-model
-/// layer (core::SimulationRun) so power lives in the same flat layout;
+/// layer (core::ChipPlant) so power lives in the same flat layout;
 /// per-core temperature stays contiguous inside thermal::RcThermalModel.
 struct ChipSoa {
   // -- workload demand inputs (refreshed every tick) --

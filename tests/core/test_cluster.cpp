@@ -245,5 +245,113 @@ TEST(MakeClusterChips, DeterministicAtAnyThreadCount) {
   EXPECT_NE(serial[0]->config().seed, serial[1]->config().seed);
 }
 
+// The rack tier: a small fleet of full-budget chips under the efficiency
+// objective, open-loop provisioning, serial epochs, every epoch retained and
+// full per-chip traces kept in memory.
+ClusterConfig rack_config() {
+  ClusterConfig cfg;
+  cfg.min_share = 0.05;
+  cfg.objective = ClusterObjective::kEfficiency;
+  cfg.integral_gain = 0.0;
+  cfg.threads = 1;
+  cfg.keep_chip_results = true;
+  cfg.epoch_capacity = 0;
+  cfg.sink_factory = [](std::size_t) {
+    return std::make_unique<InMemorySink>();
+  };
+  return cfg;
+}
+
+TEST(Rack, RejectsBadConstruction) {
+  EXPECT_THROW(ClusterPowerManager(rack_config(), {}), std::invalid_argument);
+  ClusterConfig bad = rack_config();
+  bad.budget_fraction = 0.0;
+  EXPECT_THROW(ClusterPowerManager(bad, make_chips(1)), std::invalid_argument);
+  ClusterConfig bad2 = rack_config();
+  bad2.epoch_s = 0.0;
+  EXPECT_THROW(ClusterPowerManager(bad2, make_chips(1)),
+               std::invalid_argument);
+}
+
+TEST(Rack, RejectsInfeasibleShareFloor) {
+  // Regression: min_share * num_chips > 1 used to over-commit the rack
+  // budget silently (every chip was promised 60% of the total); now it is
+  // rejected at construction.
+  ClusterConfig bad = rack_config();
+  bad.min_share = 0.6;
+  EXPECT_THROW(ClusterPowerManager(bad, make_chips(2)), std::invalid_argument);
+  ClusterConfig feasible = rack_config();
+  feasible.min_share = 0.5;
+  EXPECT_NO_THROW(ClusterPowerManager(feasible, make_chips(2)));
+}
+
+TEST(Rack, BudgetIsFractionOfCombinedMaxPower) {
+  auto chips = make_chips(2);
+  const double total_max =
+      chips[0]->max_chip_power().value() + chips[1]->max_chip_power().value();
+  ClusterConfig cfg = rack_config();
+  cfg.budget_fraction = 0.7;
+  ClusterPowerManager rack(cfg, std::move(chips));
+  EXPECT_NEAR(rack.cluster_budget_w(), 0.7 * total_max, 1e-9);
+}
+
+TEST(Rack, TracksRackBudget) {
+  ClusterConfig cfg = rack_config();
+  cfg.budget_fraction = 0.75;
+  ClusterPowerManager rack(cfg, make_chips(3));
+  const ClusterResult res = rack.run(0.2);
+  ASSERT_EQ(res.chips.size(), 3u);
+  // Rack power converges near the rack budget (the whole point of the
+  // hierarchy): skip the first epochs, check the tail.
+  double tail = 0.0;
+  std::size_t count = 0;
+  for (std::size_t e = res.epoch_power_w.size() / 2;
+       e < res.epoch_power_w.size(); ++e) {
+    tail += res.epoch_power_w[e];
+    ++count;
+  }
+  tail /= static_cast<double>(count);
+  EXPECT_NEAR(tail / res.cluster_budget_w, 1.0, 0.08);
+  // And never wildly exceeds it.
+  for (const double p : res.epoch_power_w) {
+    EXPECT_LT(p, res.cluster_budget_w * 1.15);
+  }
+}
+
+TEST(Rack, PerChipBudgetsSumToRackBudget) {
+  ClusterPowerManager rack(rack_config(), make_chips(3));
+  const ClusterResult res = rack.run(0.1);
+  double total = 0.0;
+  for (const auto& chip : res.chips) total += chip.budget_w;
+  EXPECT_LE(total, res.cluster_budget_w * (1.0 + 1e-9));
+  for (const auto& chip : res.chips) {
+    EXPECT_GE(chip.budget_w, 0.0);
+    EXPECT_LE(chip.budget_w, chip.max_power_w * (1.0 + 1e-9));
+  }
+}
+
+TEST(Rack, ProducesPerChipTraces) {
+  ClusterPowerManager rack(rack_config(), make_chips(2));
+  const ClusterResult res = rack.run(0.1);
+  ASSERT_EQ(res.chip_results.size(), 2u);
+  for (const auto& chip : res.chip_results) {
+    EXPECT_GT(chip.total_instructions, 0.0);
+    EXPECT_FALSE(chip.gpm_records.empty());
+  }
+  EXPECT_GT(res.total_instructions, 0.0);
+}
+
+TEST(Rack, Deterministic) {
+  ClusterPowerManager a(rack_config(), make_chips(2, 11));
+  ClusterPowerManager b(rack_config(), make_chips(2, 11));
+  const ClusterResult ra = a.run(0.05);
+  const ClusterResult rb = b.run(0.05);
+  EXPECT_DOUBLE_EQ(ra.total_instructions, rb.total_instructions);
+  ASSERT_EQ(ra.epoch_power_w.size(), rb.epoch_power_w.size());
+  for (std::size_t e = 0; e < ra.epoch_power_w.size(); ++e) {
+    EXPECT_DOUBLE_EQ(ra.epoch_power_w[e], rb.epoch_power_w[e]);
+  }
+}
+
 }  // namespace
 }  // namespace cpm::core

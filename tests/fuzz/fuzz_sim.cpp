@@ -18,8 +18,7 @@
 //   4. batched-vs-scalar -- the production SoA tick kernel
 //                      (sim::TickKernel::kBatched) and the legacy per-object
 //                      scalar kernel (kScalarReference) produce bit-identical
-//                      results for every variant (compiled out when
-//                      CPM_SCALAR_KERNEL=OFF);
+//                      results for every variant;
 //   5. cluster-threads -- a ClusterPowerManager run over a small random
 //                      fleet (randomized objective, share floor, integral
 //                      trim, shard size) produces bit-identical results at
@@ -409,7 +408,6 @@ bool FuzzRun::run_scenario(std::size_t index) {
     fail(index, "all", "parallel-exception", e.what());
   }
 
-#if CPM_ENABLE_SCALAR_KERNEL
   // Differential: the batched production kernel vs the scalar reference
   // kernel, full pipeline (calibration included), every variant. The scalar
   // kernel is the pre-SoA per-object loop kept precisely as this oracle; any
@@ -432,7 +430,6 @@ bool FuzzRun::run_scenario(std::size_t index) {
       fail(index, kVariants[v].name, "scalar-exception", e.what());
     }
   }
-#endif
 
   // Differential: 1-thread vs N-thread ClusterPowerManager over a small
   // random fleet (random objective, share floor, integral trim, shard size),

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "core/experiment.h"
+#include "util/units.h"
 
 namespace cpm::core {
 namespace {
@@ -124,6 +125,53 @@ TEST(SimulationRun, SubTickAdvancesAccumulate) {
   for (int i = 0; i < 25; ++i) run->advance(0.4 * dt);
   EXPECT_NEAR(run->elapsed_s(), 10 * dt, 1e-12);
   (void)run->finish();
+}
+
+TEST(SimulationRun, ResumableEqualsOneShot) {
+  // start/advance x2/finish must reproduce run() exactly.
+  Simulation one(default_config(0.8, 17));
+  Simulation two(default_config(0.8, 17));
+  const SimulationResult a = one.run(0.06);
+  auto live = two.start();
+  live->advance(0.03);
+  live->advance(0.03);
+  const SimulationResult b = live->finish();
+  EXPECT_DOUBLE_EQ(a.total_instructions, b.total_instructions);
+  EXPECT_DOUBLE_EQ(a.avg_chip_power_w, b.avg_chip_power_w);
+  ASSERT_EQ(a.gpm_records.size(), b.gpm_records.size());
+  for (std::size_t i = 0; i < a.gpm_records.size(); ++i) {
+    EXPECT_DOUBLE_EQ(a.gpm_records[i].chip_actual_w,
+                     b.gpm_records[i].chip_actual_w);
+  }
+}
+
+TEST(SimulationRun, LifecycleGuards) {
+  Simulation sim(default_config(0.8, 17));
+  auto live = sim.start();
+  EXPECT_THROW(live->advance(0.0), std::invalid_argument);
+  EXPECT_THROW(live->advance(-1.0), std::invalid_argument);
+  EXPECT_THROW(live->set_budget(units::Watts{0.0}), std::invalid_argument);
+  live->advance(0.01);
+  live->finish();
+  EXPECT_THROW(live->advance(0.01), std::logic_error);
+  EXPECT_THROW(live->finish(), std::logic_error);
+  // Live observables are invalid once finish() has consumed the run.
+  EXPECT_THROW(live->instructions(), std::logic_error);
+  EXPECT_THROW(live->last_window_power().value(), std::logic_error);
+}
+
+TEST(SimulationRun, MidRunBudgetChangeApplies) {
+  Simulation sim(default_config(0.9, 19));
+  auto live = sim.start();
+  live->advance(0.05);
+  const double before = live->last_window_power().value();
+  live->set_budget(units::Watts{sim.max_chip_power().value() * 0.6});
+  live->advance(0.1);
+  const SimulationResult res = live->finish();
+  const double after = res.gpm_records.back().chip_actual_w;
+  EXPECT_LT(after, before * 0.85);
+  EXPECT_NEAR(res.gpm_records.back().chip_budget_w,
+              sim.max_chip_power().value() * 0.6, 1e-9);
 }
 
 TEST(Simulation, SeedChangesResults) {

@@ -1,4 +1,5 @@
 #include "power/dynamic.h"
+#include "power/model.h"
 #include "util/rng.h"
 #include "util/units.h"
 
@@ -74,25 +75,34 @@ TEST(Dynamic, CeffScaleMultiplies) {
 }
 
 TEST(Dynamic, PowerBatchMatchesScalarBitExact) {
-  // power_batch() documents element-wise bit-identity with power(): same
-  // operations in the same order, just swept over a span.
-  DynamicPowerModel m(1.7);
+  // The batched chip sweep computes each core's dynamic power with the same
+  // operations in the same order as power(), then adds the leakage it also
+  // reports, so total == power() + leakage holds bit-for-bit, including at
+  // the utilization clamp edges.
+  const sim::CmpConfig cfg = sim::CmpConfig::default_8core();
+  const PowerModel model(cfg);
+  const DynamicPowerModel& m = model.dynamic_model();
   const sim::DvfsPoint op{1.05, 1.4};
   util::Xoshiro256pp rng(29);
   constexpr std::size_t kN = 17;
-  std::vector<double> u, ab, ai, cs, out(kN, 0.0);
+  std::vector<double> u, ab, ai, cs, temps;
   for (std::size_t i = 0; i < kN; ++i) {
     u.push_back(rng.uniform(-0.2, 1.2));  // include the clamp edges
     ab.push_back(rng.uniform(0.3, 1.0));
     ai.push_back(rng.uniform(0.02, 0.2));
     cs.push_back(rng.uniform(0.7, 1.4));
+    temps.push_back(rng.uniform(40.0, 95.0));
   }
-  m.power_batch(u, ab, ai, cs, op, out);
+  const std::vector<double> volt(kN, op.voltage), freq(kN, op.freq_ghz),
+      lm(kN, 1.0);
+  std::vector<double> total(kN, 0.0), leak(kN, 0.0);
+  model.chip_power_batch(u, ab, ai, cs, volt, freq, lm, temps, total, leak);
   for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(out[i],
+    ASSERT_EQ(total[i],
               m.power(units::Volts{op.voltage}, units::GigaHertz{op.freq_ghz},
                       u[i], ab[i], ai[i], cs[i])
-                  .value())
+                      .value() +
+                  leak[i])
         << "core " << i;
   }
 }

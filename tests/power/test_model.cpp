@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <span>
 #include <vector>
 
 #include "util/rng.h"
@@ -51,35 +50,6 @@ TEST(PowerModel, BreakdownTotalIsSum) {
   EXPECT_DOUBLE_EQ(p.total(), p.dynamic_w + p.leakage_w);
 }
 
-TEST(PowerModel, IslandPowerSumsCores) {
-  PowerModel m(default_cfg());
-  sim::IslandTick island;
-  island.cores = {busy_tick(), busy_tick()};
-  const sim::DvfsPoint op{1.1, 1.6};
-  const PowerBreakdown whole = m.island_power(island, op, 0, {60.0});
-  const PowerBreakdown one = m.core_power(busy_tick(), op, 0, 60.0);
-  EXPECT_NEAR(whole.total(), 2.0 * one.total(), 1e-12);
-}
-
-TEST(PowerModel, IslandPowerPerCoreTemps) {
-  PowerModel m(default_cfg());
-  sim::IslandTick island;
-  island.cores = {busy_tick(), busy_tick()};
-  const sim::DvfsPoint op{1.1, 1.6};
-  // Hotter second core leaks more.
-  const PowerBreakdown cool = m.island_power(island, op, 0, {55.0, 55.0});
-  const PowerBreakdown mixed = m.island_power(island, op, 0, {55.0, 90.0});
-  EXPECT_GT(mixed.leakage_w, cool.leakage_w);
-}
-
-TEST(PowerModel, IslandPowerRequiresTemps) {
-  PowerModel m(default_cfg());
-  sim::IslandTick island;
-  island.cores = {busy_tick()};
-  EXPECT_THROW(m.island_power(island, {1.0, 1.0}, 0, {}),
-               std::invalid_argument);
-}
-
 TEST(PowerModel, MaxChipPowerBoundsTypicalDraw) {
   PowerModel m(default_cfg());
   const double max_w = m.max_chip_power(workload::mix1()).value();
@@ -102,15 +72,19 @@ TEST(PowerModel, MaxChipPowerScalesWithCores) {
 }
 
 TEST(PowerModel, CorePowersBatchMatchesScalarBitExact) {
-  // The per-island batched sweep must reproduce the scalar core_power()
-  // path bit-for-bit (both leakage exponentials run through util::exp_fast).
+  // Each core of the whole-chip sweep must reproduce the scalar core_power()
+  // path bit-for-bit, total and leakage output (both leakage exponentials
+  // run through util::exp_fast).
   sim::CmpConfig cfg = default_cfg();
   PowerModel m(cfg, {1.0, 1.2, 1.5, 2.0});
-  const sim::DvfsPoint op = cfg.dvfs.level(2);
   util::Xoshiro256pp rng(41);
   for (std::size_t island = 0; island < 4; ++island) {
+    const sim::DvfsPoint op = cfg.dvfs.level(2);
     constexpr std::size_t kCores = 5;
-    std::vector<double> util_v, ab, ai, cs, temps, out(kCores, 0.0);
+    std::vector<double> util_v, ab, ai, cs, temps;
+    const std::vector<double> volt(kCores, op.voltage);
+    const std::vector<double> freq(kCores, op.freq_ghz);
+    const std::vector<double> lm(kCores, m.island_leak_mult(island));
     for (std::size_t i = 0; i < kCores; ++i) {
       util_v.push_back(rng.uniform(0.0, 1.0));
       ab.push_back(rng.uniform(0.3, 1.0));
@@ -118,9 +92,8 @@ TEST(PowerModel, CorePowersBatchMatchesScalarBitExact) {
       cs.push_back(rng.uniform(0.7, 1.4));
       temps.push_back(rng.uniform(40.0, 95.0));
     }
-    const IslandPowerSums sums =
-        m.core_powers_batch(util_v, ab, ai, cs, op, island, temps, out);
-    double total = 0.0, leak_total = 0.0;
+    std::vector<double> out(kCores, 0.0), leak(kCores, 0.0);
+    m.chip_power_batch(util_v, ab, ai, cs, volt, freq, lm, temps, out, leak);
     for (std::size_t i = 0; i < kCores; ++i) {
       sim::CoreTick t;
       t.utilization = util_v[i];
@@ -130,30 +103,28 @@ TEST(PowerModel, CorePowersBatchMatchesScalarBitExact) {
       const PowerBreakdown p = m.core_power(t, op, island, temps[i]);
       ASSERT_EQ(out[i], p.dynamic_w + p.leakage_w)
           << "island " << island << " core " << i;
-      leak_total += p.leakage_w;
-      total += out[i];
+      ASSERT_EQ(leak[i], p.leakage_w) << "island " << island << " core " << i;
     }
-    ASSERT_EQ(sums.leakage_w, leak_total);
-    ASSERT_EQ(sums.total_w, total);
   }
 }
 
 TEST(PowerModel, ChipPowerBatchMatchesPerIslandBitExact) {
-  // The whole-chip flat sweep (the SoA tick kernel's power path) and the
-  // per-island batched path must agree bit-for-bit: the fuzz harness's
-  // batched-vs-scalar differential relies on it.
+  // The whole-chip flat sweep (the plant tick's only power evaluation) must
+  // reproduce the scalar core_power() path of each core's island
+  // bit-for-bit, on uneven islands with per-island operating points and
+  // leakage multipliers and utilizations outside [0, 1] (the clamp). The
+  // optional leakage output must not change the totals.
   sim::CmpConfig cfg = default_cfg();
   PowerModel m(cfg, {1.0, 1.2, 1.5, 2.0});
   util::Xoshiro256pp rng(43);
   constexpr std::size_t kIslands = 4;
   const std::size_t sizes[kIslands] = {1, 3, 2, 2};  // uneven on purpose
   std::vector<double> util_v, ab, ai, cs, volt, freq, lm, temps;
-  std::vector<sim::DvfsPoint> ops;
+  std::vector<std::size_t> island_of;
   for (std::size_t island = 0; island < kIslands; ++island) {
     const sim::DvfsPoint op = cfg.dvfs.level(island % cfg.dvfs.num_levels());
-    ops.push_back(op);
     for (std::size_t c = 0; c < sizes[island]; ++c) {
-      util_v.push_back(rng.uniform(0.0, 1.0));
+      util_v.push_back(rng.uniform(-0.2, 1.2));
       ab.push_back(rng.uniform(0.3, 1.0));
       ai.push_back(rng.uniform(0.02, 0.2));
       cs.push_back(rng.uniform(0.7, 1.4));
@@ -161,28 +132,34 @@ TEST(PowerModel, ChipPowerBatchMatchesPerIslandBitExact) {
       freq.push_back(op.freq_ghz);
       lm.push_back(m.island_leak_mult(island));
       temps.push_back(rng.uniform(40.0, 95.0));
+      island_of.push_back(island);
     }
   }
   const std::size_t n = util_v.size();
-  std::vector<double> chip_out(n, 0.0);
-  m.chip_power_batch(util_v, ab, ai, cs, volt, freq, lm, temps, chip_out);
-
-  std::size_t offset = 0;
-  for (std::size_t island = 0; island < kIslands; ++island) {
-    const std::size_t sz = sizes[island];
-    std::vector<double> island_out(sz, 0.0);
-    auto span_of = [&](const std::vector<double>& v) {
-      return std::span<const double>(v).subspan(offset, sz);
-    };
-    m.core_powers_batch(span_of(util_v), span_of(ab), span_of(ai),
-                        span_of(cs), ops[island], island, span_of(temps),
-                        island_out);
-    for (std::size_t c = 0; c < sz; ++c) {
-      ASSERT_EQ(chip_out[offset + c], island_out[c])
-          << "island " << island << " core " << c;
-    }
-    offset += sz;
+  std::vector<double> total(n, 0.0), leak(n, 0.0), total_only(n, 0.0);
+  m.chip_power_batch(util_v, ab, ai, cs, volt, freq, lm, temps, total, leak);
+  m.chip_power_batch(util_v, ab, ai, cs, volt, freq, lm, temps, total_only);
+  for (std::size_t i = 0; i < n; ++i) {
+    sim::CoreTick t;
+    t.utilization = util_v[i];
+    t.activity = ab[i];
+    t.activity_idle = ai[i];
+    t.ceff_scale = cs[i];
+    const PowerBreakdown p =
+        m.core_power(t, {volt[i], freq[i]}, island_of[i], temps[i]);
+    ASSERT_EQ(total[i], p.dynamic_w + p.leakage_w) << "core " << i;
+    ASSERT_EQ(leak[i], p.leakage_w) << "core " << i;
+    ASSERT_EQ(total_only[i], total[i]) << "core " << i;
   }
+
+  std::vector<double> short_temps(temps.begin(), temps.end() - 1);
+  EXPECT_THROW(m.chip_power_batch(util_v, ab, ai, cs, volt, freq, lm,
+                                  short_temps, total),
+               std::invalid_argument);
+  std::vector<double> short_leak(n - 1, 0.0);
+  EXPECT_THROW(m.chip_power_batch(util_v, ab, ai, cs, volt, freq, lm, temps,
+                                  total, short_leak),
+               std::invalid_argument);
 }
 
 }  // namespace

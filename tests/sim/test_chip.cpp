@@ -143,7 +143,6 @@ TEST(Chip, UnevenIslandUtilizationIsCoreWeighted) {
   EXPECT_TRUE(aggregates_differ);
 }
 
-#if CPM_ENABLE_SCALAR_KERNEL
 TEST(Chip, ScalarAndBatchedKernelsAgreeBitExact) {
   // The legacy per-object scalar kernel is kept solely as a differential
   // oracle for the batched SoA kernel: every tick field must agree
@@ -177,7 +176,6 @@ TEST(Chip, ScalarAndBatchedKernelsAgreeBitExact) {
     }
   }
 }
-#endif
 
 TEST(CmpConfig, DerivedQuantities) {
   const CmpConfig cfg = CmpConfig::default_8core();
