@@ -36,7 +36,6 @@ Row run(const std::string& label, const cpm::core::SimulationConfig& cfg) {
 
 int main() {
   using namespace cpm;
-  bench::Telemetry telemetry("ablation_controller");
   bench::header("Ablation", "controller and sensing design choices (80% budget)");
 
   std::vector<Row> rows;
@@ -94,5 +93,5 @@ int main() {
   bench::note("small and the auto-tuned design trims the mean error; the big gap");
   bench::note("is feedback vs the open-loop MaxBIPS table (stranded budget), and");
   bench::note("under sensor noise the observer halves the worst overshoot.");
-  return telemetry.finish(true);
+  return 0;
 }

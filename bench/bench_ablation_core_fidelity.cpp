@@ -52,7 +52,6 @@ Point detailed(const char* name, double freq) {
 
 int main() {
   using namespace cpm;
-  bench::Telemetry telemetry("ablation_core_fidelity");
   bench::header("Ablation", "analytic micro-model vs pipeline+cache reference");
 
   util::AsciiTable table({"benchmark", "class", "model", "BIPS@0.6", "BIPS@2.0",
@@ -103,5 +102,5 @@ int main() {
   bench::note("both models agree on the controller-relevant shape: CPU-bound");
   bench::note("codes scale near-linearly with f, memory-bound codes do not,");
   bench::note("and utilization falls as frequency rises");
-  return telemetry.finish(ok);
+  return ok ? 0 : 1;
 }

@@ -12,7 +12,6 @@
 
 int main() {
   using namespace cpm;
-  bench::Telemetry telemetry("eq12_stability");
   bench::header("Eqs. 9-13", "closed-loop pole placement & stability range");
 
   const control::PidGains gains{};  // (0.4, 0.4, 0.3)
@@ -42,5 +41,5 @@ int main() {
   const bool ok = control::analyze_cpm_loop(units::PercentPerGhz{0.79}, gains).stable &&
                   !control::analyze_cpm_loop(units::PercentPerGhz{2.79}, gains).stable &&
                   g_max > 2.0 && g_max < 2.25;
-  return telemetry.finish(ok);
+  return ok ? 0 : 1;
 }

@@ -10,7 +10,6 @@
 
 int main() {
   using namespace cpm;
-  bench::Telemetry telemetry("ext_policies");
   bench::header("Extension", "energy-aware policy: guarantee vs power frontier");
 
   // Reference: performance-aware at a 100 % budget.
@@ -69,5 +68,5 @@ int main() {
   bench::note("the SLA island holds its throughput under the tight budget;");
   bench::note("best-effort islands absorb the shortfall");
   if (qos.island_avg_bips[1] <= plain.island_avg_bips[1]) ok = false;
-  return telemetry.finish(ok);
+  return ok ? 0 : 1;
 }

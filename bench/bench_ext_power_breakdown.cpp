@@ -9,7 +9,6 @@
 
 int main() {
   using namespace cpm;
-  bench::Telemetry telemetry("ext_power_breakdown");
   bench::header("Extension", "Wattch-style per-structure power breakdown");
 
   const sim::CmpConfig cfg = sim::CmpConfig::default_8core();
@@ -36,5 +35,5 @@ int main() {
                 model.total_power(behavior.mix, u, units::Volts{0.956}, units::GigaHertz{0.6}).value(),
                 model.total_power(behavior.mix, u, units::Volts{1.26}, units::GigaHertz{2.0}).value());
   }
-  return telemetry.finish(true);
+  return 0;
 }

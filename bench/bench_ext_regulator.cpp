@@ -10,7 +10,6 @@
 
 int main() {
   using namespace cpm;
-  bench::Telemetry telemetry("ext_regulator");
   bench::header("Extension",
                 "regulator cost of DVFS granularity (per-core vs islands)");
 
@@ -40,5 +39,5 @@ int main() {
   bench::note("islands amortize each regulator's fixed losses and area floor;");
   bench::note("at hundreds of cores, per-core regulation pays for itself in");
   bench::note("conversion losses alone -- the paper's motivation for per-island DVFS");
-  return telemetry.finish(ok);
+  return ok ? 0 : 1;
 }

@@ -33,7 +33,6 @@ Outcome run(const core::SimulationConfig& cfg) {
 
 int main() {
   using namespace cpm;
-  bench::Telemetry telemetry("ext_sensitivity");
   bench::header("Extension", "seed sensitivity (10 seeds, 80% budget)");
 
   const std::vector<std::uint64_t> seeds{1, 7, 13, 42, 99, 123, 1234, 5555,
@@ -104,5 +103,5 @@ int main() {
   // Shape checks: seed spread must be modest.
   const bool ok = overshoot.max() < 0.12 && degradation.stddev() < 0.03 &&
                   power.stddev() < 0.02;
-  return telemetry.finish(ok);
+  return ok ? 0 : 1;
 }

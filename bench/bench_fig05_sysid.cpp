@@ -16,7 +16,6 @@
 
 int main() {
   using namespace cpm;
-  bench::Telemetry telemetry("fig05_sysid");
   bench::header("Fig. 5", "actual power vs. Eq. 8 model prediction (bodytrack)");
 
   // bodytrack on every core of the default 8-core chip.
@@ -103,5 +102,5 @@ int main() {
   bench::series("model",
                 std::vector<double>(predicted.begin(), predicted.begin() + 16),
                 1);
-  return telemetry.finish(err < 0.10);
+  return err < 0.10 ? 0 : 1;
 }

@@ -10,7 +10,6 @@
 
 int main() {
   using namespace cpm;
-  bench::Telemetry telemetry("fig07_provisioning");
   bench::header("Fig. 7", "GPM power provisioning across islands (80% budget)");
 
   core::Simulation sim(core::default_config(0.8));
@@ -46,5 +45,5 @@ int main() {
   }
   std::printf("  chip mean: %.1f%% of max (budget 80%%)\n",
               res.avg_chip_power_w / res.max_chip_power_w * 100.0);
-  return telemetry.finish(true);
+  return 0;
 }

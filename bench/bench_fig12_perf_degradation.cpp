@@ -10,7 +10,6 @@
 
 int main() {
   using namespace cpm;
-  bench::Telemetry telemetry("fig12_perf_degradation");
   bench::header("Fig. 12", "performance degradation vs power budget");
 
   const std::vector<double> budgets{0.55, 0.65, 0.75, 0.80, 0.90, 1.0};
@@ -41,5 +40,5 @@ int main() {
 
   // Shape check: degradation decreases as budgets loosen.
   bool monotone_ok = points.front().degradation > points.back().degradation;
-  return telemetry.finish(monotone_ok);
+  return monotone_ok ? 0 : 1;
 }

@@ -13,7 +13,6 @@
 
 int main() {
   using namespace cpm;
-  bench::Telemetry telemetry("fig13_island_size");
   bench::header("Fig. 13", "performance degradation vs island size (80% budget)");
 
   // Each (island size, scheme) cell is an independent seeded run: fan the
@@ -48,5 +47,5 @@ int main() {
   // Shape checks.
   const bool grows = ours_deg.back() >= ours_deg.front() - 0.01;
   const bool ours_wins_multicore = ours_deg[2] <= maxbips_deg[2] + 0.01;
-  return telemetry.finish((grows && ours_wins_multicore));
+  return (grows && ours_wins_multicore) ? 0 : 1;
 }

@@ -22,7 +22,6 @@ struct Cell {
 
 int main() {
   using namespace cpm;
-  bench::Telemetry telemetry("fig17_interval_sensitivity");
   bench::header("Fig. 17",
                 "sensitivity to (GPM interval, PIC interval) per island size");
 
@@ -62,5 +61,5 @@ int main() {
   }
   table.print(std::cout);
   bench::note("paper: the (5, 0.5) cadence degrades less than (5, 5)");
-  return telemetry.finish(ok);
+  return ok ? 0 : 1;
 }

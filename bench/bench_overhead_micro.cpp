@@ -11,7 +11,6 @@
 #include "core/perf_policy.h"
 #include "core/pic.h"
 #include "sim/chip.h"
-#include "util/bench_telemetry.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/trace.h"
@@ -171,15 +170,4 @@ BENCHMARK(BM_FullGpmWindow)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-// Expanded BENCHMARK_MAIN() with bench telemetry wrapped around the run so
-// bench_all.sh gets a BENCH_overhead_micro.json like every other target.
-int main(int argc, char** argv) {
-  cpm::util::BenchTelemetry telemetry("overhead_micro");
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return telemetry.finish(false);
-  }
-  telemetry.add_iterations(benchmark::RunSpecifiedBenchmarks());
-  benchmark::Shutdown();
-  return telemetry.finish(true);
-}
+BENCHMARK_MAIN();

@@ -6,7 +6,6 @@
 
 int main() {
   using namespace cpm;
-  bench::Telemetry telemetry("table1_config");
   bench::header("Table I", "Core, Memory, CMP configuration and V-f settings");
 
   const sim::CmpConfig cfg = sim::CmpConfig::default_8core();
@@ -51,5 +50,5 @@ int main() {
                   util::AsciiTable::num(cfg.dvfs.level(l).freq_ghz * 1000, 0)});
   }
   dvfs.print(std::cout);
-  return telemetry.finish(true);
+  return 0;
 }

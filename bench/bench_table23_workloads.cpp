@@ -40,7 +40,6 @@ void print_mix(const cpm::workload::Mix& mix, const std::string& caption) {
 
 int main() {
   using namespace cpm;
-  bench::Telemetry telemetry("table23_workloads");
   bench::header("Table II", "PARSEC benchmark details (synthetic profiles)");
   util::AsciiTable table({"benchmark", "abbrev", "class", "CPI core",
                           "mem stall (ns/instr)", "activity", "Ceff scale"});
@@ -58,5 +57,5 @@ int main() {
   print_mix(workload::mix2(), "(b) Mix-2 for 8-core CMP");
   print_mix(workload::mix3(1), "(c) Mix-3 for 16-core CMP (replicated 2x for 32)");
   print_mix(workload::thermal_mix(), "thermal study: 8 islands x 1 core (Fig. 18a)");
-  return telemetry.finish(true);
+  return 0;
 }

@@ -1,6 +1,7 @@
 // Shared helpers for the figure/table regeneration harness. Each bench
 // binary prints the same rows/series the paper's corresponding figure or
-// table reports, using these formatting utilities.
+// table reports, using these formatting utilities, and exits non-zero when
+// its shape check fails (see scripts/bench_all.sh).
 #pragma once
 
 #include <cstdio>
@@ -11,15 +12,9 @@
 #include "core/invariant_checker.h"
 #include "core/record_sink.h"
 #include "core/simulation.h"
-#include "util/bench_telemetry.h"
 #include "util/table.h"
 
 namespace cpm::bench {
-
-/// Every bench declares one of these first in main() and exits through
-/// telemetry.finish(ok); when $CPM_BENCH_JSON_DIR is set the destructor
-/// drops BENCH_<name>.json there (see scripts/bench_all.sh).
-using Telemetry = util::BenchTelemetry;
 
 /// Runs a simulation with the invariant checker attached in fatal mode: a
 /// violated power-management invariant aborts the bench with a diagnostic
@@ -35,15 +30,10 @@ inline core::SimulationResult checked_run(core::Simulation& sim,
 }
 
 inline void header(const std::string& id, const std::string& title) {
-  // The figure id/title pair describes what the bench measures, so it is
-  // folded into the telemetry config hash: baseline comparisons only match
-  // like with like.
-  if (Telemetry* t = Telemetry::current()) t->note_config(id + "|" + title);
   std::cout << "\n=== " << id << ": " << title << " ===\n";
 }
 
 inline void note(const std::string& text) {
-  if (Telemetry* t = Telemetry::current()) t->note_config(text);
   std::cout << "  " << text << "\n";
 }
 

@@ -1,64 +1,48 @@
 #!/usr/bin/env bash
-# Runs every bench_* target with bench telemetry enabled and aggregates the
-# per-bench BENCH_<name>.json files (schema: docs/OBSERVABILITY.md) into one
-# summary. Seeds the perf trajectory: commit a snapshot of the output as
-# bench/baseline/BENCH_baseline.json and CI gates records/s (throughput)
-# regressions against it (scripts/check_bench_json.py --baseline).
+# Runs every figure/table bench and reports which shape checks failed. Each
+# build/bench/bench_* binary regenerates one paper table or figure and exits
+# non-zero when its shape check fails; bench_ext_cluster also runs a second
+# time in its --short (dispatch-bound) mode. Speed is measured elsewhere:
+# see BENCHMARK.json and bench/e2e/README.md.
 #
-# usage: scripts/bench_all.sh [BUILD_DIR] [OUT_DIR]
+# usage: scripts/bench_all.sh [BUILD_DIR]
 #   BUILD_DIR  cmake build tree containing bench/ binaries (default: build)
-#   OUT_DIR    where BENCH_*.json land (default: BUILD_DIR/bench-telemetry)
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="${1:-$ROOT/build}"
-OUT_DIR="${2:-$BUILD_DIR/bench-telemetry}"
 
 if [ ! -d "$BUILD_DIR/bench" ]; then
   echo "bench_all: no bench binaries under $BUILD_DIR/bench (build first)" >&2
   exit 1
 fi
 
-mkdir -p "$OUT_DIR"
-rm -f "$OUT_DIR"/BENCH_*.json
-
 failures=0
 ran=0
+run() {
+  echo "== $*"
+  local status=0
+  "$@" > /dev/null || status=$?
+  if [ "$status" -ne 0 ]; then
+    echo "   FAILED (exit $status)" >&2
+    failures=$((failures + 1))
+  fi
+  ran=$((ran + 1))
+}
+
 for bin in "$BUILD_DIR"/bench/bench_*; do
   [ -f "$bin" ] && [ -x "$bin" ] || continue
-  name="$(basename "$bin")"
-  args=()
-  # google-benchmark target: keep the sweep quick and deterministic-ish.
-  if [ "$name" = "bench_overhead_micro" ]; then
-    args+=(--benchmark_min_time=0.05)
+  if [ "$(basename "$bin")" = "bench_overhead_micro" ]; then
+    # google-benchmark target: keep the sweep quick.
+    run "$bin" --benchmark_min_time=0.05
+  else
+    run "$bin"
   fi
-  echo "== $name"
-  status=0
-  CPM_BENCH_JSON_DIR="$OUT_DIR" "$bin" "${args[@]}" > /dev/null || status=$?
-  if [ "$status" -ne 0 ]; then
-    echo "   FAILED (exit $status)" >&2
-    failures=$((failures + 1))
-  fi
-  ran=$((ran + 1))
 done
-
-# Second run of the cluster bench in short-epoch mode: a separate telemetry
-# record (ext_cluster_short) that times per-epoch parallel dispatch overhead
-# (the thread-pool regression canary -- see bench_ext_cluster.cpp).
 if [ -x "$BUILD_DIR/bench/bench_ext_cluster" ]; then
-  echo "== bench_ext_cluster --short"
-  status=0
-  CPM_BENCH_JSON_DIR="$OUT_DIR" "$BUILD_DIR/bench/bench_ext_cluster" --short \
-    > /dev/null || status=$?
-  if [ "$status" -ne 0 ]; then
-    echo "   FAILED (exit $status)" >&2
-    failures=$((failures + 1))
-  fi
-  ran=$((ran + 1))
+  run "$BUILD_DIR/bench/bench_ext_cluster" --short
 fi
 
 echo
-echo "bench_all: ran $ran benches, $failures failures; telemetry in $OUT_DIR"
-python3 "$ROOT/scripts/check_bench_json.py" "$OUT_DIR" \
-  --aggregate "$OUT_DIR/BENCH_all.json" --expect "$ran"
+echo "bench_all: ran $ran benches, $failures failures"
 [ "$failures" -eq 0 ]

@@ -77,6 +77,14 @@ ClusterPowerManager::ClusterPowerManager(
   if (config_.epoch_s <= 0.0) {
     throw std::invalid_argument("ClusterPowerManager: epoch must be positive");
   }
+  for (const auto& chip : chips_) {
+    // A shorter epoch can end before the chip completes a GPM window, so its
+    // last-window power would be stale (or 0 W before the first window).
+    if (config_.epoch_s < chip->config().cmp.gpm_interval_s) {
+      throw std::invalid_argument(
+          "ClusterPowerManager: epoch shorter than a chip GPM interval");
+    }
+  }
   if (config_.efficiency_smoothing < 0.0 || config_.efficiency_smoothing > 1.0) {
     throw std::invalid_argument(
         "ClusterPowerManager: efficiency smoothing out of [0,1]");

@@ -53,9 +53,9 @@ enum class ClusterObjective {
 struct ClusterConfig {
   /// Cluster budget as a fraction of the sum of the chips' max powers.
   double budget_fraction = 0.75;
-  /// Re-provisioning epoch, seconds. Must be at least one chip GPM interval
-  /// (5 ms at the paper design point) for the chips' last-window observables
-  /// to refresh between epochs.
+  /// Re-provisioning epoch, seconds. Must be at least every chip's GPM
+  /// interval (5 ms at the paper design point) for the chips' last-window
+  /// observables to refresh between epochs; the constructor enforces it.
   double epoch_s = 0.025;
   /// Smoothing of the per-chip efficiency estimate (EWMA weight on the new
   /// observation).

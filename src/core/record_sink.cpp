@@ -144,6 +144,14 @@ void StreamingSink::on_finish(SimulationResult&) {
   }
   pic_out_->flush();
   gpm_out_->flush();
+  // A failed write (full disk, closed pipe) would otherwise lose the trace
+  // silently: the result carries no records, so the streams are the output.
+  if (!*pic_out_) {
+    throw std::runtime_error("StreamingSink: writing the PIC trace failed");
+  }
+  if (!*gpm_out_) {
+    throw std::runtime_error("StreamingSink: writing the GPM trace failed");
+  }
 }
 
 namespace {

@@ -129,6 +129,8 @@ struct StreamingSinkConfig {
 /// trace_io format, so read_pic_trace_csv/read_gpm_trace_csv round-trip it,
 /// or JSONL with one object per line). Retains nothing in memory: the
 /// result's record vectors come back empty and the trace lives on disk.
+/// finish() throws std::runtime_error naming the stream when either one
+/// is in a failed state after the final flush.
 class StreamingSink : public RecordSink {
  public:
   StreamingSink(std::ostream& pic_out, std::ostream& gpm_out,

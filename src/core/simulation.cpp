@@ -8,7 +8,6 @@
 #include "control/system_id.h"
 #include "core/record_sink.h"
 #include "util/log.h"
-#include "util/metrics.h"
 #include "util/rng.h"
 #include "util/trace.h"
 
@@ -569,12 +568,6 @@ void SimulationRun::pic_boundary(double now) {
       rec.sensed_w = rec.actual_w;
       gpm_sensed_energy_[i] += rec.sensed_w * cmp.pic_interval_s;
     }
-    // Counted here, at the production site, rather than in RecordSink: a
-    // CheckingSink forwards each record through its inner sink's public
-    // entry point, which would double-count.
-    static util::Counter& pic_record_counter =
-        util::MetricsRegistry::global().counter("sim.pic_records");
-    pic_record_counter.add();
     sink_->record_pic(rec);
     result_.island_level_residency[i][rec.dvfs_level] += 1.0;
     gpm_accum_[i].merge(pic_accum_[i]);
@@ -648,9 +641,6 @@ void SimulationRun::gpm_boundary(double now) {
   last_gpm_bips_ = rec.chip_bips;
   CPM_TRACE_COUNTER("chip_power_w", "actual", rec.chip_actual_w);
   CPM_TRACE_COUNTER("chip_bips", "bips", rec.chip_bips);
-  static util::Counter& gpm_record_counter =
-      util::MetricsRegistry::global().counter("sim.gpm_records");
-  gpm_record_counter.add();
   sink_->record_gpm(rec);
 
   // ---- migration advisor (extension) ----
@@ -691,9 +681,6 @@ SimulationResult SimulationRun::finish() {
     throw std::logic_error("SimulationRun::finish: already finished");
   }
   finished_ = true;
-  static util::Counter& runs_counter =
-      util::MetricsRegistry::global().counter("sim.runs");
-  runs_counter.add();
   result_.duration_s = elapsed_s();
   for (auto& residency : result_.island_level_residency) {
     double total = 0.0;

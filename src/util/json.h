@@ -1,10 +1,9 @@
 // Minimal JSON toolkit for the observability layer: a strict recursive-
 // descent parser (objects, arrays, strings, numbers, bools, null) and a
-// string escaper. Used to validate Chrome-trace output, round-trip the
-// BENCH_*.json telemetry schema, and parse metric dumps in tests. Not a
-// general-purpose serialization framework: writers in this codebase emit
-// JSON by hand (trace.cpp, metrics.cpp, bench_telemetry.cpp) and this
-// parser proves the output well-formed.
+// string escaper. Used to validate Chrome-trace output and parse metric
+// dumps in tests. Not a general-purpose serialization framework: writers in
+// this codebase emit JSON by hand (trace.cpp, metrics.cpp) and this parser
+// proves the output well-formed.
 #pragma once
 
 #include <cstddef>

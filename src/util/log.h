@@ -4,8 +4,8 @@
 //
 // Output is routed through a pluggable LogSink (default: stderr behind a
 // mutex) -- the same sink-style indirection the event tracer uses -- so a
-// process whose stdout carries machine-readable output (cpm_sim_cli CSV,
-// BENCH_*.json) can never have log lines interleaved into it, and tools can
+// process whose stdout carries machine-readable output (cpm_sim_cli CSV)
+// can never have log lines interleaved into it, and tools can
 // redirect logs to a file (`cpm_sim_cli --log-file`). When a trace session
 // is active every emitted line is also mirrored onto the trace timeline as
 // an instant event, so controller logs line up with the spans around them.

@@ -54,8 +54,8 @@
 namespace cpm::util {
 
 /// Default worker-thread count for a parallel dispatch: the CPM_THREADS
-/// environment variable when set (pins concurrency for CI and
-/// scripts/bench_all.sh so cross-host numbers are comparable), otherwise
+/// environment variable when set (pins concurrency so cross-host numbers
+/// are comparable), otherwise
 /// std::thread::hardware_concurrency(); either way clamped to
 /// [1, max_threads]. Re-read on every call so tests can repin; workers never
 /// call this.

@@ -50,6 +50,16 @@ TEST(Cluster, RejectsBadConstruction) {
   bad6.shard_size = 0;
   EXPECT_THROW(ClusterPowerManager(bad6, make_chips(1)),
                std::invalid_argument);
+  // An epoch shorter than a chip's GPM interval would read a stale window;
+  // exactly one interval is the shortest valid epoch.
+  ClusterConfig bad7;
+  bad7.epoch_s = 0.001;
+  EXPECT_THROW(ClusterPowerManager(bad7, make_chips(1)),
+               std::invalid_argument);
+  auto chips = make_chips(1);
+  ClusterConfig one_window;
+  one_window.epoch_s = chips.front()->config().cmp.gpm_interval_s;
+  EXPECT_NO_THROW(ClusterPowerManager(one_window, std::move(chips)));
 }
 
 TEST(Cluster, RejectsInfeasibleShareFloor) {

@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <streambuf>
+#include <string>
 #include <vector>
 
 #include "core/experiment.h"
@@ -192,6 +195,29 @@ TEST(RecordSink, StreamingCsvEmptyRunStillWritesHeaders) {
   std::istringstream pic_in(pic_out.str()), gpm_in(gpm_out.str());
   EXPECT_TRUE(read_pic_trace_csv(pic_in).empty());
   EXPECT_TRUE(read_gpm_trace_csv(gpm_in).empty());
+}
+
+// A stream whose every write fails, as on a full disk.
+struct FailingBuf : std::streambuf {};
+
+TEST(RecordSink, StreamingThrowsNamingTheFailedStream) {
+  for (const bool pic_fails : {true, false}) {
+    FailingBuf broken;
+    std::ostringstream good;
+    std::ostream bad(&broken);
+    StreamingSink sink(pic_fails ? bad : good, pic_fails ? good : bad);
+    sink.record_pic(pic_rec(0));
+    sink.record_gpm(gpm_rec(0));
+    SimulationResult result;
+    try {
+      sink.finish(result);
+      ADD_FAILURE() << "finish() accepted a failed stream";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(pic_fails ? "PIC" : "GPM"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(RecordSink, StreamingJsonlWritesOneObjectPerRecord) {

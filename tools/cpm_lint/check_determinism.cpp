@@ -8,8 +8,7 @@
 //  * ambient nondeterminism -- rand()/std::random_device (unseeded entropy)
 //    and wall-clock reads (std::chrono clocks) anywhere outside the approved
 //    seeding/telemetry sites (util/rng owns seeding, util/parallel owns the
-//    per-shard stream derivation, util/trace and util/bench_telemetry own
-//    timestamps);
+//    per-shard stream derivation, util/trace owns timestamps);
 //  * pointer-keyed containers/hashes: addresses differ per run, so ordering
 //    or hashing on them is nondeterminism even in an ordered container.
 #include <array>
@@ -39,18 +38,16 @@ const std::set<std::string> kClocks = {"steady_clock", "system_clock",
 
 // Files allowed to touch entropy/wall clocks: util/rng is the seeding
 // boundary, util/parallel owns the per-shard stream derivation (the only
-// place shard RNGs may be minted), and util/trace and util/bench_telemetry
-// stamp telemetry that is explicitly outside the deterministic-output
-// contract. Cluster/sim code must take its randomness from a shard stream
-// or a scenario-seeded util::Rng, never mint its own. The thread pool
+// place shard RNGs may be minted), and util/trace stamps telemetry that is
+// explicitly outside the deterministic-output contract. Cluster/sim code
+// must take its randomness from a shard stream or a scenario-seeded
+// util::Rng, never mint its own. The thread pool
 // (util/thread_pool.{h,cpp}) is deliberately NOT approved: the dispatch
 // engine executes index claims and nothing else, so a clock or entropy read
 // appearing there is a determinism bug by construction.
-const std::array<const char*, 7> kApprovedAmbient = {
-    "src/util/rng.h",           "src/util/rng.cpp",
-    "src/util/parallel.h",      "src/util/trace.h",
-    "src/util/trace.cpp",       "src/util/bench_telemetry.h",
-    "src/util/bench_telemetry.cpp"};
+const std::array<const char*, 5> kApprovedAmbient = {
+    "src/util/rng.h", "src/util/rng.cpp", "src/util/parallel.h",
+    "src/util/trace.h", "src/util/trace.cpp"};
 
 bool std_qualified(const TokenStream& toks, std::size_t i) {
   const std::size_t colons = prev_code_token(toks, i);
@@ -167,8 +164,7 @@ class DeterminismCheck final : public Check {
                       "std::chrono::" + t.text +
                           " is a wall-clock read in deterministic code -- "
                           "simulation time comes from the tick counter; "
-                          "telemetry timing belongs in util/trace or "
-                          "util/bench_telemetry",
+                          "telemetry timing belongs in util/trace",
                       out);
           continue;
         }
