@@ -10,8 +10,9 @@
 // budget tracking.
 //
 // Short-epoch mode (--short): a dispatch-bound configuration -- a small
-// fleet, shard_size 1, pinned 16-way parallelism, and millisecond epochs --
-// so per-epoch dispatch overhead dominates the sharded sim work. Its shape
+// fleet, shard_size 1, up to 16-way parallelism (capped at the host's
+// threads, or CPM_THREADS), and millisecond epochs -- so per-epoch dispatch
+// overhead dominates the sharded sim work. Its shape
 // checks are the same as the full run's; the dispatch cost itself is timed
 // by the fleet_short workload of bench/e2e (see bench/e2e/README.md).
 //
@@ -24,6 +25,7 @@
 #include "bench_util.h"
 #include "core/cluster.h"
 #include "core/experiment.h"
+#include "util/thread_pool.h"
 
 int main(int argc, char** argv) {
   using namespace cpm;
@@ -62,10 +64,11 @@ int main(int argc, char** argv) {
   cfg.integral_gain = 0.1;
   cfg.epoch_capacity = 64;
   if (short_mode) {
-    // One chip per shard at forced 16-way parallelism: every epoch pays one
-    // full-width dispatch, the worst case for dispatch overhead.
+    // One chip per shard at up to 16-way parallelism (never more threads
+    // than the host has): every epoch pays one full-width dispatch, the
+    // worst case for dispatch overhead.
     cfg.shard_size = 1;
-    cfg.threads = 16;
+    cfg.threads = util::default_thread_count(16);
   }
   core::ClusterPowerManager cluster(cfg, std::move(chips));
   const double budget = cluster.cluster_budget_w();

@@ -116,17 +116,6 @@ void BM_MetricsCounter(benchmark::State& state) {
 }
 BENCHMARK(BM_MetricsCounter);
 
-void BM_MetricsHistogram(benchmark::State& state) {
-  util::Histogram& hist =
-      util::MetricsRegistry::global().histogram("bench.histogram");
-  double v = 0.0;
-  for (auto _ : state) {
-    hist.observe(v);
-    v += 0.5;
-  }
-}
-BENCHMARK(BM_MetricsHistogram);
-
 void BM_ParallelDispatchMap(benchmark::State& state) {
   // Raw dispatch overhead of the persistent pool: an empty-body parallel_map
   // at count=1 (inline path), 16, and 512 tasks, 8-way parallelism. Before

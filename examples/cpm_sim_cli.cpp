@@ -76,7 +76,7 @@ void usage() {
       "  --chrome-trace F  record a Chrome trace_event JSON timeline of the\n"
       "                    run (open in Perfetto / chrome://tracing)\n"
       "  --metrics-out F   dump the metrics-registry JSON snapshot (counters,\n"
-      "                    gauges, histograms) after the run\n"
+      "                    histograms) after the run\n"
       "  --log-file F      append log lines to F instead of stderr\n"
       "  --help            this text\n";
 }
@@ -299,13 +299,9 @@ int main(int argc, char** argv) {
     const core::SimulationResult result = sim.run(opt.duration, *sink);
     if (checker) std::cout << checker->summary() << "\n";
 
-    // With the default in-memory sink the full trace is present and the
-    // batch metrics apply; bounded/streaming sinks keep exact aggregates in
-    // the sink itself instead.
-    const core::ChipTrackingMetrics chip =
-        opt.record_sink == "mem"
-            ? core::chip_tracking_metrics(result.gpm_records)
-            : sink->tracking().metrics();
+    // Every sink keeps exact tracking aggregates over all the records it
+    // saw, whatever it retained.
+    const core::ChipTrackingMetrics chip = sink->tracking().metrics();
     util::AsciiTable table({"metric", "value"});
     table.add_row({"mean chip power",
                    util::AsciiTable::num(result.avg_chip_power_w, 2) + " W (" +

@@ -6,43 +6,12 @@
 #include <utility>
 
 #include "core/perf_policy.h"
-#include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/trace.h"
 #include "workload/profile.h"
 
 namespace cpm::core {
 namespace {
-
-/// Stride-doubling bounded series (the BoundedSink kDecimate policy applied
-/// to the cluster's own epoch series): keep every `stride`-th sample,
-/// doubling the stride whenever the buffer fills, so the retained series
-/// always spans the run at uniform (halving) resolution.
-struct DecimatedSeries {
-  std::size_t capacity = 0;  // 0 = unbounded
-  std::size_t stride = 1;
-  std::size_t next_abs = 0;
-  std::vector<double> values;
-
-  void push(double v) {
-    const std::size_t abs_index = next_abs++;
-    if (capacity == 0) {
-      values.push_back(v);
-      return;
-    }
-    if (abs_index % stride != 0) return;
-    values.push_back(v);
-    if (values.size() >= capacity) {
-      std::vector<double> kept;
-      kept.reserve((values.size() + 1) / 2);
-      for (std::size_t i = 0; i < values.size(); i += 2) {
-        kept.push_back(values[i]);
-      }
-      values = std::move(kept);
-      stride *= 2;
-    }
-  }
-};
 
 /// One chip's per-epoch observables, written from the shard that advanced
 /// the chip (distinct indices, so concurrent shards never collide).
@@ -107,6 +76,10 @@ ClusterPowerManager::ClusterPowerManager(
   if (config_.shard_size == 0) {
     throw std::invalid_argument("ClusterPowerManager: shard size must be >= 1");
   }
+  if (config_.epoch_capacity == 1) {
+    throw std::invalid_argument(
+        "ClusterPowerManager: epoch capacity must be 0 (unbounded) or >= 2");
+  }
   for (const auto& chip : chips_) {
     total_max_power_w_ += chip->max_chip_power().value();
   }
@@ -118,17 +91,7 @@ ClusterResult ClusterPowerManager::run(double duration_s) {
     throw std::invalid_argument(
         "ClusterPowerManager::run: duration must be positive");
   }
-  static util::Counter& epoch_counter =
-      util::MetricsRegistry::global().counter("cluster.epochs");
-  static util::Counter& violation_counter =
-      util::MetricsRegistry::global().counter("cluster.invariant_violations");
-  static util::Gauge& chips_gauge =
-      util::MetricsRegistry::global().gauge("cluster.chips");
-  static util::Histogram& power_hist =
-      util::MetricsRegistry::global().histogram("cluster.power_w");
-
   const std::size_t k = chips_.size();
-  chips_gauge.set(static_cast<double>(k));
 
   // Per-chip sinks must outlive their runs.
   std::vector<std::unique_ptr<RecordSink>> sinks;
@@ -168,7 +131,6 @@ ClusterResult ClusterPowerManager::run(double duration_s) {
     ++result.invariant_checks;
     if (!ok) {
       ++result.invariant_violations;
-      violation_counter.add();
       if (result.first_violation.empty()) result.first_violation = what;
     }
   };
@@ -183,10 +145,9 @@ ClusterResult ClusterPowerManager::run(double duration_s) {
   double prev_provisioned_w = provisioned_w;
   double prev_power_w = -1.0;  // <0: no previous observation
 
-  DecimatedSeries power_series;
-  DecimatedSeries budget_series;
-  power_series.capacity = config_.epoch_capacity;
-  budget_series.capacity = config_.epoch_capacity;
+  DecimatedSeries<double> power_series;
+  DecimatedSeries<double> budget_series;
+  power_series.capacity = budget_series.capacity = config_.epoch_capacity;
 
   // Epoch fast path: with the persistent thread pool a dispatch costs
   // condvar-wake time, so the remaining per-epoch overhead is allocation.
@@ -213,7 +174,6 @@ ClusterResult ClusterPowerManager::run(double duration_s) {
   };
   for (std::size_t e = 0; e < epochs; ++e) {
     CPM_TRACE_SCOPE1("cluster", "cluster.epoch", "epoch", e);
-    epoch_counter.add();
 
     // Advance every chip by one epoch and observe it, sharded across
     // threads. Observations land in per-chip slots; the epoch power sum is
@@ -237,7 +197,6 @@ ClusterResult ClusterPowerManager::run(double duration_s) {
     result.epoch_power_stats.add(epoch.power_w);
     power_series.push(epoch.power_w);
     budget_series.push(provisioned_w);
-    power_hist.observe(epoch.power_w);
     CPM_TRACE_COUNTER("cluster_power_w", "actual", epoch.power_w);
     if (e + 1 == epochs) break;  // nothing runs after the last epoch
 

@@ -83,9 +83,10 @@ struct ClusterConfig {
   /// Off by default: at cluster scale the per-chip stats are the product and
   /// the traces live in the sinks.
   bool keep_chip_results = false;
-  /// Retained cluster epoch-series capacity (0 = unbounded). When the series
-  /// outgrows this, it is stride-decimated (keep every 2^k-th epoch) so it
-  /// always spans the run; exact aggregates stay in epoch_power_stats.
+  /// Retained cluster epoch-series capacity: 0 (unbounded) or at least 2
+  /// (1 is rejected). When the series outgrows this, it is stride-decimated
+  /// exactly like a BoundedSink kDecimate stream (keep every 2^k-th epoch) so
+  /// it always spans the run; exact aggregates stay in epoch_power_stats.
   std::size_t epoch_capacity = 0;
   /// Per-chip record sink factory (chip index -> sink). Defaults to a
   /// BoundedSink with default capacities, giving the O(capacity) memory

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "util/log.h"
-#include "util/metrics.h"
 #include "util/trace.h"
 
 namespace cpm::core {
@@ -41,14 +40,8 @@ std::vector<double> Gpm::invoke(
   if (observations.size() != allocation_.size()) {
     throw std::invalid_argument("Gpm::invoke: observation count mismatch");
   }
-  static util::Counter& invoke_counter =
-      util::MetricsRegistry::global().counter("gpm.invocations");
-  static util::Histogram& demand_hist =
-      util::MetricsRegistry::global().histogram("gpm.observed_power_w");
-  invoke_counter.add();
   double observed_w = 0.0;
   for (const IslandObservation& o : observations) observed_w += o.power_w;
-  demand_hist.observe(observed_w);
   CPM_TRACE_SCOPE2("gpm", "Gpm::invoke", "budget_w", budget_.value(),
                    "observed_w", observed_w);
   std::vector<double> next =

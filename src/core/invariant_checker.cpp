@@ -53,17 +53,11 @@ InvariantChecker::InvariantChecker(InvariantCheckerConfig config)
 }
 
 void InvariantChecker::report(InvariantViolation v) {
-  static util::Counter& violation_counter =
-      util::MetricsRegistry::global().counter("invariants.violations");
-  violation_counter.add();
   if (config_.fatal) throw InvariantViolationError(v);
   violations_.push_back(std::move(v));
 }
 
 void InvariantChecker::check_pic(const PicIntervalRecord& rec) {
-  static util::Counter& checked_counter =
-      util::MetricsRegistry::global().counter("invariants.pic_checked");
-  checked_counter.add();
   ++pic_count_;
   if (rec.island >= config_.num_islands) {
     report({"pic.island_index", rec.time_s, rec.island,
@@ -119,9 +113,6 @@ void InvariantChecker::check_pic(const PicIntervalRecord& rec) {
 }
 
 void InvariantChecker::check_gpm(const GpmIntervalRecord& rec) {
-  static util::Counter& checked_counter =
-      util::MetricsRegistry::global().counter("invariants.gpm_checked");
-  checked_counter.add();
   ++gpm_count_;
   if (rec.island_alloc_w.size() != config_.num_islands ||
       rec.island_actual_w.size() != config_.num_islands) {
@@ -243,6 +234,10 @@ void CheckingSink::on_gpm(const GpmIntervalRecord& rec) {
 
 void CheckingSink::on_finish(SimulationResult& result) {
   checker_->check_aggregates(*this);
+  util::MetricsRegistry& registry = util::MetricsRegistry::global();
+  registry.add("invariants.pic_checked", pic_records_seen());
+  registry.add("invariants.gpm_checked", gpm_records_seen());
+  registry.add("invariants.violations", checker_->violations().size());
   inner_->finish(result);
 }
 

@@ -74,23 +74,9 @@ IslandTrackingMetrics island_tracking_metrics(
 
 ChipTrackingMetrics chip_tracking_metrics(
     std::span<const GpmIntervalRecord> records, std::size_t warmup_windows) {
-  ChipTrackingMetrics metrics;
-  if (records.size() > warmup_windows) records = records.subspan(warmup_windows);
-  if (records.empty()) return metrics;
-  double err_sum = 0.0;
-  double power_sum = 0.0;
-  for (const auto& rec : records) {
-    const double budget = rec.chip_budget_w;
-    if (budget <= 0.0) continue;
-    const double rel = (rec.chip_actual_w - budget) / budget;
-    metrics.max_overshoot = std::max(metrics.max_overshoot, rel);
-    metrics.max_undershoot = std::max(metrics.max_undershoot, -rel);
-    err_sum += std::abs(rel);
-    power_sum += rec.chip_actual_w;
-  }
-  metrics.mean_abs_error = err_sum / static_cast<double>(records.size());
-  metrics.mean_power_w = power_sum / static_cast<double>(records.size());
-  return metrics;
+  ChipTrackingAccumulator tracking(warmup_windows);
+  for (const GpmIntervalRecord& rec : records) tracking.add(rec);
+  return tracking.metrics();
 }
 
 void ChipTrackingAccumulator::add(const GpmIntervalRecord& rec) noexcept {

@@ -57,16 +57,16 @@ struct ChipTrackingMetrics {
   double mean_power_w = 0.0;
 };
 
+/// The first `warmup_windows` records are excluded; a trace no longer than
+/// the warm-up yields all-zero metrics. Folds a ChipTrackingAccumulator over
+/// `records`, so it agrees exactly with a sink's streamed tracking().
 ChipTrackingMetrics chip_tracking_metrics(
     std::span<const GpmIntervalRecord> records, std::size_t warmup_windows = 2);
 
-/// Streaming equivalent of chip_tracking_metrics(): feed it each GPM record
-/// as it is produced and read the metrics at any point, in O(1) memory. The
-/// first `warmup_windows` records are always excluded (unlike the batch
-/// function, which only skips warmup when more than `warmup_windows` records
-/// exist); for any run longer than the warmup the two agree exactly. Used by
-/// the bounded/streaming record sinks to keep tracking metrics exact when
-/// the retained trace is not the full one.
+/// Streaming form of chip_tracking_metrics(): feed it each GPM record as it
+/// is produced and read the metrics at any point, in O(1) memory. The first
+/// `warmup_windows` records are excluded. Used by the record sinks to keep
+/// tracking metrics exact when the retained trace is not the full one.
 class ChipTrackingAccumulator {
  public:
   explicit ChipTrackingAccumulator(std::size_t warmup_windows = 2) noexcept

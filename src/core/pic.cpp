@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/metrics.h"
-
 namespace cpm::core {
 
 namespace {
@@ -36,11 +34,6 @@ Pic::Pic(const PicConfig& config, power::TransducerModel transducer,
                                  units::GigaHertz{config.max_freq_ghz})) {}
 
 units::GigaHertz Pic::invoke(double measured_utilization, double level_scale) {
-  static util::Counter& invoke_counter =
-      util::MetricsRegistry::global().counter("pic.invocations");
-  static util::Histogram& error_hist =
-      util::MetricsRegistry::global().histogram("pic.abs_error_pct");
-  invoke_counter.add();
   units::Watts sensed = sensed_power(measured_utilization, level_scale);
   if (config_.observer_gain > 0.0) {
     sensed =
@@ -50,7 +43,6 @@ units::GigaHertz Pic::invoke(double measured_utilization, double level_scale) {
   // the plant gain a_i was identified in (% power per GHz).
   last_error_ = units::Percent{(target_ - sensed).value() /
                                config_.power_scale_w * 100.0};
-  error_hist.observe(units::abs(last_error_).value());
 
   const units::GigaHertz min_freq{config_.min_freq_ghz};
   const units::GigaHertz max_freq{config_.max_freq_ghz};

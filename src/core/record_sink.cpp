@@ -56,42 +56,31 @@ BoundedSink::BoundedSink(BoundedSinkConfig config) : config_(config) {
 
 template <typename Record>
 void BoundedSink::Buffer<Record>::push(const Record& rec) {
-  if (policy == BoundedSinkConfig::Policy::kKeepLast) {
-    if (storage.size() < capacity) {
-      storage.push_back(rec);
-    } else {
-      storage[head] = rec;
-      head = (head + 1) % capacity;
-    }
+  if (policy == BoundedSinkConfig::Policy::kDecimate) {
+    DecimatedSeries<Record>::push(rec);
     return;
   }
-  // kDecimate: keep absolute indices that are multiples of the stride; when
-  // the buffer fills, drop every other retained record and double the stride
-  // (the survivors are exactly the multiples of the doubled stride).
-  const std::size_t abs = next_abs++;
-  if (abs % stride != 0) return;
-  if (storage.size() == capacity) {
-    for (std::size_t i = 0; 2 * i < storage.size(); ++i) {
-      storage[i] = std::move(storage[2 * i]);
-    }
-    storage.resize((storage.size() + 1) / 2);
-    stride *= 2;
-    if (abs % stride != 0) return;
+  std::vector<Record>& ring = this->values;
+  if (ring.size() < this->capacity) {
+    ring.push_back(rec);
+  } else {
+    ring[head] = rec;
+    head = (head + 1) % this->capacity;
   }
-  storage.push_back(rec);
 }
 
 template <typename Record>
 std::vector<Record> BoundedSink::Buffer<Record>::take() {
+  std::vector<Record>& kept = this->values;
   if (policy == BoundedSinkConfig::Policy::kKeepLast && head != 0) {
     std::vector<Record> ordered;
-    ordered.reserve(storage.size());
-    for (std::size_t i = 0; i < storage.size(); ++i) {
-      ordered.push_back(std::move(storage[(head + i) % storage.size()]));
+    ordered.reserve(kept.size());
+    for (std::size_t i = 0; i < kept.size(); ++i) {
+      ordered.push_back(std::move(kept[(head + i) % kept.size()]));
     }
     return ordered;
   }
-  return std::move(storage);
+  return std::move(kept);
 }
 
 void BoundedSink::on_pic(const PicIntervalRecord& rec) { pic_.push(rec); }

@@ -13,6 +13,7 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/metrics.h"
@@ -88,6 +89,35 @@ struct BoundedSinkConfig {
   Policy policy = Policy::kKeepLast;
 };
 
+/// Stride-doubling decimated series (BoundedSinkConfig::Policy::kDecimate):
+/// keeps the samples whose absolute index is a multiple of `stride`. When
+/// `values` already holds `capacity` samples, every other one is dropped and
+/// the stride doubles (the survivors are exactly the multiples of the doubled
+/// stride), so the retained series always spans the whole stream at uniform,
+/// halving resolution. Capacity 0 keeps everything; otherwise it must be at
+/// least 2. Used by BoundedSink and by the cluster's epoch series.
+template <typename T>
+struct DecimatedSeries {
+  std::size_t capacity = 0;
+  std::size_t stride = 1;
+  std::size_t next_abs = 0;  // absolute index of the next sample
+  std::vector<T> values;
+
+  void push(const T& value) {
+    const std::size_t abs = next_abs++;
+    if (abs % stride != 0) return;
+    if (capacity != 0 && values.size() == capacity) {
+      for (std::size_t i = 0; 2 * i < values.size(); ++i) {
+        values[i] = std::move(values[2 * i]);
+      }
+      values.resize((values.size() + 1) / 2);
+      stride *= 2;
+      if (abs % stride != 0) return;
+    }
+    values.push_back(value);
+  }
+};
+
 /// Bounded-memory sink: resident storage never exceeds the configured
 /// capacities regardless of run length.
 class BoundedSink : public RecordSink {
@@ -102,14 +132,12 @@ class BoundedSink : public RecordSink {
   void on_finish(SimulationResult& result) override;
 
  private:
+  /// `values` holds the retained records under either policy; the ring
+  /// (kKeepLast) reuses it as circular storage.
   template <typename Record>
-  struct Buffer {
-    std::size_t capacity = 0;
+  struct Buffer : DecimatedSeries<Record> {
     BoundedSinkConfig::Policy policy = BoundedSinkConfig::Policy::kKeepLast;
-    std::vector<Record> storage;
-    std::size_t head = 0;      // ring: index of the oldest record
-    std::size_t stride = 1;    // decimate: keep every stride-th record
-    std::size_t next_abs = 0;  // decimate: absolute index of the next record
+    std::size_t head = 0;  // ring: index of the oldest record
 
     void push(const Record& rec);
     std::vector<Record> take();  // retained records in time order

@@ -8,6 +8,7 @@
 #include "control/system_id.h"
 #include "core/record_sink.h"
 #include "util/log.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 #include "util/trace.h"
 
@@ -245,6 +246,7 @@ void Simulation::calibrate() {
     }
   }
 
+  util::MetricsRegistry::global().add("chip.ticks", total_ticks);
   max_power_w_ = peak_chip_power;
   budget_w_ = config_.budget_fraction * max_power_w_;
 
@@ -562,6 +564,7 @@ void SimulationRun::pic_boundary(double now) {
       rec.sensed_w = pics_[i].sensed_power(u, scale).value();
       gpm_sensed_energy_[i] += rec.sensed_w * cmp.pic_interval_s;
       const units::GigaHertz freq_req = pics_[i].invoke(u, scale);
+      pic_abs_error_stats_.add(units::abs(pics_[i].last_error()).value());
       plant_.chip().island(i).actuator().request_frequency(freq_req);
     } else {
       rec.target_w = live_budget_w_ / static_cast<double>(n_);
@@ -603,12 +606,14 @@ void SimulationRun::gpm_boundary(double now) {
   rec.time_s = now;
   rec.chip_budget_w = live_budget_w_;
   rec.max_temp_c = plant_.thermal().max_temperature();
+  double observed_w = 0.0;
   for (std::size_t i = 0; i < n_; ++i) {
     obs[i].bips = gpm_accum_[i].mean_bips();
     obs[i].utilization = gpm_accum_[i].mean_util();
     obs[i].instructions = gpm_accum_[i].instructions;
     obs[i].energy_j = gpm_sensed_energy_[i];
     obs[i].power_w = gpm_sensed_energy_[i] / cmp.gpm_interval_s;
+    observed_w += obs[i].power_w;
     obs[i].dvfs_level = plant_.chip().island(i).actuator().current_level();
 
     rec.island_actual_w.push_back(gpm_accum_[i].mean_power());
@@ -620,6 +625,7 @@ void SimulationRun::gpm_boundary(double now) {
   }
 
   if (config.manager == ManagerKind::kCpm) {
+    gpm_observed_power_stats_.add(observed_w);
     const std::vector<double> alloc = gpm_->invoke(obs);
     for (std::size_t i = 0; i < n_; ++i) {
       pics_[i].set_target(units::Watts{alloc[i]});
@@ -698,6 +704,12 @@ SimulationResult SimulationRun::finish() {
     result_.dvfs_transitions += static_cast<double>(
         plant_.chip().island(i).actuator().transition_count());
   }
+  util::MetricsRegistry& registry = util::MetricsRegistry::global();
+  registry.add("chip.ticks", tick_);
+  registry.add("pic.invocations", pic_abs_error_stats_.count());
+  registry.add("gpm.invocations", gpm_observed_power_stats_.count());
+  registry.merge("pic.abs_error_pct", pic_abs_error_stats_);
+  registry.merge("gpm.observed_power_w", gpm_observed_power_stats_);
   sink_->finish(result_);
   return std::move(result_);
 }

@@ -221,8 +221,10 @@ class SimulationRun {
   /// 0.4 of a tick) neither loses nor double-counts time.
   void advance(double seconds);
 
-  /// Finalizes aggregates and returns the full trace. The run is spent
-  /// afterwards (further advance() calls throw).
+  /// Finalizes aggregates, publishes the run's counts (chip ticks, PIC/GPM
+  /// invocations and their histograms) to the process-wide metrics registry,
+  /// and returns the full trace. The run is spent afterwards (further
+  /// advance() calls throw).
   SimulationResult finish();
 
   /// Re-targets the chip budget; takes effect at the next GPM boundary
@@ -320,6 +322,12 @@ class SimulationRun {
   // Aggregation.
   util::RunningStats chip_power_stats_;
   util::RunningStats chip_bips_stats_;
+  // Run-owned observation, published to the process-wide metrics registry
+  // (util/metrics.h) once, by finish(): |error| after every PIC invocation
+  // and the summed observed island power before every GPM invocation.
+  // Their counts are the invocation counts.
+  util::RunningStats pic_abs_error_stats_;
+  util::RunningStats gpm_observed_power_stats_;
   SimulationResult result_;
   // Record routing: every PIC/GPM record goes to `sink_` (borrowed, or the
   // internally owned default InMemorySink).

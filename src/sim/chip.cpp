@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace cpm::sim {
@@ -100,9 +99,6 @@ void Chip::migrate(std::size_t island_a, std::size_t core_a,
 }
 
 const ChipTick& Chip::step(double dt_seconds) {
-  static util::Counter& tick_counter =
-      util::MetricsRegistry::global().counter("chip.ticks");
-  tick_counter.add();
   const double congestion = memory_.congestion();
   tick_.congestion = congestion;
   tick_.total_bips = 0.0;

@@ -19,18 +19,16 @@ Counter& MetricsRegistry::counter(const std::string& name) {
   return *slot;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
+void MetricsRegistry::add(const std::string& name, std::uint64_t n) {
+  if (n == 0) return;
+  counter(name).add(n);
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name) {
+void MetricsRegistry::merge(const std::string& name,
+                            const RunningStats& stats) {
+  if (stats.count() == 0) return;
   const std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return *slot;
+  histograms_[name].merge(stats);
 }
 
 std::uint64_t MetricsRegistry::counter_value(const std::string& name) const {
@@ -58,20 +56,11 @@ void MetricsRegistry::write_json(std::ostream& os) const {
     first = false;
     os << '"' << json::escape(name) << "\":" << c->value();
   }
-  os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    if (!first) os << ',';
-    first = false;
-    os << '"' << json::escape(name) << "\":";
-    write_number(os, g->value());
-  }
   os << "},\"histograms\":{";
   first = true;
-  for (const auto& [name, h] : histograms_) {
+  for (const auto& [name, s] : histograms_) {
     if (!first) os << ',';
     first = false;
-    const RunningStats s = h->snapshot();
     os << '"' << json::escape(name) << "\":{\"count\":" << s.count()
        << ",\"mean\":";
     write_number(os, s.mean());
@@ -91,8 +80,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
 void MetricsRegistry::reset() {
   const std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
+  for (auto& [name, h] : histograms_) h.reset();
 }
 
 }  // namespace cpm::util

@@ -1,12 +1,13 @@
-// Lock-cheap metrics registry: named counters (relaxed atomics), gauges
-// (atomic doubles) and histograms (Welford aggregates from util/stats behind
-// a spinlock). The management stack publishes into the process-wide
-// Registry::global() -- Gpm/Pic invocation counts, record throughput,
-// invariant-checker verdicts, parallel_map task counts -- and
-// `cpm_sim_cli --metrics-out FILE` / Registry::write_json dump a sorted
-// JSON snapshot. Metric objects live for the life of the registry, so
-// publishers resolve a name once and keep the reference (hot paths never
-// touch the registry map). See docs/OBSERVABILITY.md.
+// Process-wide metrics registry: named counters (relaxed atomics) and
+// histograms (merged util::RunningStats aggregates). Nothing on the
+// simulation's per-tick, per-PIC or per-GPM path writes here: each run keeps
+// its own counts and stats and publishes them once, when it finishes --
+// SimulationRun::finish() (chip ticks, PIC/GPM invocations and their
+// histograms), Simulation::calibrate() (calibration ticks) and the
+// invariant-checking sink (records checked, violations). The thread pool
+// counts its dispatches. `cpm_sim_cli --metrics-out FILE` /
+// MetricsRegistry::write_json dump a sorted JSON snapshot. See
+// docs/OBSERVABILITY.md.
 #pragma once
 
 #include <atomic>
@@ -37,83 +38,39 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
-  double value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { set(0.0); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
-/// Streaming distribution: count/mean/stddev/min/max/sum via Welford
-/// (util::RunningStats) behind a spinlock -- observations are a handful of
-/// flops, so a sleeping mutex would cost more than the update itself.
-class Histogram {
- public:
-  void observe(double x) noexcept {
-    lock();
-    stats_.add(x);
-    unlock();
-  }
-  /// Consistent snapshot of the aggregates.
-  RunningStats snapshot() const noexcept {
-    lock();
-    const RunningStats copy = stats_;
-    unlock();
-    return copy;
-  }
-  void reset() noexcept {
-    lock();
-    stats_.reset();
-    unlock();
-  }
-
- private:
-  void lock() const noexcept {
-    while (busy_.test_and_set(std::memory_order_acquire)) {
-    }
-  }
-  void unlock() const noexcept { busy_.clear(std::memory_order_release); }
-
-  mutable std::atomic_flag busy_ = ATOMIC_FLAG_INIT;
-  RunningStats stats_;
-};
-
-/// Name -> metric registry. Lookups take a mutex and are expected once per
-/// publisher (cache the returned reference); the metric objects themselves
-/// are allocated stably and never removed, so references stay valid for the
-/// registry's lifetime.
+/// Name -> metric registry. Lookups and merges take a mutex; counter
+/// objects are allocated stably and never removed, so a Counter reference
+/// stays valid for the registry's lifetime.
 class MetricsRegistry {
  public:
   /// The process-wide registry every built-in publisher uses.
   static MetricsRegistry& global();
 
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name);
+
+  /// Adds `n` to counter `name`; a zero count creates no counter.
+  void add(const std::string& name, std::uint64_t n);
+
+  /// Folds `stats` into histogram `name` (RunningStats::merge); an empty
+  /// `stats` creates no histogram.
+  void merge(const std::string& name, const RunningStats& stats);
 
   /// Point snapshot of a counter by name; 0 when the counter does not exist
   /// (reader-side convenience: never creates the metric).
   std::uint64_t counter_value(const std::string& name) const;
 
   /// Writes one JSON object, keys sorted by metric name:
-  ///   {"counters":{...},"gauges":{...},"histograms":{"x":{"count":..}}}
+  ///   {"counters":{...},"histograms":{"x":{"count":..}}}
   void write_json(std::ostream& os) const;
 
   /// Zeroes every registered metric (tests / per-run isolation). The metric
-  /// objects survive, so cached references remain valid.
+  /// entries survive, so cached counter references remain valid.
   void reset();
 
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  std::map<std::string, RunningStats> histograms_;
 };
 
 }  // namespace cpm::util

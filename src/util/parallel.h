@@ -16,9 +16,10 @@
 // between calls, so a dispatch costs condvar-wake time (~1-5 us), not
 // thread-spawn time (~100 us+), and each primitive is templated on its
 // callable (no std::function type-erasure, no per-task allocation). The
-// serial path (threads <= 1) runs inline with the same per-task trace spans
-// and counters, so a serial trace stays event-equivalent to a parallel one
-// (see docs/THREADING.md for the full determinism contract).
+// serial path (threads <= 1) runs inline with the same per-task trace spans,
+// so a serial trace stays event-equivalent to a parallel one (see
+// docs/THREADING.md for the full determinism contract). The primitives
+// publish no metrics; the pool counts its own dispatches.
 #pragma once
 
 #include <algorithm>
@@ -27,7 +28,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/metrics.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -45,16 +45,13 @@ std::vector<Result> parallel_map(std::size_t count, Fn&& fn,
                                  std::size_t threads = 0) {
   std::vector<Result> results(count);
   if (count == 0) return results;
-  static Counter& task_counter =
-      MetricsRegistry::global().counter("parallel_map.tasks");
   const std::size_t workers =
       std::min(count, threads ? threads : default_thread_count());
-  // The per-task span + counter live inside the batch body, so the serial,
+  // The per-task span lives inside the batch body, so the serial,
   // reentrant-inline, and pooled paths emit the same per-task events --
   // asserted by tests/integration/test_trace_determinism.cpp.
   auto body = [&results, &fn](std::size_t i) {
     CPM_TRACE_SCOPE1("parallel", "parallel_map.task", "index", i);
-    task_counter.add();
     results[i] = fn(i);
   };
   ThreadPool::global().run_batch(count, workers, body);
@@ -106,15 +103,12 @@ template <typename Work>
 void run_shards(const ShardPlan& plan, std::size_t threads, Work&& work) {
   const std::size_t shards = plan.num_shards();
   if (shards == 0) return;
-  static Counter& shard_counter =
-      MetricsRegistry::global().counter("parallel_map.shards");
   const std::size_t workers =
       std::min(shards, threads ? threads : default_thread_count());
   // Same per-shard spans on every path: a serial trace stays
   // event-equivalent to a parallel one (modulo tid/ts).
   auto body = [&work](std::size_t s) {
     CPM_TRACE_SCOPE1("parallel", "parallel_map.shard", "shard", s);
-    shard_counter.add();
     work(s);
   };
   ThreadPool::global().run_batch(shards, workers, body);

@@ -133,8 +133,6 @@ void ThreadPool::run_batch_impl(std::size_t count, std::size_t parallelism,
                                 void* ctx) {
   static Counter& batch_counter =
       MetricsRegistry::global().counter("pool.batches");
-  static Gauge& queue_depth =
-      MetricsRegistry::global().gauge("pool.queue_depth");
 
   Batch batch;
   batch.invoke = invoke;
@@ -161,7 +159,6 @@ void ThreadPool::run_batch_impl(std::size_t count, std::size_t parallelism,
     in_flight_ = 1;  // the submitting thread participates
   }
   batch_counter.add();
-  queue_depth.set(static_cast<double>(count));
   for (std::size_t w = 0; w < helpers; ++w) work_cv_.notify_one();
 
   // The submitting thread participates as a worker, and must look like one
@@ -181,7 +178,6 @@ void ThreadPool::run_batch_impl(std::size_t count, std::size_t parallelism,
     batch_ = nullptr;  // late wakers must not re-join a completed batch
     error = batch.first_error;
   }
-  queue_depth.set(0.0);
   if (error) std::rethrow_exception(error);
 }
 

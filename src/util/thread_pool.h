@@ -35,9 +35,9 @@
 //
 // Observability: workers emit a "pool"-category park span around each wait
 // (execution detail, excluded from the serial-vs-parallel trace-equivalence
-// contract -- see docs/THREADING.md), a pool.wakeups counter counts worker
-// wakes that found work, and a pool.queue_depth gauge tracks the task count
-// of the batch in flight.
+// contract -- see docs/THREADING.md), a pool.batches counter counts
+// dispatched batches, and a pool.wakeups counter counts worker wakes that
+// found work.
 #pragma once
 
 #include <atomic>

@@ -56,6 +56,11 @@ TEST(Cluster, RejectsBadConstruction) {
   bad7.epoch_s = 0.001;
   EXPECT_THROW(ClusterPowerManager(bad7, make_chips(1)),
                std::invalid_argument);
+  // A one-slot epoch series cannot span the run (BoundedSink's rule).
+  ClusterConfig bad8;
+  bad8.epoch_capacity = 1;
+  EXPECT_THROW(ClusterPowerManager(bad8, make_chips(1)),
+               std::invalid_argument);
   auto chips = make_chips(1);
   ClusterConfig one_window;
   one_window.epoch_s = chips.front()->config().cmp.gpm_interval_s;
@@ -151,6 +156,32 @@ TEST(Cluster, BudgetsRespectProvisionAndChipMax) {
   }
   EXPECT_LE(total, res.provisioned_budget_w * (1.0 + 1e-9));
   EXPECT_EQ(res.invariant_violations, 0u) << res.first_violation;
+}
+
+TEST(Cluster, EpochSeriesAtCapacityTwoSpansTheRun) {
+  // The epoch series decimates exactly like a BoundedSink kDecimate stream:
+  // at capacity 2 over 70 epochs it keeps epochs 0 and 64 (stride 64), so
+  // it still spans the run instead of collapsing to epoch 0.
+  const auto run = [](std::size_t capacity) {
+    auto chips = make_chips(1);
+    ClusterConfig cfg;
+    cfg.epoch_s = chips.front()->config().cmp.gpm_interval_s;
+    cfg.epoch_capacity = capacity;
+    ClusterPowerManager cluster(cfg, std::move(chips));
+    return cluster.run(70 * cfg.epoch_s);
+  };
+  const ClusterResult full = run(0);
+  const ClusterResult res = run(2);
+  ASSERT_EQ(full.epochs, 70u);
+  ASSERT_EQ(full.epoch_power_w.size(), 70u);
+  EXPECT_EQ(full.epoch_stride, 1u);
+  ASSERT_EQ(res.epoch_power_w.size(), 2u);
+  ASSERT_EQ(res.epoch_budget_w.size(), 2u);
+  EXPECT_GT(res.epoch_stride, 1u);
+  EXPECT_EQ(res.epoch_stride, 64u);
+  EXPECT_EQ(res.epoch_power_w[0], full.epoch_power_w[0]);
+  EXPECT_EQ(res.epoch_power_w[1], full.epoch_power_w[64]);
+  EXPECT_EQ(res.epoch_budget_w[1], full.epoch_budget_w[64]);
 }
 
 TEST(Cluster, BoundedMemoryOnLongRun) {

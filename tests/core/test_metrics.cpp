@@ -129,6 +129,23 @@ TEST(ChipMetrics, WarmupSkipped) {
   EXPECT_DOUBLE_EQ(m.max_overshoot, 0.0);
 }
 
+TEST(ChipMetrics, BatchMatchesStreamedWithinWarmup) {
+  // A trace no longer than the warm-up: the batch metrics exclude the
+  // warm-up windows exactly as a sink's streaming accumulator does, so the
+  // reported tracking never depends on which sink recorded the run.
+  const std::vector<GpmIntervalRecord> records{gpm_rec(90.0, 80.0),
+                                               gpm_rec(76.0, 80.0)};
+  ChipTrackingAccumulator streamed(2);
+  for (const GpmIntervalRecord& rec : records) streamed.add(rec);
+  const ChipTrackingMetrics batch = chip_tracking_metrics(records, 2);
+  const ChipTrackingMetrics stream = streamed.metrics();
+  EXPECT_EQ(batch.max_overshoot, stream.max_overshoot);
+  EXPECT_EQ(batch.max_undershoot, stream.max_undershoot);
+  EXPECT_EQ(batch.mean_abs_error, stream.mean_abs_error);
+  EXPECT_EQ(batch.mean_power_w, stream.mean_power_w);
+  EXPECT_EQ(batch.max_overshoot, 0.0);
+}
+
 TEST(Degradation, ComputesInstructionLoss) {
   SimulationResult managed, baseline;
   managed.total_instructions = 96.0;

@@ -33,4 +33,6 @@ struct Dice {
 
 int negative_member_rand(const Dice& dice) { return dice.rand(); }
 
+void positive_registry() { cpm::util::MetricsRegistry::global(); }  // finding: per-call global metric write
+
 }  // namespace fixture::core

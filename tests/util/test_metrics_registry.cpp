@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -11,26 +12,46 @@
 namespace cpm::util {
 namespace {
 
-TEST(MetricsRegistry, CounterGaugeHistogramBasics) {
+RunningStats stats_of(std::initializer_list<double> xs) {
+  RunningStats s;
+  for (const double x : xs) s.add(x);
+  return s;
+}
+
+TEST(MetricsRegistry, CounterAndHistogramBasics) {
   MetricsRegistry reg;
   Counter& c = reg.counter("c");
   c.add();
   c.add(4);
-  EXPECT_EQ(c.value(), 5u);
-  EXPECT_EQ(reg.counter_value("c"), 5u);
+  reg.add("c", 2);
+  EXPECT_EQ(c.value(), 7u);
+  EXPECT_EQ(reg.counter_value("c"), 7u);
   EXPECT_EQ(reg.counter_value("absent"), 0u);
 
-  Gauge& g = reg.gauge("g");
-  g.set(2.5);
-  EXPECT_DOUBLE_EQ(g.value(), 2.5);
+  // Merging two runs' stats equals observing every sample in one.
+  reg.merge("h", stats_of({1.0, 2.0}));
+  reg.merge("h", stats_of({3.0}));
+  std::ostringstream out;
+  reg.write_json(out);
+  const json::Value doc = json::parse(out.str());
+  const json::Value* h = doc.find("histograms")->find("h");
+  ASSERT_NE(h, nullptr);
+  EXPECT_DOUBLE_EQ(h->find("count")->number, 3.0);
+  EXPECT_DOUBLE_EQ(h->find("mean")->number, 2.0);
+  EXPECT_DOUBLE_EQ(h->find("min")->number, 1.0);
+  EXPECT_DOUBLE_EQ(h->find("max")->number, 3.0);
+  EXPECT_DOUBLE_EQ(h->find("sum")->number, 6.0);
+}
 
-  Histogram& h = reg.histogram("h");
-  for (const double x : {1.0, 2.0, 3.0}) h.observe(x);
-  const RunningStats snap = h.snapshot();
-  EXPECT_EQ(snap.count(), 3u);
-  EXPECT_DOUBLE_EQ(snap.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(snap.min(), 1.0);
-  EXPECT_DOUBLE_EQ(snap.max(), 3.0);
+TEST(MetricsRegistry, EmptyPublishCreatesNoMetric) {
+  // A run that never invoked a PIC publishes a zero count and empty stats;
+  // neither may create an entry (a NoDVFS run shows no pic.invocations).
+  MetricsRegistry reg;
+  reg.add("pic.invocations", 0);
+  reg.merge("pic.abs_error_pct", RunningStats{});
+  std::ostringstream out;
+  reg.write_json(out);
+  EXPECT_EQ(out.str(), "{\"counters\":{},\"histograms\":{}}\n");
 }
 
 TEST(MetricsRegistry, LookupReturnsStableObjects) {
@@ -45,23 +66,27 @@ TEST(MetricsRegistry, LookupReturnsStableObjects) {
 TEST(MetricsRegistry, ResetZeroesButKeepsReferencesValid) {
   MetricsRegistry reg;
   Counter& c = reg.counter("c");
-  Histogram& h = reg.histogram("h");
   c.add(7);
-  h.observe(1.0);
+  reg.merge("h", stats_of({1.0}));
   reg.reset();
   EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(h.snapshot().count(), 0u);
   c.add();  // the cached reference still points at the live metric
   EXPECT_EQ(reg.counter_value("c"), 1u);
+  reg.merge("h", stats_of({5.0}));  // a reset histogram restarts from empty
+  std::ostringstream out;
+  reg.write_json(out);
+  const json::Value doc = json::parse(out.str());
+  const json::Value* h = doc.find("histograms")->find("h");
+  ASSERT_NE(h, nullptr);
+  EXPECT_DOUBLE_EQ(h->find("count")->number, 1.0);
+  EXPECT_DOUBLE_EQ(h->find("mean")->number, 5.0);
 }
 
 TEST(MetricsRegistry, WriteJsonIsParseableAndSorted) {
   MetricsRegistry reg;
   reg.counter("b.count").add(2);
   reg.counter("a.count").add(1);
-  reg.gauge("level").set(0.5);
-  reg.histogram("err").observe(1.5);
-  reg.histogram("err").observe(2.5);
+  reg.merge("err", stats_of({1.5, 2.5}));
 
   std::ostringstream out;
   reg.write_json(out);
@@ -72,7 +97,7 @@ TEST(MetricsRegistry, WriteJsonIsParseableAndSorted) {
   EXPECT_EQ(counters->object[0].first, "a.count");  // std::map order
   EXPECT_EQ(counters->object[1].first, "b.count");
   EXPECT_DOUBLE_EQ(counters->find("b.count")->number, 2.0);
-  EXPECT_DOUBLE_EQ(doc.find("gauges")->find("level")->number, 0.5);
+  EXPECT_EQ(doc.find("gauges"), nullptr);
   const json::Value* err = doc.find("histograms")->find("err");
   ASSERT_NE(err, nullptr);
   EXPECT_DOUBLE_EQ(err->find("count")->number, 2.0);
@@ -80,29 +105,34 @@ TEST(MetricsRegistry, WriteJsonIsParseableAndSorted) {
 }
 
 // Run under TSan (scripts/verify.sh) this doubles as the data-race check
-// for the lock-free counter path and the histogram spinlock.
+// for the lock-free counter path and the mutex-guarded merge.
 TEST(MetricsRegistry, ConcurrentPublishersLoseNothing) {
   MetricsRegistry reg;
   constexpr int kThreads = 8;
-  constexpr int kOps = 10000;
+  constexpr int kOps = 2000;
   std::vector<std::thread> pool;
   for (int t = 0; t < kThreads; ++t) {
     pool.emplace_back([&reg] {
-      // Half the threads race the registry lookup itself, half use a cached
-      // reference like real publishers do.
+      // Cached-reference increments race registry lookups and merges, as
+      // finishing runs on pool workers do.
       Counter& c = reg.counter("hits");
-      Histogram& h = reg.histogram("vals");
       for (int i = 0; i < kOps; ++i) {
         c.add();
-        h.observe(static_cast<double>(i));
-        reg.counter("hits").add();
+        reg.add("hits", 1);
+        reg.merge("vals", stats_of({static_cast<double>(i)}));
       }
     });
   }
   for (auto& t : pool) t.join();
   EXPECT_EQ(reg.counter_value("hits"), std::uint64_t{2 * kThreads * kOps});
-  EXPECT_EQ(reg.histogram("vals").snapshot().count(),
-            std::uint64_t{kThreads * kOps});
+  std::ostringstream out;
+  reg.write_json(out);
+  const json::Value doc = json::parse(out.str());
+  const json::Value* vals = doc.find("histograms")->find("vals");
+  ASSERT_NE(vals, nullptr);
+  EXPECT_DOUBLE_EQ(vals->find("count")->number,
+                   static_cast<double>(kThreads * kOps));
+  EXPECT_DOUBLE_EQ(vals->find("max")->number, static_cast<double>(kOps - 1));
 }
 
 TEST(MetricsRegistry, GlobalIsASingleton) {

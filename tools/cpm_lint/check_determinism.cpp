@@ -1,5 +1,5 @@
 // determinism: the simulator's contract is bit-identical output for a given
-// seed, serial or parallel, batched or scalar. Three hazard classes break it:
+// seed, serial or parallel, batched or scalar. Four hazard classes break it:
 //
 //  * unordered associative containers in record-emitting layers (src/sim,
 //    src/core): iteration order depends on hash seeding and allocation
@@ -10,7 +10,12 @@
 //    seeding/telemetry sites (util/rng owns seeding, util/parallel owns the
 //    per-shard stream derivation, util/trace owns timestamps);
 //  * pointer-keyed containers/hashes: addresses differ per run, so ordering
-//    or hashing on them is nondeterminism even in an ordered container.
+//    or hashing on them is nondeterminism even in an ordered container;
+//  * process-global metric writes from simulation code: the registry is
+//    shared by every run in the process, so a per-tick or per-invocation
+//    write is contention on the hot path and mixes concurrent runs. Runs
+//    keep their own counts and publish once, at finish(), from the approved
+//    publisher files only.
 #include <array>
 #include <set>
 #include <string>
@@ -48,6 +53,21 @@ const std::set<std::string> kClocks = {"steady_clock", "system_clock",
 const std::array<const char*, 5> kApprovedAmbient = {
     "src/util/rng.h", "src/util/rng.cpp", "src/util/parallel.h",
     "src/util/trace.h", "src/util/trace.cpp"};
+
+// The only files under src/ that may name util::MetricsRegistry: the
+// registry itself, the thread pool (per-dispatch counters), and the
+// once-per-run publishers (SimulationRun::finish / Simulation::calibrate,
+// and the invariant-checking sink's on_finish).
+const std::array<const char*, 5> kApprovedRegistry = {
+    "src/util/metrics.h", "src/util/metrics.cpp", "src/util/thread_pool.cpp",
+    "src/core/simulation.cpp", "src/core/invariant_checker.cpp"};
+
+bool approved(const std::string& rel_path, const auto& list) {
+  for (const char* p : list) {
+    if (rel_path == p) return true;
+  }
+  return false;
+}
 
 bool std_qualified(const TokenStream& toks, std::size_t i) {
   const std::size_t colons = prev_code_token(toks, i);
@@ -100,7 +120,8 @@ class DeterminismCheck final : public Check {
   std::string name() const override { return kName; }
   std::string description() const override {
     return "no unordered iteration in record paths, no ambient entropy or "
-           "wall clocks outside approved sites, no pointer-keyed ordering";
+           "wall clocks outside approved sites, no pointer-keyed ordering, "
+           "no metrics-registry use outside the once-per-run publishers";
   }
 
   void run(const SourceFile& file, const ProjectContext&,
@@ -108,10 +129,9 @@ class DeterminismCheck final : public Check {
     if (!path_has_prefix(file.rel_path, "src/")) return;
     const bool record_layer = path_has_prefix(file.rel_path, "src/sim/") ||
                               path_has_prefix(file.rel_path, "src/core/");
-    bool ambient_approved = false;
-    for (const char* p : kApprovedAmbient) {
-      if (file.rel_path == p) ambient_approved = true;
-    }
+    const bool ambient_approved = approved(file.rel_path, kApprovedAmbient);
+    const bool registry_approved =
+        approved(file.rel_path, kApprovedRegistry);
 
     const TokenStream& toks = file.tokens;
     for (std::size_t i = 0; i < toks.size(); ++i) {
@@ -124,6 +144,15 @@ class DeterminismCheck final : public Check {
                         " in a record-emitting layer: iteration order is "
                         "hash/allocation dependent and leaks into records -- "
                         "use std::map/std::set or a sorted vector",
+                    out);
+        continue;
+      }
+
+      if (!registry_approved && t.text == "MetricsRegistry") {
+        add_finding(file, kName, t.line,
+                    "util::MetricsRegistry outside the once-per-run "
+                    "publishers: keep the count in the owning run and let "
+                    "SimulationRun::finish() publish it",
                     out);
         continue;
       }
