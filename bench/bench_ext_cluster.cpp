@@ -1,9 +1,10 @@
 // Extension: cluster-tier scale. A facility budget is provisioned across
 // hundreds of simulated chips by the ClusterPowerManager, with every epoch's
-// chip advances sharded across hardware threads (fixed shard plan, per-shard
-// RNG streams, reduction combined in shard order -- bit-identical at any
-// thread count) and every chip streaming its records through a bounded sink,
-// so the whole run holds O(capacity) records. The bench builds a >= 500-chip
+// chip advances sharded across hardware threads (each chip writes only its
+// own observation; the epoch power is summed in chip order on the calling
+// thread -- bit-identical at any thread count and shard size) and every chip
+// streaming its records through a bounded sink, so the whole run holds
+// O(capacity) records. The bench builds a >= 500-chip
 // fleet (parallel calibration via make_cluster_chips), runs it under the
 // efficiency objective with the adjustable-gain integral trim enabled, and
 // checks the cluster-tier invariants, the bounded-memory guarantees, and
@@ -41,7 +42,8 @@ int main(int argc, char** argv) {
                            : "cluster tier: sharded multi-chip provisioning");
 
   // Small heterogeneous nodes: 2 islands x 2 cores, per-chip seeds and
-  // mixes drawn from per-shard RNG streams; calibration runs in parallel.
+  // mixes drawn serially from per-shard RNG streams; calibration runs in
+  // parallel.
   core::SimulationConfig base = core::default_config(1.0, 1);
   base.cmp.num_islands = 2;
   base.cmp.cores_per_island = 2;
@@ -105,7 +107,7 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  bench::note("per-shard RNG streams + shard-ordered reduction: bit-identical");
-  bench::note("at any thread count; bounded sinks hold O(capacity) records");
+  bench::note("epoch power summed in chip order: bit-identical at any thread");
+  bench::note("count and shard size; bounded sinks hold O(capacity) records");
   return ok ? 0 : 1;
 }

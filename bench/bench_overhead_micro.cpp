@@ -130,22 +130,20 @@ void BM_ParallelDispatchMap(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelDispatchMap)->Arg(1)->Arg(16)->Arg(512);
 
-void BM_ParallelDispatchReduce(benchmark::State& state) {
-  // Same measurement through the sharded reduce path, scratch reused across
-  // iterations the way the cluster epoch loop does (parallel_reduce_into).
+void BM_ParallelDispatchShards(benchmark::State& state) {
+  // Same measurement through the sharded path at one element per shard, the
+  // shape of the cluster epoch loop's chip advance (parallel_for_shards).
   const std::size_t count = static_cast<std::size_t>(state.range(0));
   const util::ShardPlan plan{count, /*shard_size=*/1};
-  std::vector<double> partials;
-  const auto fold = [](double& acc, std::size_t i) {
-    acc += static_cast<double>(i);
-  };
-  const auto combine = [](double& acc, const double& part) { acc += part; };
+  std::vector<double> slots(count);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(util::parallel_reduce_into<double>(
-        plan, partials, fold, combine, 0.0, 8));
+    util::parallel_for_shards(plan, 8, [&slots](std::size_t s) {
+      slots[s] = static_cast<double>(s);
+    });
+    benchmark::DoNotOptimize(slots.data());
   }
 }
-BENCHMARK(BM_ParallelDispatchReduce)->Arg(1)->Arg(16)->Arg(512);
+BENCHMARK(BM_ParallelDispatchShards)->Arg(1)->Arg(16)->Arg(512);
 
 void BM_FullGpmWindow(benchmark::State& state) {
   // One GPM window of the full coordinated simulation (50 ticks + 10 PIC

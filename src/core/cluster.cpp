@@ -13,17 +13,9 @@
 namespace cpm::core {
 namespace {
 
-/// One chip's per-epoch observables, written from the shard that advanced
-/// the chip (distinct indices, so concurrent shards never collide).
+/// One chip's per-epoch observables, written only by the task that advanced
+/// the chip.
 struct ChipObservation {
-  double power_w = 0.0;
-  double bips = 0.0;
-};
-
-/// Shard-local accumulator for the cluster epoch power: folded per chip in
-/// index order, partials combined in shard order -- the deterministic
-/// reduction that keeps the epoch sum bit-identical at any thread count.
-struct EpochAccum {
   double power_w = 0.0;
   double bips = 0.0;
 };
@@ -151,40 +143,33 @@ ClusterResult ClusterPowerManager::run(double duration_s) {
 
   // Epoch fast path: with the persistent thread pool a dispatch costs
   // condvar-wake time, so the remaining per-epoch overhead is allocation.
-  // Everything the epoch loop needs -- the fixed shard plan, the shard
-  // partials, the per-chip observation slots, and the provisioning weights
-  // -- is allocated once here and reused across all epochs.
+  // The shard plan, the per-chip observation slots and the provisioning
+  // weights are allocated once here and reused across all epochs.
   const util::ShardPlan plan{k, config_.shard_size};
-  std::vector<EpochAccum> partials;
-  partials.reserve(plan.num_shards());
   std::vector<ChipObservation> obs(k);
   std::vector<double> weight(k);
   std::vector<double> raw;
-  const auto fold = [&runs, &obs, this](EpochAccum& acc, std::size_t c) {
-    runs[c]->advance(config_.epoch_s);
-    const double power = runs[c]->last_window_power().value();
-    const double bips = runs[c]->last_window_bips();
-    obs[c] = ChipObservation{power, bips};
-    acc.power_w += power;
-    acc.bips += bips;
-  };
-  const auto combine = [](EpochAccum& acc, const EpochAccum& part) {
-    acc.power_w += part.power_w;
-    acc.bips += part.bips;
-  };
   for (std::size_t e = 0; e < epochs; ++e) {
     CPM_TRACE_SCOPE1("cluster", "cluster.epoch", "epoch", e);
 
-    // Advance every chip by one epoch and observe it, sharded across
-    // threads. Observations land in per-chip slots; the epoch power sum is
-    // folded shard-locally and combined in shard order, so the floating-
-    // point result is a function of the shard plan alone.
-    const EpochAccum epoch = util::parallel_reduce_into<EpochAccum>(
-        plan, partials, fold, combine, EpochAccum{}, config_.threads);
+    // Advance every chip by one epoch, a shard of chips per task; each chip
+    // writes only its own observation slot.
+    util::parallel_for_shards(
+        plan, config_.threads, [&runs, &obs, plan, this](std::size_t s) {
+          for (std::size_t c = plan.begin(s); c < plan.end(s); ++c) {
+            runs[c]->advance(config_.epoch_s);
+            obs[c] = ChipObservation{runs[c]->last_window_power().value(),
+                                     runs[c]->last_window_bips()};
+          }
+        });
 
-    // Update each chip's efficiency (BIPS per watt over the last GPM window
-    // of the epoch); chips idle below the power floor keep their estimate.
+    // Sum the epoch power in chip order on this thread, so the sum is the
+    // same at any thread count and shard size, and update each chip's
+    // efficiency (BIPS per watt over the last GPM window of the epoch);
+    // chips idle below the power floor keep their estimate.
+    double epoch_power_w = 0.0;
     for (std::size_t c = 0; c < k; ++c) {
+      epoch_power_w += obs[c].power_w;
       if (obs[c].power_w > 1e-6) {
         const double eff = obs[c].bips / obs[c].power_w;
         efficiency[c] = config_.efficiency_smoothing * eff +
@@ -192,12 +177,12 @@ ClusterResult ClusterPowerManager::run(double duration_s) {
       }
     }
 
-    check(std::isfinite(epoch.power_w) && epoch.power_w >= 0.0,
+    check(std::isfinite(epoch_power_w) && epoch_power_w >= 0.0,
           "cluster epoch power must be finite and non-negative");
-    result.epoch_power_stats.add(epoch.power_w);
-    power_series.push(epoch.power_w);
+    result.epoch_power_stats.add(epoch_power_w);
+    power_series.push(epoch_power_w);
     budget_series.push(provisioned_w);
-    CPM_TRACE_COUNTER("cluster_power_w", "actual", epoch.power_w);
+    CPM_TRACE_COUNTER("cluster_power_w", "actual", epoch_power_w);
     if (e + 1 == epochs) break;  // nothing runs after the last epoch
 
     // Integral trim of the provisioned budget toward the nominal one.
@@ -205,14 +190,14 @@ ClusterResult ClusterPowerManager::run(double duration_s) {
       if (prev_power_w >= 0.0 &&
           std::abs(provisioned_w - prev_provisioned_w) >
               1e-6 * cluster_budget_w_) {
-        const double observed = (epoch.power_w - prev_power_w) /
+        const double observed = (epoch_power_w - prev_power_w) /
                                 (provisioned_w - prev_provisioned_w);
         slope_est = 0.5 * std::clamp(observed, 0.05, 5.0) + 0.5 * slope_est;
       }
       prev_provisioned_w = provisioned_w;
-      prev_power_w = epoch.power_w;
+      prev_power_w = epoch_power_w;
       const double gain = config_.integral_gain / std::max(slope_est, 0.05);
-      trim_w += gain * (cluster_budget_w_ - epoch.power_w);
+      trim_w += gain * (cluster_budget_w_ - epoch_power_w);
       const double limit = config_.trim_limit * cluster_budget_w_;
       trim_w = std::clamp(trim_w, -limit, limit);
       provisioned_w =
@@ -301,27 +286,33 @@ std::vector<std::unique_ptr<Simulation>> make_cluster_chips(
     for (const auto& p : workload::spec_profiles()) pool.push_back(&p);
     for (const auto& p : workload::extra_parsec_profiles()) pool.push_back(&p);
   }
-  // Chips construct (and calibrate) in parallel; each chip's seed and mix
-  // come from its shard's RNG stream, so the fleet is a pure function of
-  // (base, num_chips, seed) at any thread count.
-  return util::parallel_map_rng<std::unique_ptr<Simulation>>(
-      num_chips, seed,
-      [&base, &pool, islands, cores, vary_mixes](std::size_t,
-                                                 util::Xoshiro256pp& rng) {
-        SimulationConfig config = base;
-        config.seed = rng();
-        if (vary_mixes) {
-          workload::Mix mix;
-          mix.name = "cluster";
-          for (std::size_t i = 0; i < islands; ++i) {
-            workload::IslandAssignment island;
-            for (std::size_t c = 0; c < cores; ++c) {
-              island.push_back(pool[rng.uniform_int(pool.size())]);
-            }
-            mix.islands.push_back(std::move(island));
-          }
-          config.mix = std::move(mix);
+  // Seeds and mixes are drawn serially, shard by shard from each shard's RNG
+  // stream, so the fleet is a pure function of (base, num_chips, seed); only
+  // the calibrations run in parallel.
+  std::vector<std::uint64_t> seeds(num_chips);
+  std::vector<workload::Mix> mixes(vary_mixes ? num_chips : 0);
+  const util::ShardPlan plan{num_chips, util::kDefaultShardSize};
+  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
+    util::Xoshiro256pp rng = util::shard_stream(seed, s);
+    for (std::size_t c = plan.begin(s); c < plan.end(s); ++c) {
+      seeds[c] = rng();
+      if (!vary_mixes) continue;
+      mixes[c].name = "cluster";
+      for (std::size_t i = 0; i < islands; ++i) {
+        workload::IslandAssignment island;
+        for (std::size_t j = 0; j < cores; ++j) {
+          island.push_back(pool[rng.uniform_int(pool.size())]);
         }
+        mixes[c].islands.push_back(std::move(island));
+      }
+    }
+  }
+  return util::parallel_map<std::unique_ptr<Simulation>>(
+      num_chips,
+      [&base, &seeds, &mixes](std::size_t c) {
+        SimulationConfig config = base;
+        config.seed = seeds[c];
+        if (!mixes.empty()) config.mix = std::move(mixes[c]);
         return std::make_unique<Simulation>(config);
       },
       threads);

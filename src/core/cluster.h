@@ -17,10 +17,11 @@
 //     budget->power slope so the controller stays fast on compliant
 //     workloads and stable on saturating ones.
 //
-// Scale: chip epochs are sharded across threads via util::parallel_map's
-// sharded primitives (fixed shard plan, per-shard RNG streams, reductions
-// combined in shard order), so a 1000-chip run is bit-identical at any
-// thread count. Memory: each chip streams its per-interval records through a
+// Scale: each epoch advances the chips in shards across threads
+// (util::parallel_for_shards), each chip writing only its own observation;
+// the epoch power is then summed in chip order on the calling thread, so a
+// 1000-chip run is bit-identical at any thread count and shard size.
+// Memory: each chip streams its per-interval records through a
 // core/record_sink.h sink (bounded by default), and the cluster's own epoch
 // series is stride-decimated once it exceeds `epoch_capacity` -- the whole
 // run holds O(capacity) records no matter how long it is.
@@ -76,8 +77,8 @@ struct ClusterConfig {
   /// Worker threads for the per-epoch chip advance (0 = hardware
   /// concurrency). Results are bit-identical at any value.
   std::size_t threads = 0;
-  /// Chips per shard of the fixed shard plan (determinism contract: results
-  /// depend on this, never on `threads`).
+  /// Chips advanced by one parallel task per epoch (>= 1). Sets only how the
+  /// work is split across threads; results are bit-identical at any value.
   std::size_t shard_size = 16;
   /// Keep each chip's full SimulationResult in ClusterResult::chip_results.
   /// Off by default: at cluster scale the per-chip stats are the product and
@@ -148,7 +149,7 @@ class ClusterPowerManager {
                       std::vector<std::unique_ptr<Simulation>> chips);
 
   /// Runs all chips for `duration_s`, re-provisioning the cluster budget at
-  /// every epoch boundary. Bit-identical at any `threads` value.
+  /// every epoch boundary. Bit-identical at any `threads` and `shard_size`.
   ClusterResult run(double duration_s);
 
   double cluster_budget_w() const noexcept { return cluster_budget_w_; }
@@ -163,9 +164,11 @@ class ClusterPowerManager {
 
 /// Builds `num_chips` chip Simulations from a base config: per-chip seeds
 /// (and, with `vary_mixes`, per-chip random island assignments over the
-/// PARSEC+SPEC profile pool) are drawn from per-shard RNG streams, and the
-/// chips calibrate in parallel across `threads`. Deterministic in
-/// (base, num_chips, seed) -- the thread count never changes the fleet.
+/// PARSEC+SPEC profile pool) are drawn serially in chip order, the chips of
+/// shard s of util::ShardPlan{num_chips, util::kDefaultShardSize} from
+/// util::shard_stream(seed, s); the chips then calibrate in parallel across
+/// `threads`. Deterministic in (base, num_chips, seed) --
+/// the thread count never changes the fleet.
 std::vector<std::unique_ptr<Simulation>> make_cluster_chips(
     const SimulationConfig& base, std::size_t num_chips, std::uint64_t seed,
     bool vary_mixes = true, std::size_t threads = 0);

@@ -1,13 +1,22 @@
 #include "core/trace_io.h"
 
+#include <charconv>
+#include <cmath>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+
+#include "util/json.h"
 
 namespace cpm::core {
 
 namespace {
+
+constexpr char kPicHeader[] =
+    "time_s,island,target_w,sensed_w,actual_w,utilization,bips,freq_ghz,level";
 
 std::vector<std::string> split_csv_line(const std::string& line) {
   std::vector<std::string> cells;
@@ -17,79 +26,81 @@ std::vector<std::string> split_csv_line(const std::string& line) {
   return cells;
 }
 
-double to_double(const std::string& s, const char* context) {
-  try {
-    return std::stod(s);
-  } catch (const std::exception&) {
-    throw std::runtime_error(std::string("trace_io: bad number in ") + context +
-                             ": '" + s + "'");
+/// Parses the whole cell as a T (double, or std::size_t for counts, which
+/// takes no sign and no fraction); anything left over is malformed.
+template <typename T>
+T parse_cell(std::string_view s, const char* context) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || ptr != end) {
+    throw std::runtime_error(std::string("trace_io: bad number in ") +
+                             context + ": '" + std::string(s) + "'");
   }
+  return v;
 }
 
-std::size_t to_size(const std::string& s, const char* context) {
-  return static_cast<std::size_t>(to_double(s, context));
+/// A double in a JSONL record. JSON has no NaN or infinity, so non-finite
+/// values are written as the strings "nan", "inf" and "-inf" (json_double
+/// reads them back).
+struct JsonNum {
+  double v;
+};
+
+std::ostream& operator<<(std::ostream& os, JsonNum n) {
+  if (std::isfinite(n.v)) return os << n.v;
+  if (std::isnan(n.v)) return os << "\"nan\"";
+  return os << (n.v > 0.0 ? "\"inf\"" : "\"-inf\"");
 }
 
-/// Minimal JSONL field extraction for the flat objects our writers emit
-/// (numeric values only, no nesting beyond one array level, keys unique).
-std::string_view json_value_at(std::string_view line, std::string_view key,
-                               const char* context) {
-  std::string needle;
-  needle.reserve(key.size() + 3);
-  needle += '"';
-  needle += key;
-  needle += "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string_view::npos) {
-    std::string msg = "trace_io: missing JSON key in ";
-    msg += context;
-    msg += ": ";
-    msg += key;
-    throw std::runtime_error(msg);
+const util::json::Value& json_at(const util::json::Value& record,
+                                 std::string_view key) {
+  const util::json::Value* v = record.is_object() ? record.find(key) : nullptr;
+  if (v == nullptr) {
+    throw std::runtime_error("trace_io: missing JSON key " + std::string(key));
   }
-  const std::size_t start = at + needle.size();
-  std::size_t end = start;
-  const char open = end < line.size() ? line[end] : '\0';
-  if (open == '[') {
-    end = line.find(']', start);
-    if (end == std::string_view::npos) {
-      throw std::runtime_error(std::string("trace_io: unterminated array in ") +
-                               context);
-    }
-    return line.substr(start + 1, end - start - 1);
+  return *v;
+}
+
+/// A JSON number, or one of the strings JsonNum writes for non-finite values.
+double json_double(const util::json::Value& v, std::string_view key) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (v.is_number()) return v.number;
+  if (v.is_string() && v.string == "inf") return kInf;
+  if (v.is_string() && v.string == "-inf") return -kInf;
+  if (v.is_string() && v.string == "nan") {
+    return std::numeric_limits<double>::quiet_NaN();
   }
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  return line.substr(start, end - start);
+  throw std::runtime_error("trace_io: bad number in JSON key " +
+                           std::string(key));
 }
 
-double json_number(std::string_view line, std::string_view key,
-                   const char* context) {
-  return to_double(std::string(json_value_at(line, key, context)), context);
+/// A non-negative integer below 2^53 (exact in a double).
+std::size_t json_count(const util::json::Value& record, std::string_view key) {
+  const util::json::Value& v = json_at(record, key);
+  if (!v.is_number() || !(v.number >= 0.0) || v.number > 0x1p53 ||
+      v.number != std::floor(v.number)) {
+    throw std::runtime_error("trace_io: bad count in JSON key " +
+                             std::string(key));
+  }
+  return static_cast<std::size_t>(v.number);
 }
 
-std::vector<double> json_array(std::string_view line, std::string_view key,
-                               const char* context) {
-  const std::string_view body = json_value_at(line, key, context);
+std::vector<double> json_doubles(const util::json::Value& record,
+                                 std::string_view key) {
+  const util::json::Value& v = json_at(record, key);
+  if (!v.is_array()) {
+    throw std::runtime_error("trace_io: JSON key " + std::string(key) +
+                             " is not an array");
+  }
   std::vector<double> values;
-  for (const auto& cell : split_csv_line(std::string(body))) {
-    values.push_back(to_double(cell, context));
-  }
+  for (const auto& e : v.array) values.push_back(json_double(e, key));
   return values;
-}
-
-bool json_type_is(std::string_view line, std::string_view type) {
-  std::string needle = "\"type\":\"";
-  needle += type;
-  needle += '"';
-  return line.find(needle) != std::string_view::npos;
 }
 
 }  // namespace
 
-void write_pic_trace_header(std::ostream& os) {
-  os << "time_s,island,target_w,sensed_w,actual_w,utilization,bips,freq_ghz,"
-        "level\n";
-}
+void write_pic_trace_header(std::ostream& os) { os << kPicHeader << '\n'; }
 
 void write_pic_trace_row(std::ostream& os, const PicIntervalRecord& r) {
   os << std::setprecision(17);
@@ -116,25 +127,29 @@ void write_gpm_trace_row(std::ostream& os, const GpmIntervalRecord& r) {
 
 void write_pic_record_jsonl(std::ostream& os, const PicIntervalRecord& r) {
   os << std::setprecision(17);
-  os << "{\"type\":\"pic\",\"time_s\":" << r.time_s << ",\"island\":"
-     << r.island << ",\"target_w\":" << r.target_w << ",\"sensed_w\":"
-     << r.sensed_w << ",\"actual_w\":" << r.actual_w << ",\"utilization\":"
-     << r.utilization << ",\"bips\":" << r.bips << ",\"freq_ghz\":"
-     << r.freq_ghz << ",\"level\":" << r.dvfs_level << "}\n";
+  os << "{\"type\":\"pic\",\"time_s\":" << JsonNum{r.time_s}
+     << ",\"island\":" << r.island << ",\"target_w\":" << JsonNum{r.target_w}
+     << ",\"sensed_w\":" << JsonNum{r.sensed_w}
+     << ",\"actual_w\":" << JsonNum{r.actual_w}
+     << ",\"utilization\":" << JsonNum{r.utilization}
+     << ",\"bips\":" << JsonNum{r.bips}
+     << ",\"freq_ghz\":" << JsonNum{r.freq_ghz}
+     << ",\"level\":" << r.dvfs_level << "}\n";
 }
 
 void write_gpm_record_jsonl(std::ostream& os, const GpmIntervalRecord& r) {
   os << std::setprecision(17);
-  os << "{\"type\":\"gpm\",\"time_s\":" << r.time_s << ",\"chip_budget_w\":"
-     << r.chip_budget_w << ",\"chip_actual_w\":" << r.chip_actual_w
-     << ",\"chip_bips\":" << r.chip_bips << ",\"max_temp_c\":" << r.max_temp_c
-     << ",\"alloc_w\":[";
+  os << "{\"type\":\"gpm\",\"time_s\":" << JsonNum{r.time_s}
+     << ",\"chip_budget_w\":" << JsonNum{r.chip_budget_w}
+     << ",\"chip_actual_w\":" << JsonNum{r.chip_actual_w}
+     << ",\"chip_bips\":" << JsonNum{r.chip_bips}
+     << ",\"max_temp_c\":" << JsonNum{r.max_temp_c} << ",\"alloc_w\":[";
   for (std::size_t i = 0; i < r.island_alloc_w.size(); ++i) {
-    os << (i ? "," : "") << r.island_alloc_w[i];
+    os << (i ? "," : "") << JsonNum{r.island_alloc_w[i]};
   }
   os << "],\"actual_w\":[";
   for (std::size_t i = 0; i < r.island_actual_w.size(); ++i) {
-    os << (i ? "," : "") << r.island_actual_w[i];
+    os << (i ? "," : "") << JsonNum{r.island_actual_w[i]};
   }
   os << "]}\n";
 }
@@ -176,6 +191,7 @@ std::vector<PicIntervalRecord> read_pic_trace_csv(std::istream& is) {
   if (!std::getline(is, line)) {
     throw std::runtime_error("trace_io: empty PIC trace");
   }
+  if (line != kPicHeader) throw std::runtime_error("trace_io: bad PIC header");
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     const auto cells = split_csv_line(line);
@@ -183,15 +199,15 @@ std::vector<PicIntervalRecord> read_pic_trace_csv(std::istream& is) {
       throw std::runtime_error("trace_io: bad PIC row arity");
     }
     PicIntervalRecord r;
-    r.time_s = to_double(cells[0], "pic.time_s");
-    r.island = to_size(cells[1], "pic.island");
-    r.target_w = to_double(cells[2], "pic.target_w");
-    r.sensed_w = to_double(cells[3], "pic.sensed_w");
-    r.actual_w = to_double(cells[4], "pic.actual_w");
-    r.utilization = to_double(cells[5], "pic.utilization");
-    r.bips = to_double(cells[6], "pic.bips");
-    r.freq_ghz = to_double(cells[7], "pic.freq_ghz");
-    r.dvfs_level = to_size(cells[8], "pic.level");
+    r.time_s = parse_cell<double>(cells[0], "pic.time_s");
+    r.island = parse_cell<std::size_t>(cells[1], "pic.island");
+    r.target_w = parse_cell<double>(cells[2], "pic.target_w");
+    r.sensed_w = parse_cell<double>(cells[3], "pic.sensed_w");
+    r.actual_w = parse_cell<double>(cells[4], "pic.actual_w");
+    r.utilization = parse_cell<double>(cells[5], "pic.utilization");
+    r.bips = parse_cell<double>(cells[6], "pic.bips");
+    r.freq_ghz = parse_cell<double>(cells[7], "pic.freq_ghz");
+    r.dvfs_level = parse_cell<std::size_t>(cells[8], "pic.level");
     records.push_back(r);
   }
   return records;
@@ -203,11 +219,13 @@ std::vector<GpmIntervalRecord> read_gpm_trace_csv(std::istream& is) {
   if (!std::getline(is, line)) {
     throw std::runtime_error("trace_io: empty GPM trace");
   }
-  const auto header = split_csv_line(line);
-  if (header.size() < 5 || (header.size() - 5) % 2 != 0) {
+  const std::size_t columns = split_csv_line(line).size();
+  const std::size_t n = columns > 5 ? (columns - 5) / 2 : 0;
+  std::ostringstream expected;
+  write_gpm_trace_header(expected, n);
+  if (line + '\n' != expected.str()) {
     throw std::runtime_error("trace_io: bad GPM header");
   }
-  const std::size_t n = (header.size() - 5) / 2;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     const auto cells = split_csv_line(line);
@@ -215,16 +233,17 @@ std::vector<GpmIntervalRecord> read_gpm_trace_csv(std::istream& is) {
       throw std::runtime_error("trace_io: bad GPM row arity");
     }
     GpmIntervalRecord r;
-    r.time_s = to_double(cells[0], "gpm.time_s");
-    r.chip_budget_w = to_double(cells[1], "gpm.budget");
-    r.chip_actual_w = to_double(cells[2], "gpm.actual");
-    r.chip_bips = to_double(cells[3], "gpm.bips");
-    r.max_temp_c = to_double(cells[4], "gpm.temp");
+    r.time_s = parse_cell<double>(cells[0], "gpm.time_s");
+    r.chip_budget_w = parse_cell<double>(cells[1], "gpm.budget");
+    r.chip_actual_w = parse_cell<double>(cells[2], "gpm.actual");
+    r.chip_bips = parse_cell<double>(cells[3], "gpm.bips");
+    r.max_temp_c = parse_cell<double>(cells[4], "gpm.temp");
     for (std::size_t i = 0; i < n; ++i) {
-      r.island_alloc_w.push_back(to_double(cells[5 + i], "gpm.alloc"));
+      r.island_alloc_w.push_back(parse_cell<double>(cells[5 + i], "gpm.alloc"));
     }
     for (std::size_t i = 0; i < n; ++i) {
-      r.island_actual_w.push_back(to_double(cells[5 + n + i], "gpm.island"));
+      r.island_actual_w.push_back(
+          parse_cell<double>(cells[5 + n + i], "gpm.island"));
     }
     records.push_back(std::move(r));
   }
@@ -235,17 +254,22 @@ std::vector<PicIntervalRecord> read_pic_trace_jsonl(std::istream& is) {
   std::vector<PicIntervalRecord> records;
   std::string line;
   while (std::getline(is, line)) {
-    if (line.empty() || !json_type_is(line, "pic")) continue;
+    if (line.empty()) continue;
+    const util::json::Value rec = util::json::parse(line);
+    if (json_at(rec, "type").string != "pic") continue;
+    const auto num = [&rec](std::string_view key) {
+      return json_double(json_at(rec, key), key);
+    };
     PicIntervalRecord r;
-    r.time_s = json_number(line, "time_s", "pic.time_s");
-    r.island = static_cast<std::size_t>(json_number(line, "island", "pic.island"));
-    r.target_w = json_number(line, "target_w", "pic.target_w");
-    r.sensed_w = json_number(line, "sensed_w", "pic.sensed_w");
-    r.actual_w = json_number(line, "actual_w", "pic.actual_w");
-    r.utilization = json_number(line, "utilization", "pic.utilization");
-    r.bips = json_number(line, "bips", "pic.bips");
-    r.freq_ghz = json_number(line, "freq_ghz", "pic.freq_ghz");
-    r.dvfs_level = static_cast<std::size_t>(json_number(line, "level", "pic.level"));
+    r.time_s = num("time_s");
+    r.island = json_count(rec, "island");
+    r.target_w = num("target_w");
+    r.sensed_w = num("sensed_w");
+    r.actual_w = num("actual_w");
+    r.utilization = num("utilization");
+    r.bips = num("bips");
+    r.freq_ghz = num("freq_ghz");
+    r.dvfs_level = json_count(rec, "level");
     records.push_back(r);
   }
   return records;
@@ -255,15 +279,20 @@ std::vector<GpmIntervalRecord> read_gpm_trace_jsonl(std::istream& is) {
   std::vector<GpmIntervalRecord> records;
   std::string line;
   while (std::getline(is, line)) {
-    if (line.empty() || !json_type_is(line, "gpm")) continue;
+    if (line.empty()) continue;
+    const util::json::Value rec = util::json::parse(line);
+    if (json_at(rec, "type").string != "gpm") continue;
+    const auto num = [&rec](std::string_view key) {
+      return json_double(json_at(rec, key), key);
+    };
     GpmIntervalRecord r;
-    r.time_s = json_number(line, "time_s", "gpm.time_s");
-    r.chip_budget_w = json_number(line, "chip_budget_w", "gpm.budget");
-    r.chip_actual_w = json_number(line, "chip_actual_w", "gpm.actual");
-    r.chip_bips = json_number(line, "chip_bips", "gpm.bips");
-    r.max_temp_c = json_number(line, "max_temp_c", "gpm.temp");
-    r.island_alloc_w = json_array(line, "alloc_w", "gpm.alloc");
-    r.island_actual_w = json_array(line, "actual_w", "gpm.island");
+    r.time_s = num("time_s");
+    r.chip_budget_w = num("chip_budget_w");
+    r.chip_actual_w = num("chip_actual_w");
+    r.chip_bips = num("chip_bips");
+    r.max_temp_c = num("max_temp_c");
+    r.island_alloc_w = json_doubles(rec, "alloc_w");
+    r.island_actual_w = json_doubles(rec, "actual_w");
     records.push_back(std::move(r));
   }
   return records;

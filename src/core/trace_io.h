@@ -21,6 +21,8 @@ void write_gpm_trace_header(std::ostream& os, std::size_t num_islands);
 void write_gpm_trace_row(std::ostream& os, const GpmIntervalRecord& r);
 
 /// JSONL variants: one self-describing JSON object per line, no header.
+/// JSON has no NaN or infinity, so non-finite values are written as the
+/// strings "nan", "inf" and "-inf".
 void write_pic_record_jsonl(std::ostream& os, const PicIntervalRecord& r);
 void write_gpm_record_jsonl(std::ostream& os, const GpmIntervalRecord& r);
 
@@ -42,7 +44,8 @@ void write_summary_csv(std::ostream& os, const SimulationResult& result);
 /// std::runtime_error on malformed input.
 std::vector<PicIntervalRecord> read_pic_trace_csv(std::istream& is);
 
-/// Parses a GPM trace written by write_gpm_trace_csv.
+/// Parses a GPM trace written by write_gpm_trace_csv. Throws
+/// std::runtime_error on malformed input.
 std::vector<GpmIntervalRecord> read_gpm_trace_csv(std::istream& is);
 
 /// Parses a JSONL trace written by write_pic_record_jsonl (one object per

@@ -3,13 +3,16 @@
 // parallel_map fans them out across hardware threads while keeping results in
 // index order, so parallel and serial execution produce bit-identical output.
 //
-// The sharded primitives below (parallel_map_rng, parallel_reduce) extend the
-// same contract to *stateful* per-element work: the index range is cut into
-// fixed-size shards whose decomposition depends only on the element count --
-// never on the thread count -- so each shard's RNG stream and each reduction's
-// combine order are identical whether one worker or sixteen pick the shards
-// up. That is what lets a 1000-chip cluster epoch (core/cluster.h) produce
-// bit-identical results at any thread count.
+// One rule keeps every caller bit-identical at any thread count: a parallel
+// task writes only its own element's or shard's slot, and every floating-
+// point reduction and every RNG draw that must be reproducible runs on the
+// calling thread in index order, outside the parallel call. The primitives
+// therefore never combine anything themselves. parallel_for_shards hands
+// contiguous blocks of a ShardPlan to the workers, so cheap per-element work
+// (one cluster epoch of one chip, core/cluster.h) pays one dispatch per shard
+// rather than one per element; the shard size sets how much work goes to one
+// task and never changes a result. shard_stream gives each shard of a serial
+// draw loop its own RNG stream (make_cluster_chips).
 //
 // Execution engine: every primitive dispatches through the persistent
 // util::ThreadPool (thread_pool.h) -- workers park on a condition variable
@@ -25,7 +28,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
+#include <stdexcept>
 #include <vector>
 
 #include "util/rng.h"
@@ -58,15 +61,14 @@ std::vector<Result> parallel_map(std::size_t count, Fn&& fn,
   return results;
 }
 
-/// Default shard size for the sharded primitives: small enough to keep
-/// workers load-balanced on uneven per-element cost, large enough that the
-/// per-shard bookkeeping (RNG stream derivation, partial slot) is noise.
+/// Default shard size: small enough to keep workers load-balanced on uneven
+/// per-element cost, large enough that the per-shard dispatch is noise.
 inline constexpr std::size_t kDefaultShardSize = 16;
 
 /// Fixed decomposition of [0, count) into contiguous shards of `shard_size`
-/// elements (the last shard may be short). The decomposition is a pure
-/// function of (count, shard_size) -- the thread count never enters -- which
-/// is the invariant every determinism guarantee below rests on.
+/// elements (the last shard may be short), a pure function of
+/// (count, shard_size). A shard size of 0 covers nothing; parallel_for_shards
+/// rejects it for a non-empty range.
 struct ShardPlan {
   std::size_t count = 0;
   std::size_t shard_size = kDefaultShardSize;
@@ -86,21 +88,26 @@ struct ShardPlan {
 /// The RNG stream owned by shard `shard` of a run seeded with `seed`:
 /// xoshiro256++ states derived through SplitMix64 so neighbouring shard
 /// indices land on decorrelated streams. Stream identity depends only on
-/// (seed, shard) -- every worker that picks the shard up sees the same
-/// stream, and a serial run sees the same streams a 16-thread run does.
+/// (seed, shard).
 inline Xoshiro256pp shard_stream(std::uint64_t seed,
                                  std::uint64_t shard) noexcept {
   std::uint64_t state = seed ^ (0x9e3779b97f4a7c15ULL * (shard + 1));
   return Xoshiro256pp{splitmix64(state)};
 }
 
-namespace detail {
-
-/// Runs `work(shard)` for every shard of `plan`, on up to `threads` workers
-/// through the persistent pool (inline when the plan is small or threads
-/// <= 1). The first exception is rethrown after the batch terminates.
+/// Runs `work(shard)` exactly once for every shard of `plan`, on up to
+/// `threads` workers through the persistent pool (inline when there is one
+/// shard or threads <= 1). `work` must write only state its shard owns;
+/// reductions over the shards belong to the caller, after the call, in index
+/// order. The first exception a task throws is rethrown after the batch
+/// terminates. Throws std::invalid_argument when a non-empty plan has shard
+/// size 0 (it would otherwise silently run nothing).
 template <typename Work>
-void run_shards(const ShardPlan& plan, std::size_t threads, Work&& work) {
+void parallel_for_shards(const ShardPlan& plan, std::size_t threads,
+                         Work&& work) {
+  if (plan.count > 0 && plan.shard_size == 0) {
+    throw std::invalid_argument("parallel_for_shards: shard size must be >= 1");
+  }
   const std::size_t shards = plan.num_shards();
   if (shards == 0) return;
   const std::size_t workers =
@@ -112,75 +119,6 @@ void run_shards(const ShardPlan& plan, std::size_t threads, Work&& work) {
     work(s);
   };
   ThreadPool::global().run_batch(shards, workers, body);
-}
-
-}  // namespace detail
-
-/// parallel_map with a per-shard RNG stream: applies `fn(i, rng)` for i in
-/// [0, count) and returns the results in index order. Elements of one shard
-/// run in index order sharing that shard's stream (`shard_stream(seed, s)`),
-/// so any element's RNG state is a pure function of (seed, shard_size, i) --
-/// bit-identical results at any thread count. `fn` must be safe to call
-/// concurrently for indices in *different* shards.
-template <typename Result, typename Fn>
-std::vector<Result> parallel_map_rng(std::size_t count, std::uint64_t seed,
-                                     Fn&& fn, std::size_t threads = 0,
-                                     std::size_t shard_size =
-                                         kDefaultShardSize) {
-  std::vector<Result> results(count);
-  const ShardPlan plan{count, shard_size};
-  detail::run_shards(plan, threads,
-                     [&results, &fn, seed, plan](std::size_t s) {
-                       Xoshiro256pp rng = shard_stream(seed, s);
-                       for (std::size_t i = plan.begin(s); i < plan.end(s);
-                            ++i) {
-                         results[i] = fn(i, rng);
-                       }
-                     });
-  return results;
-}
-
-/// parallel_reduce with caller-owned scratch: folds every index of `plan`
-/// into its shard's slot of `partials` (resized/reset here; the capacity is
-/// what the caller reuses), then combines the partials *in shard order* on
-/// the calling thread. This is the epoch-loop fast path: a caller that
-/// reduces every epoch (core/cluster.cpp) keeps one partials vector alive
-/// across epochs instead of reallocating one per call.
-template <typename Acc, typename Fold, typename Combine>
-Acc parallel_reduce_into(const ShardPlan& plan, std::vector<Acc>& partials,
-                         Fold&& fold, Combine&& combine, Acc init = Acc{},
-                         std::size_t threads = 0) {
-  partials.assign(plan.num_shards(), init);
-  detail::run_shards(plan, threads,
-                     [&partials, &fold, plan](std::size_t s) {
-                       for (std::size_t i = plan.begin(s); i < plan.end(s);
-                            ++i) {
-                         fold(partials[s], i);
-                       }
-                     });
-  Acc result = std::move(init);
-  for (const Acc& partial : partials) combine(result, partial);
-  return result;
-}
-
-/// Deterministic order-independent reduction: folds every index into a
-/// shard-local accumulator (`fold(acc, i)`, indices in order within the
-/// shard), then combines the shard partials *in shard order* on the calling
-/// thread. "Order-independent" means independent of thread scheduling: the
-/// floating-point combine sequence is fixed by the shard plan, so the result
-/// is bit-identical at any thread count -- unlike a naive atomic/locked sum,
-/// whose accumulation order follows whichever worker finishes first. Memory
-/// is O(num_shards) accumulators. `fold` must be safe to call concurrently
-/// for indices in different shards.
-template <typename Acc, typename Fold, typename Combine>
-Acc parallel_reduce(std::size_t count, Fold&& fold, Combine&& combine,
-                    Acc init = Acc{}, std::size_t threads = 0,
-                    std::size_t shard_size = kDefaultShardSize) {
-  const ShardPlan plan{count, shard_size};
-  std::vector<Acc> partials;
-  return parallel_reduce_into(plan, partials, std::forward<Fold>(fold),
-                              std::forward<Combine>(combine), std::move(init),
-                              threads);
 }
 
 }  // namespace cpm::util

@@ -19,7 +19,9 @@ thread_local bool t_pool_worker = false;
 /// caller's [1, max_threads] window, so absurd settings degrade gracefully.
 std::size_t env_thread_override() noexcept {
   const char* raw = std::getenv("CPM_THREADS");
-  if (raw == nullptr || *raw == '\0') return 0;
+  // strtoull would accept a sign (and wrap "-1" to a huge count), so demand
+  // a digit first.
+  if (raw == nullptr || *raw < '0' || *raw > '9') return 0;
   char* end = nullptr;
   const unsigned long long v = std::strtoull(raw, &end, 10);
   if (end == raw || (end != nullptr && *end != '\0')) return 0;

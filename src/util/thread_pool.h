@@ -1,8 +1,8 @@
 // Persistent deterministic worker pool: the execution engine behind the
 // parallel primitives in util/parallel.h. Before this pool existed every
-// parallel_map / parallel_reduce call spawned and joined fresh std::threads,
-// so a 10k-epoch cluster run created ~160k OS threads and each dispatch paid
-// thread-spawn latency (~100 us and up). The pool keeps workers parked on a
+// parallel call spawned and joined fresh std::threads, so a 10k-epoch
+// cluster run created ~160k OS threads and each dispatch paid thread-spawn
+// latency (~100 us and up). The pool keeps workers parked on a
 // condition variable between batches, so a dispatch costs a few condvar
 // wakes (~1-5 us) instead -- measured by BM_ParallelDispatch* in
 // bench_overhead_micro.
@@ -10,11 +10,12 @@
 // Design constraints, in order:
 //
 //   * Determinism is owned by the callers. The pool never decides *what* runs
-//     or in what combination order -- util/parallel.h fixes the shard plan,
-//     the per-shard RNG streams, and the reduction order, and the pool merely
-//     executes index claims. Nothing here may read clocks or entropy (the
-//     cpm_lint determinism family enforces that: thread_pool.{h,cpp} are NOT
-//     approved ambient sites).
+//     or combines any result -- each task writes only its own slot, every
+//     reduction and reproducible RNG draw runs on the calling thread in index
+//     order (util/parallel.h), and the pool merely executes index claims.
+//     Nothing here may read clocks or entropy (the cpm_lint determinism
+//     family enforces that: thread_pool.{h,cpp} are NOT approved ambient
+//     sites).
 //   * No type erasure on the dispatch path. run_batch is templated on the
 //     callable and lowers it to one function pointer + context pointer; there
 //     is no std::function, no per-task allocation, and one indirect call per

@@ -4,10 +4,15 @@
 
 #include <cmath>
 #include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/experiment.h"
+#include "util/parallel.h"
 #include "util/units.h"
 #include "workload/mixes.h"
+#include "workload/profile.h"
 
 namespace cpm::core {
 namespace {
@@ -80,22 +85,30 @@ TEST(Cluster, RejectsInfeasibleShareFloor) {
   EXPECT_NO_THROW(ClusterPowerManager(ok, make_chips(2)));
 }
 
+/// Bit-exact equality of every field of a ClusterResult except the per-chip
+/// traces (chip_results), which the cluster only passes through.
 void expect_identical(const ClusterResult& a, const ClusterResult& b) {
-  EXPECT_DOUBLE_EQ(a.cluster_budget_w, b.cluster_budget_w);
-  EXPECT_DOUBLE_EQ(a.provisioned_budget_w, b.provisioned_budget_w);
-  EXPECT_DOUBLE_EQ(a.total_power_w, b.total_power_w);
-  EXPECT_DOUBLE_EQ(a.total_instructions, b.total_instructions);
-  ASSERT_EQ(a.epoch_power_w.size(), b.epoch_power_w.size());
-  for (std::size_t e = 0; e < a.epoch_power_w.size(); ++e) {
-    EXPECT_DOUBLE_EQ(a.epoch_power_w[e], b.epoch_power_w[e]);
-    EXPECT_DOUBLE_EQ(a.epoch_budget_w[e], b.epoch_budget_w[e]);
-  }
+  const auto totals = [](const ClusterResult& r) {
+    const util::RunningStats& p = r.epoch_power_stats;
+    return std::make_tuple(
+        r.cluster_budget_w, r.provisioned_budget_w, r.total_power_w,
+        r.total_instructions, r.epochs, r.chips_simulated, r.epoch_stride,
+        p.count(), p.sum(), p.mean(), p.variance(), p.min(), p.max(),
+        r.invariant_checks, r.invariant_violations, r.first_violation);
+  };
+  EXPECT_EQ(totals(a), totals(b));
+  EXPECT_EQ(a.epoch_power_w, b.epoch_power_w);
+  EXPECT_EQ(a.epoch_budget_w, b.epoch_budget_w);
   ASSERT_EQ(a.chips.size(), b.chips.size());
   for (std::size_t c = 0; c < a.chips.size(); ++c) {
-    EXPECT_DOUBLE_EQ(a.chips[c].budget_w, b.chips[c].budget_w);
-    EXPECT_DOUBLE_EQ(a.chips[c].mean_power_w, b.chips[c].mean_power_w);
-    EXPECT_DOUBLE_EQ(a.chips[c].instructions, b.chips[c].instructions);
-    EXPECT_DOUBLE_EQ(a.chips[c].efficiency, b.chips[c].efficiency);
+    const auto chip = [c](const ClusterResult& r) {
+      const ClusterChipStats& s = r.chips[c];
+      return std::make_tuple(s.budget_w, s.max_power_w, s.mean_power_w,
+                             s.mean_bips, s.instructions, s.efficiency,
+                             s.pic_records_seen, s.pic_records_retained,
+                             s.gpm_records_seen, s.gpm_records_retained);
+    };
+    EXPECT_EQ(chip(a), chip(b)) << "chip " << c;
   }
 }
 
@@ -119,6 +132,42 @@ TEST(Cluster, ThreadCountInvariant) {
   EXPECT_GT(serial.total_instructions, 0.0);
   expect_identical(serial, two);
   expect_identical(serial, eight);
+}
+
+TEST(Cluster, ShardSizeInvariant) {
+  // The shard size only splits the epoch's chip advances across tasks; the
+  // epoch power is summed in chip order, so every budget the integral trim
+  // provisions is bit-identical at any shard size and thread count.
+  SimulationConfig base = default_config(1.0, 1);
+  base.cmp.num_islands = 2;
+  base.cmp.cores_per_island = 2;
+  base.mix = workload::mix1_regrouped(2);
+  base.mix.islands.resize(2);
+  base.calibration_seconds = 40.0 * base.cmp.pic_interval_s;
+  const auto fleet = make_cluster_chips(base, 24, /*seed=*/7);
+  auto run_with = [&fleet](std::size_t shard_size, std::size_t threads) {
+    std::vector<std::unique_ptr<Simulation>> chips;
+    for (const auto& chip : fleet) {
+      chips.push_back(std::make_unique<Simulation>(
+          chip->config(), chip->calibration(), chip->max_chip_power()));
+    }
+    ClusterConfig cfg;
+    cfg.integral_gain = 0.1;
+    cfg.epoch_s = fleet.front()->config().cmp.gpm_interval_s;
+    cfg.shard_size = shard_size;
+    cfg.threads = threads;
+    ClusterPowerManager cluster(cfg, std::move(chips));
+    return cluster.run(0.1);
+  };
+  const ClusterResult reference = run_with(1, 1);
+  EXPECT_GT(reference.epochs, 1u);
+  for (const std::size_t shard_size : {1, 3, 16}) {
+    for (const std::size_t threads : {1, 4}) {
+      SCOPED_TRACE("shard_size " + std::to_string(shard_size) + ", threads " +
+                   std::to_string(threads));
+      expect_identical(reference, run_with(shard_size, threads));
+    }
+  }
 }
 
 TEST(Cluster, MatchesRackContract) {
@@ -284,6 +333,37 @@ TEST(MakeClusterChips, DeterministicAtAnyThreadCount) {
   }
   // Distinct chips drew distinct seeds.
   EXPECT_NE(serial[0]->config().seed, serial[1]->config().seed);
+}
+
+TEST(MakeClusterChips, ShardStreamsMatchManualDerivation) {
+  // Chip c of shard s draws its seed, then its mix, from
+  // util::shard_stream(seed, s) after the chips before it in the shard --
+  // replay the contract by hand across two default-size shards.
+  SimulationConfig base = default_config(0.8, 7);
+  base.calibration_seconds = 10.0 * base.cmp.pic_interval_s;
+  const std::size_t n = util::kDefaultShardSize + 3;
+  const auto chips = make_cluster_chips(base, n, /*seed=*/77, true, 4);
+  std::vector<const workload::BenchmarkProfile*> pool;
+  for (const auto& p : workload::parsec_profiles()) pool.push_back(&p);
+  for (const auto& p : workload::spec_profiles()) pool.push_back(&p);
+  for (const auto& p : workload::extra_parsec_profiles()) pool.push_back(&p);
+  const util::ShardPlan plan{n, util::kDefaultShardSize};
+  ASSERT_EQ(plan.num_shards(), 2u);
+  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
+    util::Xoshiro256pp rng = util::shard_stream(77, s);
+    for (std::size_t c = plan.begin(s); c < plan.end(s); ++c) {
+      const SimulationConfig& cfg = chips[c]->config();
+      ASSERT_EQ(cfg.seed, rng()) << "chip " << c;
+      ASSERT_EQ(cfg.mix.islands.size(), base.mix.num_islands());
+      for (const auto& island : cfg.mix.islands) {
+        ASSERT_EQ(island.size(), base.mix.cores_per_island());
+        for (const auto* profile : island) {
+          ASSERT_EQ(profile, pool[rng.uniform_int(pool.size())])
+              << "chip " << c;
+        }
+      }
+    }
+  }
 }
 
 // The rack tier: a small fleet of full-budget chips under the efficiency

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "core/experiment.h"
+#include "util/json.h"
 
 namespace cpm::core {
 namespace {
@@ -78,6 +82,74 @@ TEST(TraceIo, RejectsMalformedInput) {
 
   std::stringstream bad_header("time_s,chip_budget_w\n");
   EXPECT_THROW(read_gpm_trace_csv(bad_header), std::runtime_error);
+
+  // Every cell must be consumed whole; island and level are unsigned counts.
+  const std::string pic_header =
+      "time_s,island,target_w,sensed_w,actual_w,utilization,bips,freq_ghz,"
+      "level\n";
+  for (const char* row :
+       {"0.5x,2,3,4,5,0.5,1,2,3\n", "0.5,2.7,3,4,5,0.5,1,2,3\n",
+        "0.5,2,3,4,5,0.5,1,2,-1\n"}) {
+    std::stringstream in(pic_header + row);
+    EXPECT_THROW(read_pic_trace_csv(in), std::runtime_error) << row;
+  }
+
+  // A 2-island GPM trace has 9 columns, like a PIC trace; each reader must
+  // refuse the other's header.
+  GpmIntervalRecord gpm;
+  gpm.island_alloc_w = {1.0, 2.0};
+  gpm.island_actual_w = {1.0, 2.0};
+  std::stringstream gpm_as_pic;
+  write_gpm_trace_csv(gpm_as_pic, {gpm});
+  EXPECT_THROW(read_pic_trace_csv(gpm_as_pic), std::runtime_error);
+  std::stringstream pic_as_gpm;
+  write_pic_trace_csv(pic_as_gpm, {PicIntervalRecord{}});
+  EXPECT_THROW(read_gpm_trace_csv(pic_as_gpm), std::runtime_error);
+}
+
+TEST(TraceIo, NonFiniteValuesRoundTripAndJsonlStaysJson) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  PicIntervalRecord pic;
+  pic.target_w = kNan;
+  pic.sensed_w = kInf;
+  pic.actual_w = -kInf;
+  GpmIntervalRecord gpm;
+  gpm.chip_actual_w = kNan;
+  gpm.island_alloc_w = {kInf, 1.5};
+  gpm.island_actual_w = {-kInf, kNan};
+  const auto same = [](double x, double y) {
+    return std::isnan(x) ? std::isnan(y) : x == y;
+  };
+  const auto expect_back = [&](const std::vector<PicIntervalRecord>& p,
+                               const std::vector<GpmIntervalRecord>& g) {
+    ASSERT_EQ(p.size(), 1u);
+    EXPECT_TRUE(same(p[0].target_w, kNan) && same(p[0].sensed_w, kInf) &&
+                same(p[0].actual_w, -kInf));
+    ASSERT_EQ(g.size(), 1u);
+    ASSERT_EQ(g[0].island_alloc_w.size(), 2u);
+    ASSERT_EQ(g[0].island_actual_w.size(), 2u);
+    EXPECT_TRUE(same(g[0].chip_actual_w, kNan) &&
+                same(g[0].island_alloc_w[0], kInf) &&
+                same(g[0].island_alloc_w[1], 1.5) &&
+                same(g[0].island_actual_w[0], -kInf) &&
+                same(g[0].island_actual_w[1], kNan));
+  };
+
+  std::stringstream pic_csv, gpm_csv;
+  write_pic_trace_csv(pic_csv, {pic});
+  write_gpm_trace_csv(gpm_csv, {gpm});
+  expect_back(read_pic_trace_csv(pic_csv), read_gpm_trace_csv(gpm_csv));
+
+  std::stringstream jsonl;
+  write_pic_record_jsonl(jsonl, pic);
+  write_gpm_record_jsonl(jsonl, gpm);
+  std::stringstream lines(jsonl.str());
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_NO_THROW(util::json::parse(line)) << line;  // strict JSON
+  }
+  std::stringstream pic_in(jsonl.str()), gpm_in(jsonl.str());
+  expect_back(read_pic_trace_jsonl(pic_in), read_gpm_trace_jsonl(gpm_in));
 }
 
 TEST(TraceIo, CsvRoundTripIsBitExact) {
@@ -149,6 +221,16 @@ TEST(TraceIo, JsonlReaderRejectsMalformedLines) {
       "{\"type\":\"gpm\",\"time_s\":0,\"chip_budget_w\":1,\"chip_actual_w\":1,"
       "\"chip_bips\":1,\"max_temp_c\":1,\"alloc_w\":[1,2,\"actual_w\":[1,2]}\n");
   EXPECT_THROW(read_gpm_trace_jsonl(bad_array), std::runtime_error);
+  std::stringstream unclosed(
+      "{\"type\":\"pic\",\"time_s\":0.1,\"island\":0,\"target_w\":1,"
+      "\"sensed_w\":1,\"actual_w\":1,\"utilization\":1,\"bips\":1,"
+      "\"freq_ghz\":1,\"level\":3\n");
+  EXPECT_THROW(read_pic_trace_jsonl(unclosed), std::runtime_error);
+  std::stringstream junk_number(
+      "{\"type\":\"pic\",\"time_s\":1junk,\"island\":0,\"target_w\":1,"
+      "\"sensed_w\":1,\"actual_w\":1,\"utilization\":1,\"bips\":1,"
+      "\"freq_ghz\":1,\"level\":3}\n");
+  EXPECT_THROW(read_pic_trace_jsonl(junk_number), std::runtime_error);
 }
 
 }  // namespace

@@ -19,11 +19,12 @@
 //                      (sim::TickKernel::kBatched) and the legacy per-object
 //                      scalar kernel (kScalarReference) produce bit-identical
 //                      results for every variant;
-//   5. cluster-threads -- a ClusterPowerManager run over a small random
-//                      fleet (randomized objective, share floor, integral
-//                      trim, shard size) produces bit-identical results at
-//                      1 thread and at N threads, with every chip under an
-//                      InvariantChecker in both runs.
+//   5. cluster-threads / cluster-shards -- a ClusterPowerManager run over
+//                      a small random fleet (randomized objective, share
+//                      floor, integral trim) produces bit-identical results
+//                      at 1 thread and at N threads, and again at N threads
+//                      with a different shard size, with every chip under an
+//                      InvariantChecker in every run.
 //
 // Every failure prints the master seed and a --replay command that reruns
 // just the offending scenario.
@@ -432,13 +433,13 @@ bool FuzzRun::run_scenario(std::size_t index) {
   }
 
   // Differential: 1-thread vs N-thread ClusterPowerManager over a small
-  // random fleet (random objective, share floor, integral trim, shard size),
-  // every chip under an InvariantChecker in both runs. The second fleet
-  // reuses the first fleet's calibrations (chip configs are identical), so
-  // the whole pipeline from provisioning to per-chip traces must match
-  // bit-exactly.
+  // random fleet (random objective, share floor, integral trim), then N
+  // threads at another shard size, every chip under an InvariantChecker in
+  // every run. Later fleets reuse the first fleet's calibrations (chip
+  // configs are identical), so the whole pipeline from provisioning to
+  // per-chip traces must match bit-exactly.
   try {
-    const std::size_t fleet_size = 2 + index % 2;  // 2..3 chips
+    const std::size_t fleet_size = 2 + index % 3;  // 2..4 chips
     std::vector<core::SimulationConfig> chip_cfgs;
     for (std::size_t c = 0; c < fleet_size; ++c) {
       core::SimulationConfig cfg = base;
@@ -462,13 +463,12 @@ bool FuzzRun::run_scenario(std::size_t index) {
                                 ? core::ClusterObjective::kEfficiency
                                 : core::ClusterObjective::kEnergyOptimal;
     if (rng.bernoulli(0.5)) cluster_cfg.integral_gain = rng.uniform(0.05, 0.3);
-    cluster_cfg.shard_size = 1 + index % 2;
     cluster_cfg.keep_chip_results = true;
     const std::size_t n_threads = 2 + rng.uniform_int(3);  // 2..4
 
     std::vector<core::CalibrationResult> calibrations;
     std::vector<double> max_powers;
-    auto run_fleet = [&](std::size_t threads) {
+    auto run_fleet = [&](std::size_t threads, std::size_t shard_size) {
       std::vector<std::unique_ptr<core::Simulation>> chips;
       for (std::size_t c = 0; c < fleet_size; ++c) {
         if (calibrations.size() > c) {
@@ -487,6 +487,7 @@ bool FuzzRun::run_scenario(std::size_t index) {
       }
       core::ClusterConfig cfg = cluster_cfg;
       cfg.threads = threads;
+      cfg.shard_size = shard_size;
       cfg.sink_factory = [&checkers](std::size_t c) {
         return std::make_unique<core::CheckingSink>(
             *checkers[c], std::make_unique<core::InMemorySink>());
@@ -508,11 +509,17 @@ bool FuzzRun::run_scenario(std::size_t index) {
       }
       return result;
     };
-    const core::ClusterResult one = run_fleet(1);
-    const core::ClusterResult many = run_fleet(n_threads);
-    const std::string diff = diff_cluster(one, many);
+    const std::size_t shard_size = 1 + index % 2;
+    const core::ClusterResult one = run_fleet(1, shard_size);
+    const std::string diff = diff_cluster(one, run_fleet(n_threads, shard_size));
     if (!diff.empty()) {
       fail(index, "cluster", "cluster-threads", "first divergence: " + diff);
+    }
+    const std::string reshard_diff =
+        diff_cluster(one, run_fleet(n_threads, 3 - shard_size));
+    if (!reshard_diff.empty()) {
+      fail(index, "cluster", "cluster-shards",
+           "first divergence: " + reshard_diff);
     }
   } catch (const std::exception& e) {
     fail(index, "cluster", "cluster-exception", e.what());

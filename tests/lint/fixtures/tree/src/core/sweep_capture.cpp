@@ -13,19 +13,10 @@ std::vector<Result> parallel_map(std::size_t count, const Fn& fn) {
   return out;
 }
 
-// Stand-ins for the sharded siblings, same capture rules.
-template <typename Result, typename Fn>
-std::vector<Result> parallel_map_rng(std::size_t count, unsigned seed,
-                                     const Fn& fn) {
-  std::vector<Result> out;
-  for (std::size_t i = 0; i < count; ++i) out.push_back(fn(i, seed));
-  return out;
-}
-
-template <typename Acc, typename Fold>
-Acc parallel_reduce(std::size_t count, const Fold& fold, Acc init) {
-  for (std::size_t i = 0; i < count; ++i) fold(init, i);
-  return init;
+// Stand-in for the sharded sibling, same capture rules.
+template <typename Work>
+void parallel_for_shards(std::size_t shards, std::size_t, const Work& work) {
+  for (std::size_t s = 0; s < shards; ++s) work(s);
 }
 
 // Stand-in for the pool dispatch entry point (util::ThreadPool::run_batch).
@@ -56,28 +47,34 @@ double positive_default_ref_with_list(const std::vector<double>& budgets) {
   return points.empty() ? 0.0 : points.front();
 }
 
-double positive_rng_default_ref(const std::vector<double>& budgets) {
-  const auto points = fixture::util::parallel_map_rng<double>(
-      budgets.size(), 7u,
-      [&](std::size_t i, unsigned) {  // finding: [&] in parallel_map_rng
-        return budgets[i];
+double positive_shards_default_ref(const std::vector<double>& budgets) {
+  std::vector<double> points(budgets.size());
+  fixture::util::parallel_for_shards(
+      budgets.size(), 4,
+      [&](std::size_t s) {  // finding: [&] in parallel_for_shards
+        points[s] = budgets[s];
       });
   return points.empty() ? 0.0 : points.front();
 }
 
-double positive_reduce_default_ref(const std::vector<double>& budgets) {
-  return fixture::util::parallel_reduce<double>(
-      budgets.size(),
-      [&](double& acc, std::size_t i) {  // finding: [&] in parallel_reduce
-        acc += budgets[i];
-      },
-      0.0);
+double positive_shards_default_ref_with_list(
+    const std::vector<double>& budgets) {
+  std::vector<double> points(budgets.size());
+  const double bias = 1.0;
+  fixture::util::parallel_for_shards(
+      budgets.size(), 4,
+      [&, bias](std::size_t s) {  // finding: [&, ...] in parallel_for_shards
+        points[s] = budgets[s] + bias;
+      });
+  return points.empty() ? 0.0 : points.front();
 }
 
-double negative_reduce_explicit_captures(const std::vector<double>& budgets) {
-  return fixture::util::parallel_reduce<double>(
-      budgets.size(),
-      [&budgets](double& acc, std::size_t i) { acc += budgets[i]; }, 0.0);
+double negative_shards_explicit_captures(const std::vector<double>& budgets) {
+  std::vector<double> points(budgets.size());
+  fixture::util::parallel_for_shards(
+      budgets.size(), 4,
+      [&points, &budgets](std::size_t s) { points[s] = budgets[s]; });
+  return points.empty() ? 0.0 : points.front();
 }
 
 double negative_explicit_captures(const std::vector<double>& budgets) {

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace cpm::util {
 namespace {
@@ -84,83 +87,40 @@ TEST(ShardStream, DependsOnlyOnSeedAndShard) {
   EXPECT_NE(d(), e());
 }
 
-TEST(ParallelMapRng, ThreadCountInvariant) {
-  const auto run = [](std::size_t threads) {
-    return parallel_map_rng<double>(
-        97, 1234,
-        [](std::size_t i, Xoshiro256pp& rng) {
-          return static_cast<double>(i) + rng.uniform();
-        },
-        threads, /*shard_size=*/8);
-  };
-  const auto serial = run(1);
-  const auto two = run(2);
-  const auto eight = run(8);
-  ASSERT_EQ(serial.size(), 97u);
-  EXPECT_EQ(serial, two);
-  EXPECT_EQ(serial, eight);
-}
-
-TEST(ParallelMapRng, ShardStreamsMatchManualDerivation) {
-  // Element i of shard s sees shard_stream(seed, s) advanced by the elements
-  // before it in the shard -- replay the contract by hand.
-  const std::uint64_t seed = 77;
-  const std::size_t shard_size = 4;
-  const auto out = parallel_map_rng<std::uint64_t>(
-      11, seed, [](std::size_t, Xoshiro256pp& rng) { return rng(); }, 8,
-      shard_size);
-  const ShardPlan plan{11, shard_size};
-  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
-    Xoshiro256pp rng = shard_stream(seed, s);
-    for (std::size_t i = plan.begin(s); i < plan.end(s); ++i) {
-      ASSERT_EQ(out[i], rng());
-    }
+TEST(ParallelForShards, RunsEachShardOnceRethrowsAndRejectsZeroShardSize) {
+  // Every shard runs exactly once, on any thread count.
+  const ShardPlan plan{103, 16};
+  for (const std::size_t threads : {1u, 4u}) {
+    std::vector<std::atomic<int>> runs(plan.num_shards());
+    parallel_for_shards(plan, threads,
+                        [&runs](std::size_t s) { runs[s].fetch_add(1); });
+    for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
   }
-}
-
-TEST(ParallelReduce, SumsDeterministicallyAtAnyThreadCount) {
-  // A floating-point sum whose terms differ wildly in magnitude: any change
-  // in accumulation order changes the rounded result, so bit-equality across
-  // thread counts proves the combine order is fixed by the shard plan.
-  const auto fold = [](double& acc, std::size_t i) {
-    acc += (i % 3 == 0 ? 1e16 : 1.0) / static_cast<double>(i + 1);
-  };
-  const auto combine = [](double& acc, const double& part) { acc += part; };
-  const double serial = parallel_reduce<double>(501, fold, combine, 0.0, 1);
-  const double four = parallel_reduce<double>(501, fold, combine, 0.0, 4);
-  const double sixteen = parallel_reduce<double>(501, fold, combine, 0.0, 16);
-  EXPECT_EQ(serial, four);
-  EXPECT_EQ(serial, sixteen);
-}
-
-TEST(ParallelReduce, StructAccumulatorAndEmptyRange) {
-  struct Acc {
-    double sum = 0.0;
-    std::size_t n = 0;
-  };
-  const auto fold = [](Acc& acc, std::size_t i) {
-    acc.sum += static_cast<double>(i);
-    ++acc.n;
-  };
-  const auto combine = [](Acc& acc, const Acc& part) {
-    acc.sum += part.sum;
-    acc.n += part.n;
-  };
-  const Acc out = parallel_reduce<Acc>(100, fold, combine, Acc{}, 8);
-  EXPECT_DOUBLE_EQ(out.sum, 4950.0);
-  EXPECT_EQ(out.n, 100u);
-  const Acc empty = parallel_reduce<Acc>(0, fold, combine, Acc{}, 8);
-  EXPECT_EQ(empty.n, 0u);
-}
-
-TEST(ParallelReduce, PropagatesExceptions) {
-  const auto fold = [](int& acc, std::size_t i) {
-    if (i == 37) throw std::runtime_error("boom");
-    acc += static_cast<int>(i);
-  };
-  const auto combine = [](int& acc, const int& part) { acc += part; };
-  EXPECT_THROW(parallel_reduce<int>(100, fold, combine, 0, 4),
+  // The first exception a task throws is rethrown: run serially, shard 2
+  // throws first and shard 5 never gets the chance.
+  try {
+    parallel_for_shards(plan, 1, [](std::size_t s) {
+      if (s == 2 || s == 5) {
+        throw std::runtime_error("shard " + std::to_string(s));
+      }
+    });
+    FAIL() << "a throwing shard returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "shard 2");
+  }
+  EXPECT_THROW(parallel_for_shards(ShardPlan{100, 4}, 4,
+                                   [](std::size_t) {
+                                     throw std::runtime_error("boom");
+                                   }),
                std::runtime_error);
+  // A zero shard size would cover nothing; an empty range is still fine.
+  bool ran = false;
+  EXPECT_THROW(parallel_for_shards(ShardPlan{100, 0}, 4,
+                                   [&ran](std::size_t) { ran = true; }),
+               std::invalid_argument);
+  EXPECT_FALSE(ran);
+  parallel_for_shards(ShardPlan{0, 0}, 4, [&ran](std::size_t) { ran = true; });
+  EXPECT_FALSE(ran);
 }
 
 TEST(Parallel, HeavyWorkloadAggregates) {

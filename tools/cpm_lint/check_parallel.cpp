@@ -1,9 +1,8 @@
-// parallel-capture: util::parallel_map (with its sharded siblings
-// parallel_map_rng / parallel_reduce / parallel_reduce_into) and the pool
-// dispatch entry points underneath them (ThreadPool::run_batch, submit-style
-// APIs) fan a lambda out across worker threads; the project's bit-equality
-// contract means every task must be a pure function of its index (plus
-// shared *immutable* state). Two hazards:
+// parallel-capture: util::parallel_map (with its sharded sibling
+// parallel_for_shards) and the pool dispatch entry points underneath them
+// (ThreadPool::run_batch, submit-style APIs) fan a lambda out across worker
+// threads; the project's bit-equality contract means every task must be a
+// pure function of its index (plus shared *immutable* state). Two hazards:
 //
 //  * a default by-reference capture ([&]) in a lambda handed to any of those
 //    dispatch call sites -- the capture set is invisible at the call site,
@@ -33,7 +32,7 @@ class ParallelCaptureCheck final : public Check {
  public:
   std::string name() const override { return kName; }
   std::string description() const override {
-    return "parallel_map/parallel_map_rng/parallel_reduce[_into] and "
+    return "parallel_map/parallel_for_shards and "
            "ThreadPool run_batch/submit lambdas must enumerate their "
            "captures (no [&]); no mutable namespace-scope statics in "
            "src/sim or src/core";
@@ -54,9 +53,8 @@ class ParallelCaptureCheck final : public Check {
                                           const TokenStream& toks,
                                           std::vector<Finding>& out) {
     for (std::size_t i = 0; i < toks.size(); ++i) {
-      if (!toks[i].ident("parallel_map") && !toks[i].ident("parallel_map_rng") &&
-          !toks[i].ident("parallel_reduce") &&
-          !toks[i].ident("parallel_reduce_into") &&
+      if (!toks[i].ident("parallel_map") &&
+          !toks[i].ident("parallel_for_shards") &&
           !toks[i].ident("run_batch") && !toks[i].ident("submit")) {
         continue;
       }
