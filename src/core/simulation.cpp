@@ -493,11 +493,11 @@ void SimulationRun::tick_once() {
   const sim::ChipSoa& soa = chip.soa();
   const std::span<const double> island_power = plant_.island_power_w();
 
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (config.enable_migration) {
-      // Frequency-normalized utilization (u_ref = u f / (u f + fmax (1-u)))
-      // makes cores on islands at different frequencies comparable for the
-      // migration advisor.
+  if (config.enable_migration) {
+    // Frequency-normalized utilization (u_ref = u f / (u f + fmax (1-u)))
+    // makes cores on islands at different frequencies comparable for the
+    // migration advisor.
+    for (std::size_t i = 0; i < n_; ++i) {
       const std::size_t g0 = chip.island_offset(i);
       const double f = soa.freq_ghz[g0];
       for (std::size_t c = 0; c < chip.island_size(i); ++c) {
@@ -506,16 +506,19 @@ void SimulationRun::tick_once() {
         core_util_sum_[g0 + c] += denom > 0.0 ? u * f / denom : 0.0;
       }
     }
+    ++core_util_ticks_;
+  }
+  for (std::size_t i = 0; i < n_; ++i) {
+    const sim::IslandTick& it = tick.islands[i];
     // The GPM window is fed once per PIC boundary (pic_accum_ merges into
     // gpm_accum_ before it resets), not per tick.
-    pic_accum_[i].add(tick.islands[i].utilization, tick.islands[i].bips,
-                      tick.islands[i].instructions, island_power[i]);
-    result_.island_instructions[i] += tick.islands[i].instructions;
+    pic_accum_[i].add(it.utilization, it.bips, it.instructions,
+                      island_power[i]);
+    result_.island_instructions[i] += it.instructions;
     result_.island_energy_j[i] += island_power[i] * dt_;
-    result_.island_avg_bips[i] += tick.islands[i].bips;
+    result_.island_avg_bips[i] += it.bips;
   }
   hotspots_.record(plant_.thermal().temperatures(), dt_);
-  if (config.enable_migration) ++core_util_ticks_;
   chip_power_stats_.add(plant_.chip_power_w());
   chip_bips_stats_.add(tick.total_bips);
   result_.total_instructions += tick.total_instructions;

@@ -3,11 +3,54 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <type_traits>
 
 #include "util/fastmath.h"
 
 namespace cpm::power {
+
+namespace {
+
+struct PowerSweepArgs {
+  double ceff_base;
+  double k_design;
+  double beta;
+  double ref_c;
+};
+
+// The chip_power_batch kernel. Multiplication order mirrors
+// DynamicPowerModel::power and LeakageModel::core_power exactly (including
+// the util::exp_fast leakage exponential), so it is element-wise
+// bit-identical to the scalar core_power() path. The __restrict parameters
+// spare GCC the run-time alias checks, and the utilization clamp is the
+// same two compare-selects std::clamp performs (NaN and -0.0 pass through
+// unchanged), written on values so they if-convert: the loop vectorizes.
+template <bool kWriteLeak>
+void power_sweep(std::size_t n, const PowerSweepArgs& args,
+                 const double* __restrict u_in, const double* __restrict ab,
+                 const double* __restrict ai, const double* __restrict cs,
+                 const double* __restrict v, const double* __restrict f,
+                 const double* __restrict lm, const double* __restrict t,
+                 double* __restrict out, double* __restrict leak_out) {
+  const double ceff_base = args.ceff_base;
+  const double k_design = args.k_design;
+  const double beta = args.beta;
+  const double ref_c = args.ref_c;
+  // vectorize: power.chip_power_batch
+  for (std::size_t i = 0; i < n; ++i) {
+    double u = u_in[i];
+    u = u < 0.0 ? 0.0 : u;
+    u = 1.0 < u ? 1.0 : u;
+    const double effective_activity = u * ab[i] + (1.0 - u) * ai[i];
+    const double dyn =
+        ceff_base * cs[i] * v[i] * v[i] * f[i] * effective_activity;
+    const double leak =
+        k_design * lm[i] * v[i] * util::exp_fast(beta * (t[i] - ref_c));
+    if constexpr (kWriteLeak) leak_out[i] = leak;
+    out[i] = dyn + leak;
+  }
+}
+
+}  // namespace
 
 PowerModel::PowerModel(const sim::CmpConfig& config,
                        std::vector<double> island_leak_mults)
@@ -57,42 +100,20 @@ void PowerModel::chip_power_batch(
       temps_c.size() != n || (!out_leak_w.empty() && out_leak_w.size() != n)) {
     throw std::invalid_argument("chip_power_batch: span length mismatch");
   }
-  // Multiplication order mirrors DynamicPowerModel::power and
-  // LeakageModel::core_power exactly (including the util::exp_fast leakage
-  // exponential), so this sweep is element-wise bit-identical to the scalar
-  // core_power() path while staying straight-line and auto-vectorizable.
-  const double ceff_base = dynamic_.ceff_base();
-  const double k_design = leakage_.k_design();
-  const double beta = leakage_.temp_beta();
-  const double ref_c = leakage_.ref_temp_c();
-  const double* u_in = utilization.data();
-  const double* ab = activity_busy.data();
-  const double* ai = activity_idle.data();
-  const double* cs = ceff_scale.data();
-  const double* v = voltage.data();
-  const double* f = freq_ghz.data();
-  const double* lm = leak_mult.data();
-  const double* t = temps_c.data();
-  double* out = out_total_w.data();
-  double* leak_out = out_leak_w.data();
+  const PowerSweepArgs args{dynamic_.ceff_base(), leakage_.k_design(),
+                            leakage_.temp_beta(), leakage_.ref_temp_c()};
   // One instantiation per tag, so the tick hot loop (no leakage output)
   // carries no per-core store or branch for it.
-  const auto sweep = [&](auto write_leak) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double u = std::clamp(u_in[i], 0.0, 1.0);
-      const double effective_activity = u * ab[i] + (1.0 - u) * ai[i];
-      const double dyn =
-          ceff_base * cs[i] * v[i] * v[i] * f[i] * effective_activity;
-      const double leak =
-          k_design * lm[i] * v[i] * util::exp_fast(beta * (t[i] - ref_c));
-      if constexpr (decltype(write_leak)::value) leak_out[i] = leak;
-      out[i] = dyn + leak;
-    }
-  };
   if (out_leak_w.empty()) {
-    sweep(std::false_type{});
+    power_sweep<false>(n, args, utilization.data(), activity_busy.data(),
+                       activity_idle.data(), ceff_scale.data(), voltage.data(),
+                       freq_ghz.data(), leak_mult.data(), temps_c.data(),
+                       out_total_w.data(), nullptr);
   } else {
-    sweep(std::true_type{});
+    power_sweep<true>(n, args, utilization.data(), activity_busy.data(),
+                      activity_idle.data(), ceff_scale.data(), voltage.data(),
+                      freq_ghz.data(), leak_mult.data(), temps_c.data(),
+                      out_total_w.data(), out_leak_w.data());
   }
 }
 

@@ -37,6 +37,10 @@ class PowerModel {
   /// (island-major flat order), writing each core's dynamic + leakage total.
   /// Element-wise bit-identical to core_power() on the same inputs (the
   /// leakage exponential evaluates through util::exp_fast on both paths).
+  /// The per-core loop is branch-free and GCC vectorizes it; that needs
+  /// -fno-trapping-math, which cpm_util sets (see docs/SIMULATOR.md). The
+  /// output spans must not overlap the inputs or each other (the kernel's
+  /// pointers are __restrict).
   /// Island sums are left to the caller. When `out_leak_w` is non-empty,
   /// each core's leakage share is also written there; an empty span writes
   /// nothing and costs nothing. Every span must have length

@@ -7,6 +7,43 @@
 
 namespace cpm::sim {
 
+namespace {
+
+// Pass 2 of the batched tick: the core micro-model over the flat SoA
+// arrays. Bit-exactness contract with CoreModel::step: identical operations
+// in identical order, element-wise only (the congestion term `cong_term`
+// and the instruction scale are hoisted as the *same* scalar expressions,
+// no sum is reassociated, and both paths multiply by the island's
+// reciprocal frequency rather than dividing), so the SIMD build and the
+// scalar reference kernel produce identical doubles. The reciprocal-
+// frequency and compute*`1/t` forms keep this loop at one division per
+// core -- divides are the only non-pipelining operation here. The nine
+// arrays are distinct ChipSoa columns; __restrict says so, which spares GCC
+// the run-time alias checks that otherwise stop it vectorizing the loop.
+void micro_model_sweep(std::size_t cores, double cong_term, double instr_scale,
+                       const double* __restrict cpi,
+                       const double* __restrict mem,
+                       const double* __restrict dbw,
+                       const double* __restrict invf,
+                       const double* __restrict run,
+                       double* __restrict instr, double* __restrict bips,
+                       double* __restrict util, double* __restrict bw) {
+  // vectorize: sim.micro_model
+  for (std::size_t g = 0; g < cores; ++g) {
+    const double compute_ns = cpi[g] * invf[g];
+    const double mem_ns = mem[g] * cong_term;
+    const double t_instr_ns = compute_ns + mem_ns;
+    // 1 ns/instruction == 1 BIPS, so BIPS while running is 1/t_instr_ns.
+    const double bips_running = 1.0 / t_instr_ns;
+    instr[g] = bips_running * instr_scale * run[g];
+    bips[g] = bips_running * run[g];
+    util[g] = compute_ns * bips_running * run[g];
+    bw[g] = bips_running * dbw[g] * run[g];
+  }
+}
+
+}  // namespace
+
 void ChipSoa::resize(std::size_t cores) {
   demand_cpi.assign(cores, 0.0);
   demand_mem_ns.assign(cores, 0.0);
@@ -120,11 +157,16 @@ void Chip::step_batched(double dt_seconds, double congestion) {
   // part of a tick; everything after this runs as flat array sweeps.
   for (std::size_t i = 0; i < islands_.size(); ++i) {
     Island& isl = islands_[i];
+    DvfsActuator& actuator = isl.actuator();
+    // With no stall pending, consume_stall(dt) / dt would be 0 / dt = +0.0:
+    // skip the call and its division on the common tick.
     const double stall_fraction =
-        isl.actuator().consume_stall(dt_seconds) / dt_seconds;
+        actuator.pending_stall() != 0.0
+            ? actuator.consume_stall(dt_seconds) / dt_seconds
+            : 0.0;
     const double clamped = std::clamp(stall_fraction, 0.0, 1.0);
     const double run_fraction = 1.0 - clamped;
-    const DvfsPoint op = isl.operating_point();
+    const DvfsPoint op = actuator.operating_point();
     const double inv_freq = 1.0 / op.freq_ghz;
     for (std::size_t c = 0; c < isl.num_cores(); ++c) {
       const std::size_t g = offsets_[i] + c;
@@ -141,38 +183,18 @@ void Chip::step_batched(double dt_seconds, double congestion) {
     }
   }
 
-  // ---- pass 2 (flat, auto-vectorizable): the core micro-model.
-  // Bit-exactness contract with CoreModel::step: identical operations in
-  // identical order, element-wise only (the congestion term and the
-  // instruction scale are hoisted as the *same* scalar expressions, no sum
-  // is reassociated, and both paths multiply by the island's reciprocal
-  // frequency rather than dividing), so the SIMD build and the scalar
-  // reference kernel produce identical doubles. The reciprocal-frequency and
-  // compute*`1/t` forms keep this loop at one division per core -- divides
-  // are the only non-pipelining operation here.
-  const double cong_term =
-      1.0 + config_.contention_gamma * std::max(0.0, congestion);
-  const double instr_scale = 1e9 * dt_seconds;
-  const double* cpi = soa_.demand_cpi.data();
-  const double* mem = soa_.demand_mem_ns.data();
-  const double* dbw = soa_.demand_bandwidth.data();
-  const double* invf = soa_.inv_freq.data();
-  const double* run = soa_.run_fraction.data();
-  double* instr = soa_.instructions.data();
-  double* bips = soa_.bips.data();
-  double* util = soa_.utilization.data();
-  double* bw = soa_.bandwidth_demand.data();
-  for (std::size_t g = 0; g < cores; ++g) {
-    const double compute_ns = cpi[g] * invf[g];
-    const double mem_ns = mem[g] * cong_term;
-    const double t_instr_ns = compute_ns + mem_ns;
-    // 1 ns/instruction == 1 BIPS, so BIPS while running is 1/t_instr_ns.
-    const double bips_running = 1.0 / t_instr_ns;
-    instr[g] = bips_running * instr_scale * run[g];
-    bips[g] = bips_running * run[g];
-    util[g] = compute_ns * bips_running * run[g];
-    bw[g] = bips_running * dbw[g] * run[g];
-  }
+  // ---- pass 2 (flat, vectorized): the core micro-model.
+  micro_model_sweep(cores,
+                    1.0 + config_.contention_gamma * std::max(0.0, congestion),
+                    1e9 * dt_seconds, soa_.demand_cpi.data(),
+                    soa_.demand_mem_ns.data(), soa_.demand_bandwidth.data(),
+                    soa_.inv_freq.data(), soa_.run_fraction.data(),
+                    soa_.instructions.data(), soa_.bips.data(),
+                    soa_.utilization.data(), soa_.bandwidth_demand.data());
+  const double* instr = soa_.instructions.data();
+  const double* bips = soa_.bips.data();
+  const double* util = soa_.utilization.data();
+  const double* bw = soa_.bandwidth_demand.data();
 
   // ---- pass 3: island/chip reductions, per-core bookkeeping, views.
   double total_demand = 0.0;
@@ -182,22 +204,28 @@ void Chip::step_batched(double dt_seconds, double congestion) {
     const std::size_t g0 = offsets_[i];
     const std::size_t size = isl.num_cores();
     IslandTick& it = tick_.islands[i];
-    it.bips = 0.0;
-    it.utilization = 0.0;
-    it.instructions = 0.0;
-    it.bandwidth_demand = 0.0;
     // Note: the batched kernel does not pay retired instructions back into
     // each CoreModel (per-core totals live in the SoA / result layer; the
     // CoreModel counter is only advanced by the scalar kernel's step()).
+    // The sums run in locals: `it` may alias the SoA columns as far as the
+    // compiler knows, so summing into its fields would store and reload
+    // every partial sum.
+    double isl_bips = 0.0;
+    double isl_util = 0.0;
+    double isl_instr = 0.0;
+    double isl_bw = 0.0;
     for (std::size_t c = 0; c < size; ++c) {
       const std::size_t g = g0 + c;
-      it.bips += bips[g];
-      it.utilization += util[g];
-      it.instructions += instr[g];
-      it.bandwidth_demand += bw[g];
+      isl_bips += bips[g];
+      isl_util += util[g];
+      isl_instr += instr[g];
+      isl_bw += bw[g];
     }
     for (std::size_t c = 0; c < size; ++c) chip_util += util[g0 + c];
-    it.utilization /= static_cast<double>(size);
+    it.bips = isl_bips;
+    it.utilization = isl_util / static_cast<double>(size);
+    it.instructions = isl_instr;
+    it.bandwidth_demand = isl_bw;
     if (record_cores_) {
       it.cores.resize(size);
       for (std::size_t c = 0; c < size; ++c) {

@@ -5,7 +5,8 @@
 // Tick-state layout: the chip owns all per-core per-tick state as
 // structure-of-arrays (ChipSoa) in island-major flat core order, and the
 // production tick path (TickKernel::kBatched) runs the core micro-model as
-// one flat, auto-vectorizable sweep over those arrays. The legacy
+// one flat sweep over those arrays, which GCC vectorizes (its loop carries
+// a `// vectorize:` tag the vectorize_guard test checks). The legacy
 // object-walking loop (Chip -> Island::step -> CoreModel::step) is retained
 // as TickKernel::kScalarReference, a test-only differential oracle that the
 // fuzz harness holds bit-identical to the batched kernel. ChipTick /

@@ -1,5 +1,6 @@
 #include "thermal/hotspot.h"
 
+#include <cstdint>
 #include <stdexcept>
 
 namespace cpm::thermal {
@@ -17,13 +18,21 @@ bool HotspotDetector::record(std::span<const double> temps_c,
     throw std::invalid_argument("HotspotDetector::record: size mismatch");
   }
   observed_s_ += dt_seconds;
-  bool any_hot = false;
+  // Branch-free so it vectorizes: a cool core adds +0.0, which leaves its
+  // total (never -0.0: it starts at +0.0 and only grows) bit-unchanged.
+  const double threshold = threshold_c_;
+  const double* temps = temps_c.data();
+  double* core_hot = core_hot_s_.data();
+  // The any-hot flag is a 64-bit OR, a reduction GCC vectorizes next to
+  // the double compare (a bool or a count does not).
+  std::uint64_t hot_seen = 0;
+  // vectorize: thermal.hotspot
   for (std::size_t i = 0; i < temps_c.size(); ++i) {
-    if (temps_c[i] > threshold_c_) {
-      core_hot_s_[i] += dt_seconds;
-      any_hot = true;
-    }
+    const std::uint64_t hot = temps[i] > threshold ? 1 : 0;
+    core_hot[i] += hot != 0 ? dt_seconds : 0.0;
+    hot_seen |= hot;
   }
+  const bool any_hot = hot_seen != 0;
   if (any_hot) {
     hot_s_ += dt_seconds;
     if (!was_hot_) ++events_;

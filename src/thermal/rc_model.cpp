@@ -37,19 +37,27 @@ RcThermalModel::RcThermalModel(Floorplan floorplan, ThermalParams params)
     neighbor_offsets_.push_back(neighbor_ids_.size());
   }
   next_.resize(floorplan_.num_cores());
+  inv_c_ = 1.0 / params_.capacitance;
 }
 
 void RcThermalModel::step(std::span<const double> power_w, double dt_seconds) {
   if (power_w.size() != temps_.size()) {
     throw std::invalid_argument("RcThermalModel::step: power size mismatch");
   }
-  const std::size_t substeps = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(dt_seconds / max_stable_dt_)));
-  const double h = dt_seconds / static_cast<double>(substeps);
+  // Every caller steps with one fixed tick, so the substep split is derived
+  // once per distinct dt rather than with two divisions and a ceil a tick.
+  if (dt_seconds != step_dt_) {
+    substeps_ = std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::ceil(dt_seconds / max_stable_dt_)));
+    h_ = dt_seconds / static_cast<double>(substeps_);
+    step_dt_ = dt_seconds;
+  }
+  const std::size_t substeps = substeps_;
+  const double h = h_;
   const std::size_t n = temps_.size();
   const double g_v = params_.vertical_conductance;
   const double g_l = params_.lateral_conductance;
-  const double inv_c = 1.0 / params_.capacitance;
+  const double inv_c = inv_c_;
   const std::size_t* offsets = neighbor_offsets_.data();
   const std::size_t* ids = neighbor_ids_.data();
   for (std::size_t s = 0; s < substeps; ++s) {

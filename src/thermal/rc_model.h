@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -69,6 +70,12 @@ class RcThermalModel {
   std::vector<std::size_t> neighbor_offsets_;
   std::vector<std::size_t> neighbor_ids_;
   std::vector<double> next_;
+  double inv_c_;  // 1 / params_.capacitance
+  // Substep split for the last dt step() saw (NaN: none yet, and never
+  // equal to a dt, so the first step always derives it).
+  double step_dt_ = std::numeric_limits<double>::quiet_NaN();
+  std::size_t substeps_ = 1;
+  double h_ = 0.0;
 };
 
 }  // namespace cpm::thermal

@@ -4,8 +4,10 @@
 // tick; libm's exp is correctly rounded but scalar and call-heavy, which
 // makes it the single largest term in the whole-chip power sweep. exp_fast
 // trades the last two digits (~1e-11 relative error on the simulator's
-// operating range) for straight-line arithmetic that the compiler can
-// auto-vectorize across cores.
+// operating range) for straight-line arithmetic: two min/max clamps, adds,
+// multiplies and one 64-bit shift, with no integer compare or convert, so
+// GCC vectorizes the power sweep that calls it (see docs/SIMULATOR.md,
+// "Kernels").
 //
 // Deterministic and bit-portable across IEEE-754 platforms: the reduction
 // and polynomial use only +, *, and bit operations in a fixed order (no
@@ -18,30 +20,27 @@
 
 namespace cpm::util {
 
-/// exp(x) with ~1e-11 relative accuracy for |x| <= ~700 (exponent clamped,
-/// not IEEE-faithful, outside that). Intended for physical-model kernels
+/// exp(x) with ~1e-11 relative accuracy on [-708, 709]. Outside that range
+/// the argument saturates: exp_fast(x) is exp_fast(-708) ~ 3.3e-308 below
+/// it and exp_fast(709) ~ 8.2e307 above it, finite and positive, never 0
+/// or infinity. NaN propagates. Intended for physical-model kernels
 /// (leakage-temperature feedback) where the argument is O(1); use std::exp
 /// where correctly-rounded results matter.
 inline double exp_fast(double x) noexcept {
+  // Saturate first, so 2^k below is always a normal double (k stays in
+  // [-1022, 1023]). Written as compare-selects that map onto minsd/maxsd;
+  // a NaN fails both compares and passes through.
+  x = x < -708.0 ? -708.0 : x;
+  x = x > 709.0 ? 709.0 : x;
   // Round x/ln2 to the nearest integer with the shift trick: adding
-  // 3*2^51 forces the fraction out of a double in round-to-nearest mode,
-  // leaving the integer in the low mantissa bits.
+  // 1.5*2^52 forces the fraction out of a double in round-to-nearest mode,
+  // leaving the integer k in the low mantissa bits; subtracting it again
+  // gives k as an exact double.
   constexpr double kLog2e = 1.4426950408889634074;
   constexpr double kShift = 6755399441055744.0;  // 1.5 * 2^52
   constexpr double kLn2Hi = 6.93147180369123816490e-01;
   constexpr double kLn2Lo = 1.90821492927058770002e-10;
-  double kd = x * kLog2e + kShift;
-  // Sign-extend the 51-bit integer out of the mantissa: the left shift must
-  // happen on the unsigned pattern, the right shift on the signed one (an
-  // unsigned >> would zero-fill and turn every negative k into a huge
-  // positive exponent).
-  std::int64_t k =
-      static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(kd) << 13) >> 13;
-  kd -= kShift;
-  // Keep 2^k representable as a normal double (|x| beyond ~700 saturates
-  // instead of producing a garbage exponent).
-  if (k > 1023) k = 1023;
-  if (k < -1022) k = -1022;
+  const double kd = (x * kLog2e + kShift) - kShift;
   // r = x - k*ln2 in two pieces; |r| <= 0.3466.
   const double r = (x - kd * kLn2Hi) - kd * kLn2Lo;
   // Degree-9 Taylor polynomial of exp on the reduced range: the truncation
@@ -56,9 +55,13 @@ inline double exp_fast(double x) noexcept {
   p = p * r + 0.5;
   p = p * r + 1.0;
   p = p * r + 1.0;
-  // Scale by 2^k via direct exponent construction.
+  // Scale by 2^k via direct exponent construction: kd + (kShift + 1023)
+  // holds the biased exponent k + 1023 (in [1, 2046]) in its low mantissa
+  // bits, and shifting those 12 bits to the top builds 2^k with a zero sign
+  // and mantissa.
+  const double biased = kd + (kShift + 1023.0);
   const double scale =
-      std::bit_cast<double>(static_cast<std::uint64_t>(k + 1023) << 52);
+      std::bit_cast<double>(std::bit_cast<std::uint64_t>(biased) << 52);
   return p * scale;
 }
 

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -47,22 +48,32 @@ std::shared_ptr<LogSink> make_file_log_sink(const std::string& path);
 void log_line(LogLevel level, const std::string& message);
 
 namespace detail {
+/// One log statement. Whether `level` passes the threshold is decided once,
+/// at construction: a filtered statement builds no stream and formats none
+/// of its operands (a `log_debug() << ...` on a hot path costs a load and a
+/// compare).
 class LogStream {
  public:
-  explicit LogStream(LogLevel level) : level_(level) {}
-  ~LogStream() { log_line(level_, stream_.str()); }
+  explicit LogStream(LogLevel level) : level_(level) {
+    if (static_cast<int>(level) >= static_cast<int>(log_threshold())) {
+      stream_.emplace();
+    }
+  }
+  ~LogStream() {
+    if (stream_) log_line(level_, stream_->str());
+  }
   LogStream(const LogStream&) = delete;
   LogStream& operator=(const LogStream&) = delete;
 
   template <typename T>
   LogStream& operator<<(const T& value) {
-    stream_ << value;
+    if (stream_) *stream_ << value;
     return *this;
   }
 
  private:
   LogLevel level_;
-  std::ostringstream stream_;
+  std::optional<std::ostringstream> stream_;
 };
 }  // namespace detail
 

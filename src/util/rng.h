@@ -77,9 +77,9 @@ class Xoshiro256pp {
   /// mean-exact). One xoshiro step instead of three serially-dependent ones:
   /// this is the per-tick demand-noise workhorse. ~7-bit resolution per
   /// uniform: fine for bounded multiplicative noise, wrong for anything
-  /// distribution-sensitive (use normal() there). Exact integer->double
-  /// arithmetic up to the final scale, so results are bit-portable across
-  /// IEEE-754 platforms.
+  /// distribution-sensitive (use normal() there). Exact integer arithmetic
+  /// and one integer->double conversion per deviate, then an exact scale,
+  /// so results are bit-portable across IEEE-754 platforms.
   void fast_normal3(double& n0, double& n1, double& n2) noexcept {
     const std::uint64_t bits = (*this)();
     n0 = irwin_hall21(bits & 0x1FFFFFu);
@@ -99,15 +99,18 @@ class Xoshiro256pp {
   }
 
   /// 21-bit field -> Irwin-Hall(3) deviate with mean exactly 0, stddev ~1:
-  /// the three 7-bit sevenths are uniform on [0, 128); their sum (+1.5 so
-  /// the lattice midpoint, not its left edge, maps to zero) is bell-shaped
-  /// with mean 1.5 and stddev ~0.5 after the 2^-7 normalization, matching
-  /// fast_normal()'s shift-and-double.
+  /// the three 7-bit sevenths are uniform on [0, 128); their sum s, shifted
+  /// by +1.5 (so the lattice midpoint, not its left edge, maps to zero), is
+  /// bell-shaped with mean 1.5 and stddev ~0.5 after the 2^-7
+  /// normalization, matching fast_normal()'s shift-and-double:
+  /// ((s + 1.5) * 2^-7 - 1.5) * 2. Every step of that formula is exact in
+  /// double (s <= 381), so it equals (2s - 381) * 2^-7 bit for bit, which
+  /// needs one integer->double conversion and one multiply.
   static double irwin_hall21(std::uint64_t field) noexcept {
-    const double a = static_cast<double>(field & 0x7Fu);
-    const double b = static_cast<double>((field >> 7) & 0x7Fu);
-    const double c = static_cast<double>((field >> 14) & 0x7Fu);
-    return ((a + b + c + 1.5) * 0x1.0p-7 - 1.5) * 2.0;
+    const int sum = static_cast<int>(field & 0x7Fu) +
+                    static_cast<int>((field >> 7) & 0x7Fu) +
+                    static_cast<int>((field >> 14) & 0x7Fu);
+    return static_cast<double>(2 * sum - 381) * 0x1.0p-7;
   }
 
   std::array<std::uint64_t, 4> state_{};

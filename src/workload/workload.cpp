@@ -1,91 +1,74 @@
 #include "workload/workload.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace cpm::workload {
 
 WorkloadInstance::WorkloadInstance(const BenchmarkProfile& profile,
                                    std::uint64_t seed,
                                    units::Milliseconds phase_offset)
     : profile_(&profile), rng_(seed) {
+  if (!profile.phases.empty()) enter_phase();
   advance_clock(units::max(units::Milliseconds{0.0}, phase_offset));
 }
 
-void WorkloadInstance::advance_clock(units::Milliseconds dt) noexcept {
-  const double dt_ms = dt.value();
+void WorkloadInstance::roll_phases() noexcept {
   const auto& phases = profile_->phases;
   if (phases.empty()) return;
-  const double scale = profile_->phase_time_scale;
-  if (phase_len_ms_ < 0.0) {
-    phase_len_ms_ = phases[phase_index_].duration_ms * scale;
-  }
-  time_in_phase_ms_ += dt_ms;
   while (time_in_phase_ms_ >= phase_len_ms_) {
     time_in_phase_ms_ -= phase_len_ms_;
-    phase_index_ = (phase_index_ + 1) % phases.size();
-    phase_len_ms_ = phases[phase_index_].duration_ms * scale;
+    if (++phase_index_ == phases.size()) phase_index_ = 0;
+    enter_phase();
   }
+}
+
+void WorkloadInstance::enter_phase() noexcept {
+  const auto& phases = profile_->phases;
+  phase_len_ms_ = phases[phase_index_].duration_ms * profile_->phase_time_scale;
+  if (phases.size() > 1) ramp_ms_ = kRampFraction * phase_len_ms_;
+}
+
+void WorkloadInstance::refresh_demand() noexcept {
+  if (in_ramp()) {
+    cached_demand_ = ramp_demand();
+    cached_phase_index_ = kNoCachedPhase;
+  } else {
+    cached_demand_ = phase_demand();
+    cached_phase_index_ = phase_index_;
+  }
+}
+
+Demand WorkloadInstance::demand_for(double cpi_mult, double mem_mult,
+                                    double activity_mult) const noexcept {
+  Demand d;
+  d.cpi = profile_->cpi_base * cpi_mult;
+  d.mem_stall_ns = profile_->mem_stall_ns * mem_mult;
+  d.activity = profile_->activity_active * activity_mult;
+  d.bandwidth_demand = profile_->bandwidth_demand * mem_mult;
+  return d;
+}
+
+Demand WorkloadInstance::phase_demand() const noexcept {
+  const auto& phases = profile_->phases;
+  if (phases.empty()) return demand_for(1.0, 1.0, 1.0);
+  const Phase& cur = phases[phase_index_];
+  return demand_for(cur.cpi_mult, cur.mem_mult, cur.activity_mult);
+}
+
+Demand WorkloadInstance::ramp_demand() const noexcept {
+  // Ramp in from the previous phase over the first kRampFraction of this
+  // phase's duration.
+  const auto& phases = profile_->phases;
+  const Phase& cur = phases[phase_index_];
+  const Phase& prev =
+      phases[(phase_index_ == 0 ? phases.size() : phase_index_) - 1];
+  const double w = time_in_phase_ms_ / ramp_ms_;  // 0 -> prev, 1 -> cur
+  return demand_for(prev.cpi_mult + w * (cur.cpi_mult - prev.cpi_mult),
+                    prev.mem_mult + w * (cur.mem_mult - prev.mem_mult),
+                    prev.activity_mult +
+                        w * (cur.activity_mult - prev.activity_mult));
 }
 
 Demand WorkloadInstance::peek() const noexcept {
-  Phase phase{};
-  if (!profile_->phases.empty()) {
-    phase = profile_->phases[phase_index_];
-    // Ramp in from the previous phase over the first kRampFraction of this
-    // phase's duration.
-    const double duration_ms =
-        phase.duration_ms * profile_->phase_time_scale;
-    const double ramp_ms = kRampFraction * duration_ms;
-    if (time_in_phase_ms_ < ramp_ms && profile_->phases.size() > 1) {
-      const Phase& prev =
-          profile_->phases[(phase_index_ + profile_->phases.size() - 1) %
-                           profile_->phases.size()];
-      const double w = time_in_phase_ms_ / ramp_ms;  // 0 -> prev, 1 -> cur
-      phase.cpi_mult = prev.cpi_mult + w * (phase.cpi_mult - prev.cpi_mult);
-      phase.mem_mult = prev.mem_mult + w * (phase.mem_mult - prev.mem_mult);
-      phase.activity_mult =
-          prev.activity_mult + w * (phase.activity_mult - prev.activity_mult);
-    }
-  }
-  Demand d;
-  d.cpi = profile_->cpi_base * phase.cpi_mult;
-  d.mem_stall_ns = profile_->mem_stall_ns * phase.mem_mult;
-  d.activity = profile_->activity_active * phase.activity_mult;
-  d.bandwidth_demand = profile_->bandwidth_demand * phase.mem_mult;
-  return d;
-}
-
-Demand WorkloadInstance::step(double dt_seconds) {
-  advance_clock(units::Seconds{dt_seconds}.to_milliseconds());
-  // Outside the ramp window the phase multipliers (and hence peek()) are
-  // constant until the phase clock rolls over, so the full recompute only
-  // runs on phase changes and inside ramps. The cached value is bit-identical
-  // to a fresh peek() because peek() is deterministic in (phase, clock).
-  const auto& phases = profile_->phases;
-  const bool in_ramp = phases.size() > 1 &&
-                       time_in_phase_ms_ < kRampFraction * phase_len_ms_;
-  if (in_ramp || phase_index_ != cached_phase_index_) {
-    cached_demand_ = peek();
-    cached_phase_index_ = in_ramp ? kNoCachedPhase : phase_index_;
-  }
-  Demand d = cached_demand_;
-  const double sigma = profile_->noise_sigma;
-  if (sigma > 0.0) {
-    // Multiplicative noise, clamped so pathological draws cannot produce
-    // non-physical demand. fast_normal3()'s bounded [-3, 3] range sits well
-    // inside the clamps at the sigmas profiles use.
-    double f1, f2, f3;
-    rng_.fast_normal3(f1, f2, f3);
-    const double n1 = std::clamp(1.0 + sigma * f1, 0.5, 1.5);
-    const double n2 = std::clamp(1.0 + sigma * f2, 0.5, 1.5);
-    const double n3 = std::clamp(1.0 + 0.5 * sigma * f3, 0.7, 1.3);
-    d.cpi *= n1;
-    d.mem_stall_ns *= n2;
-    d.activity = std::clamp(d.activity * n3, 0.05, 1.2);
-    d.bandwidth_demand *= n2;
-  }
-  return d;
+  return in_ramp() ? ramp_demand() : phase_demand();
 }
 
 }  // namespace cpm::workload

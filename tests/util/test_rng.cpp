@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 namespace cpm::util {
@@ -125,6 +127,34 @@ TEST(Xoshiro, FastNormal3ConsumesExactlyOneDraw) {
   a.fast_normal3(n0, n1, n2);
   (void)b();
   for (int i = 0; i < 16; ++i) ASSERT_EQ(a(), b());
+}
+
+/// The previous fast_normal3 field mapping, kept as the bit-level
+/// reference: each 7-bit seventh converted to double on its own and the
+/// three added in double.
+double irwin_hall21_reference(std::uint64_t field) {
+  const double a = static_cast<double>(field & 0x7Fu);
+  const double b = static_cast<double>((field >> 7) & 0x7Fu);
+  const double c = static_cast<double>((field >> 14) & 0x7Fu);
+  return ((a + b + c + 1.5) * 0x1.0p-7 - 1.5) * 2.0;
+}
+
+TEST(Xoshiro, FastNormal3BitIdenticalToThreeConversionFormula) {
+  Xoshiro256pp rng(20100913), twin(20100913);
+  for (int i = 0; i < 1'000'000; ++i) {
+    double n0, n1, n2;
+    rng.fast_normal3(n0, n1, n2);
+    const std::uint64_t draw = twin();
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(n0),
+              std::bit_cast<std::uint64_t>(
+                  irwin_hall21_reference(draw & 0x1FFFFFu)));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(n1),
+              std::bit_cast<std::uint64_t>(
+                  irwin_hall21_reference((draw >> 21) & 0x1FFFFFu)));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(n2),
+              std::bit_cast<std::uint64_t>(
+                  irwin_hall21_reference((draw >> 42) & 0x1FFFFFu)));
+  }
 }
 
 TEST(Xoshiro, FastNormal3FieldsAreIndependentlyDistributed) {

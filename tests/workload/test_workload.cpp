@@ -3,13 +3,98 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 namespace cpm::workload {
 namespace {
 
 const BenchmarkProfile& canneal() { return find_profile("canneal"); }
 const BenchmarkProfile& bschls() { return find_profile("bschls"); }
+
+bool same_bits(const Demand& a, const Demand& b) {
+  const auto eq = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  return eq(a.cpi, b.cpi) && eq(a.mem_stall_ns, b.mem_stall_ns) &&
+         eq(a.activity, b.activity) &&
+         eq(a.bandwidth_demand, b.bandwidth_demand);
+}
+
+/// step()'s noise applied to peek()'s demand with a twin generator, using
+/// the three-conversion Irwin-Hall mapping fast_normal3 had before it
+/// summed the sevenths as integers.
+Demand reference_noise(Demand d, double sigma, util::Xoshiro256pp& twin) {
+  if (!(sigma > 0.0)) return d;
+  const std::uint64_t draw = twin();
+  const auto deviate = [](std::uint64_t field) {
+    const double a = static_cast<double>(field & 0x7Fu);
+    const double b = static_cast<double>((field >> 7) & 0x7Fu);
+    const double c = static_cast<double>((field >> 14) & 0x7Fu);
+    return ((a + b + c + 1.5) * 0x1.0p-7 - 1.5) * 2.0;
+  };
+  const double f1 = deviate(draw & 0x1FFFFFu);
+  const double f2 = deviate((draw >> 21) & 0x1FFFFFu);
+  const double f3 = deviate((draw >> 42) & 0x1FFFFFu);
+  const double n1 = std::clamp(1.0 + sigma * f1, 0.5, 1.5);
+  const double n2 = std::clamp(1.0 + sigma * f2, 0.5, 1.5);
+  const double n3 = std::clamp(1.0 + 0.5 * sigma * f3, 0.7, 1.3);
+  d.cpi *= n1;
+  d.mem_stall_ns *= n2;
+  d.activity = std::clamp(d.activity * n3, 0.05, 1.2);
+  d.bandwidth_demand *= n2;
+  return d;
+}
+
+TEST(Workload, StepEqualsPeekPlusTwinNoiseOverFullPhaseCycles) {
+  // step() serves cached phase demand and an inline ramp lerp; peek()
+  // recomputes from (phase, clock). Over two full phase cycles of every
+  // profile, ramps included, step() must equal peek() plus the noise a
+  // twin generator yields, bit for bit.
+  std::vector<const BenchmarkProfile*> profiles;
+  for (const auto suite : {parsec_profiles(), spec_profiles(),
+                            extra_parsec_profiles()}) {
+    for (const BenchmarkProfile& p : suite) profiles.push_back(&p);
+  }
+  constexpr double kDt = 1e-4;
+  std::uint64_t seed = 100;
+  for (const BenchmarkProfile* profile : profiles) {
+    double cycle_ms = 0.0;
+    for (const Phase& ph : profile->phases) {
+      cycle_ms += ph.duration_ms * profile->phase_time_scale;
+    }
+    const auto ticks = static_cast<int>(2.0 * cycle_ms / (kDt * 1e3)) + 10;
+    ++seed;
+    WorkloadInstance w(*profile, seed, units::Milliseconds{3.3});
+    util::Xoshiro256pp twin(seed);
+    std::size_t phase_changes = 0, ramp_ticks = 0;
+    std::size_t last_phase = w.phase_index();
+    for (int t = 0; t < ticks; ++t) {
+      const Demand got = w.step(kDt);
+      const Demand base = w.peek();
+      const Demand want = reference_noise(base, profile->noise_sigma, twin);
+      ASSERT_TRUE(same_bits(got, want))
+          << profile->name << " tick " << t << ": cpi " << got.cpi << " vs "
+          << want.cpi;
+      if (w.phase_index() != last_phase) {
+        ++phase_changes;
+        last_phase = w.phase_index();
+      }
+      const Phase& cur = profile->phases[w.phase_index()];
+      if (base.cpi != profile->cpi_base * cur.cpi_mult ||
+          base.activity != profile->activity_active * cur.activity_mult) {
+        ++ramp_ticks;
+      }
+    }
+    EXPECT_GE(phase_changes, profile->phases.size()) << profile->name;
+    if (profile->phases.size() > 1) {
+      EXPECT_GT(ramp_ticks, 0u) << profile->name;
+    }
+  }
+}
 
 TEST(Workload, DeterministicForSameSeed) {
   WorkloadInstance a(canneal(), 42), b(canneal(), 42);
