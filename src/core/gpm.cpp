@@ -35,7 +35,7 @@ void Gpm::set_budget(units::Watts budget) {
   budget_ = budget;
 }
 
-std::vector<double> Gpm::invoke(
+const std::vector<double>& Gpm::invoke(
     std::span<const IslandObservation> observations) {
   if (observations.size() != allocation_.size()) {
     throw std::invalid_argument("Gpm::invoke: observation count mismatch");

@@ -20,10 +20,12 @@ class Gpm {
   Gpm(std::unique_ptr<ProvisioningPolicy> policy, units::Watts budget,
       std::size_t num_islands);
 
-  /// One GPM invocation: returns the new per-island power setpoints (watts).
-  /// The returned allocation always sums to at most the budget (within
-  /// floating-point tolerance) -- enforced here even for buggy policies.
-  std::vector<double> invoke(std::span<const IslandObservation> observations);
+  /// One GPM invocation: returns the new per-island power setpoints (watts),
+  /// i.e. current_allocation(). The returned allocation always sums to at
+  /// most the budget (within floating-point tolerance) -- enforced here even
+  /// for buggy policies.
+  const std::vector<double>& invoke(
+      std::span<const IslandObservation> observations);
 
   units::Watts budget() const noexcept { return budget_; }
   void set_budget(units::Watts budget);

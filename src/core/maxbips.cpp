@@ -1,6 +1,7 @@
 #include "core/maxbips.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -51,15 +52,51 @@ units::Watts MaxBipsManager::predict_power(const IslandObservation& obs,
                       leak * tgt.voltage / cur.voltage};
 }
 
-std::vector<std::size_t> MaxBipsManager::choose_levels(
+MaxBipsManager::IslandKey MaxBipsManager::key_of(
+    const IslandObservation& obs) noexcept {
+  return {std::bit_cast<std::uint64_t>(obs.bips),
+          std::bit_cast<std::uint64_t>(obs.power_w),
+          std::bit_cast<std::uint64_t>(obs.leakage_w), obs.dvfs_level};
+}
+
+bool MaxBipsManager::same_inputs(
     std::span<const IslandObservation> observations) const {
+  if (solves_ == 0 || observations.size() != solved_key_.size() ||
+      std::bit_cast<std::uint64_t>(budget_.value()) != solved_budget_) {
+    return false;
+  }
+  for (std::size_t i = 0; i < observations.size(); ++i) {
+    if (key_of(observations[i]) != solved_key_[i]) return false;
+  }
+  return true;
+}
+
+const std::vector<std::size_t>& MaxBipsManager::choose_levels(
+    std::span<const IslandObservation> observations) {
+  if (same_inputs(observations)) return levels_;
+  solved_budget_ = std::bit_cast<std::uint64_t>(budget_.value());
+  solved_key_.resize(observations.size());
+  for (std::size_t i = 0; i < observations.size(); ++i) {
+    solved_key_[i] = key_of(observations[i]);
+  }
+  solve(observations);
+  ++solves_;
+  return levels_;
+}
+
+void MaxBipsManager::solve(std::span<const IslandObservation> observations) {
   const std::size_t n = observations.size();
   const std::size_t levels = config_.dvfs.num_levels();
   const std::size_t bins = config_.power_bins;
-  if (n == 0) return {};
+  levels_.assign(n, 0);
+  if (n == 0) return;
 
   // Precompute per-island per-level (bips, power-bin cost). Costs are rounded
-  // *up* so the DP never underestimates power (the budget is a hard cap).
+  // *up* so the DP never underestimates power (the budget is a hard cap). A
+  // level whose predicted power is not a finite, non-negative number (a
+  // non-finite or negative observation) or needs more than every bin costs
+  // bins + 1: it is never affordable, and the float -> size_t cast below only
+  // sees values it can represent.
   const double bin_w = budget_.value() / static_cast<double>(bins);
   pred_bips_.resize(n * levels);
   pred_cost_.resize(n * levels);
@@ -69,8 +106,11 @@ std::vector<std::size_t> MaxBipsManager::choose_levels(
           predict_bips(observations[i], config_.dvfs, l);
       const double p =
           predict_power(observations[i], config_.dvfs, l).value();
+      const double cost = std::ceil(p / bin_w - 1e-12);
       pred_cost_[i * levels + l] =
-          static_cast<std::size_t>(std::ceil(p / bin_w - 1e-12));
+          p >= 0.0 && cost <= static_cast<double>(bins)
+              ? static_cast<std::size_t>(cost)
+              : bins + 1;
     }
   }
 
@@ -115,8 +155,7 @@ std::vector<std::size_t> MaxBipsManager::choose_levels(
       best_bin = b;
     }
   }
-  std::vector<std::size_t> result(n, 0);
-  if (best_bin > bins) return result;
+  if (best_bin > bins) return;
 
   // Walk the DP backwards: `choice_[i][b]` is the level island i took in the
   // best chain landing on bin b (dp row i is finalized before stage i's
@@ -124,10 +163,9 @@ std::vector<std::size_t> MaxBipsManager::choose_levels(
   std::size_t b = best_bin;
   for (std::size_t i = n; i-- > 0;) {
     const std::size_t picked = choice_[i * stride + b];
-    result[i] = picked;
+    levels_[i] = picked;
     b -= pred_cost_[i * levels + picked];
   }
-  return result;
 }
 
 }  // namespace cpm::core

@@ -9,9 +9,14 @@
 // The combinatorial choice is solved exactly with a knapsack-style dynamic
 // program over discretized power, so it scales to the 8-island/32-core
 // configuration (8^8 exhaustive combinations would not).
+//
+// The manager solves once per distinct input. With the static table the
+// inputs (table + budget) are the same every interval, so the DP runs once
+// per budget, not once per GPM window.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -33,8 +38,15 @@ class MaxBipsManager {
 
   /// Chooses one DVFS level per island from the observations of the last
   /// interval (each island's measured BIPS and power at its current level).
-  std::vector<std::size_t> choose_levels(
-      std::span<const IslandObservation> observations) const;
+  /// When the budget, the island count and every island's `bips`,
+  /// `power_w`, `leakage_w` and `dvfs_level` are bit-identical to the
+  /// previous call, the previous levels are returned without re-running the
+  /// DP. The reference stays valid until the next call.
+  const std::vector<std::size_t>& choose_levels(
+      std::span<const IslandObservation> observations);
+
+  /// DP runs so far (calls that were not answered from the previous solve).
+  std::uint64_t solves() const noexcept { return solves_; }
 
   /// Prediction table entries (exposed for tests): BIPS and power an island
   /// is predicted to produce at `level`, given its current observation.
@@ -50,17 +62,37 @@ class MaxBipsManager {
   void set_budget(units::Watts budget);
 
  private:
+  /// The bits of one island's observation that the DP reads.
+  struct IslandKey {
+    std::uint64_t bips = 0;
+    std::uint64_t power_w = 0;
+    std::uint64_t leakage_w = 0;
+    std::size_t dvfs_level = 0;
+    bool operator==(const IslandKey&) const = default;
+  };
+  static IslandKey key_of(const IslandObservation& obs) noexcept;
+  bool same_inputs(std::span<const IslandObservation> observations) const;
+  void solve(std::span<const IslandObservation> observations);
+
   MaxBipsConfig config_;
   units::Watts budget_;
 
-  // Scratch reused across choose_levels calls (one call per GPM invocation):
-  // the DP tables run ~quarter-MB at 16 islands x 1024 bins, and allocating +
-  // filling a fresh vector<vector> lattice per call dominated the manager's
-  // cost. Flat row-major storage, same iteration order, identical results.
-  mutable std::vector<double> dp_;            // (n+1) x (bins+1)
-  mutable std::vector<std::size_t> choice_;   // n x (bins+1)
-  mutable std::vector<double> pred_bips_;     // n x levels
-  mutable std::vector<std::size_t> pred_cost_;  // n x levels
+  // The last solve and the inputs it was made from (bit patterns, so -0.0
+  // and +0.0 differ and a repeated NaN matches); valid once solves_ > 0.
+  // budget_ is part of the key, so set_budget needs no invalidation.
+  std::uint64_t solves_ = 0;
+  std::uint64_t solved_budget_ = 0;
+  std::vector<IslandKey> solved_key_;
+  std::vector<std::size_t> levels_;
+
+  // DP scratch reused across solves: the tables run ~quarter-MB at 16
+  // islands x 1024 bins, and allocating + filling a fresh vector<vector>
+  // lattice per solve dominated the manager's cost. Flat row-major storage,
+  // same iteration order, identical results.
+  std::vector<double> dp_;            // (n+1) x (bins+1)
+  std::vector<std::size_t> choice_;   // n x (bins+1)
+  std::vector<double> pred_bips_;     // n x levels
+  std::vector<std::size_t> pred_cost_;  // n x levels
 };
 
 }  // namespace cpm::core

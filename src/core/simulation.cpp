@@ -431,6 +431,7 @@ SimulationRun::SimulationRun(Simulation& owner, RecordSink* sink)
   pic_accum_.resize(n_);
   gpm_accum_.resize(n_);
   gpm_sensed_energy_.assign(n_, 0.0);
+  gpm_obs_.resize(n_);
   core_util_sum_.assign(cmp.total_cores(), 0.0);
 }
 
@@ -604,11 +605,17 @@ void SimulationRun::gpm_boundary(double now) {
     if (maxbips_) maxbips_->set_budget(units::Watts{live_budget_w_});
   }
 
-  std::vector<IslandObservation> obs(n_);
-  GpmIntervalRecord rec;
+  // The observation and record buffers are the run's own, sized once: a
+  // window only overwrites them (the sink copies what it retains).
+  std::vector<IslandObservation>& obs = gpm_obs_;
+  GpmIntervalRecord& rec = gpm_rec_;
   rec.time_s = now;
   rec.chip_budget_w = live_budget_w_;
   rec.max_temp_c = plant_.thermal().max_temperature();
+  rec.chip_actual_w = 0.0;
+  rec.chip_bips = 0.0;
+  rec.island_actual_w.resize(n_);
+  rec.island_bips.resize(n_);
   double observed_w = 0.0;
   for (std::size_t i = 0; i < n_; ++i) {
     obs[i].bips = gpm_accum_[i].mean_bips();
@@ -619,8 +626,8 @@ void SimulationRun::gpm_boundary(double now) {
     observed_w += obs[i].power_w;
     obs[i].dvfs_level = plant_.chip().island(i).actuator().current_level();
 
-    rec.island_actual_w.push_back(gpm_accum_[i].mean_power());
-    rec.island_bips.push_back(obs[i].bips);
+    rec.island_actual_w[i] = gpm_accum_[i].mean_power();
+    rec.island_bips[i] = obs[i].bips;
     rec.chip_actual_w += gpm_accum_[i].mean_power();
     rec.chip_bips += obs[i].bips;
     gpm_accum_[i].reset();
@@ -629,13 +636,13 @@ void SimulationRun::gpm_boundary(double now) {
 
   if (config.manager == ManagerKind::kCpm) {
     gpm_observed_power_stats_.add(observed_w);
-    const std::vector<double> alloc = gpm_->invoke(obs);
+    const std::vector<double>& alloc = gpm_->invoke(obs);
     for (std::size_t i = 0; i < n_; ++i) {
       pics_[i].set_target(units::Watts{alloc[i]});
     }
     rec.island_alloc_w = alloc;
   } else if (config.manager == ManagerKind::kMaxBips) {
-    const std::vector<std::size_t> levels = maxbips_->choose_levels(
+    const std::vector<std::size_t>& levels = maxbips_->choose_levels(
         config.maxbips_dynamic ? std::span<const IslandObservation>(obs)
                                : std::span<const IslandObservation>(
                                      maxbips_static_));
@@ -711,6 +718,7 @@ SimulationResult SimulationRun::finish() {
   registry.add("chip.ticks", tick_);
   registry.add("pic.invocations", pic_abs_error_stats_.count());
   registry.add("gpm.invocations", gpm_observed_power_stats_.count());
+  if (maxbips_) registry.add("maxbips.solves", maxbips_->solves());
   registry.merge("pic.abs_error_pct", pic_abs_error_stats_);
   registry.merge("gpm.observed_power_w", gpm_observed_power_stats_);
   sink_->finish(result_);

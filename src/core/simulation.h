@@ -311,6 +311,9 @@ class SimulationRun {
   std::vector<Accum> pic_accum_;
   std::vector<Accum> gpm_accum_;
   std::vector<double> gpm_sensed_energy_;
+  // gpm_boundary's observation and record buffers, reused every window.
+  std::vector<IslandObservation> gpm_obs_;
+  GpmIntervalRecord gpm_rec_;
   std::vector<double> core_util_sum_;
   std::size_t core_util_ticks_ = 0;
   std::size_t migration_cooldown_ = 0;

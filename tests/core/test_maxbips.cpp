@@ -1,8 +1,11 @@
 #include "core/maxbips.h"
+#include "util/rng.h"
 #include "util/units.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace cpm::core {
@@ -156,6 +159,129 @@ TEST(MaxBips, ScalesToEightIslands) {
   for (std::size_t i = 1; i < 8; ++i) {
     EXPECT_NEAR(static_cast<double>(levels[i]),
                 static_cast<double>(levels[0]), 1.0);
+  }
+}
+
+TEST(MaxBips, UnpredictablePowerFallsBackToLowestLevels) {
+  // A level whose predicted power is NaN, infinite or negative is never
+  // affordable; an island with no affordable level sends the whole chip to
+  // the lowest level (the no-fit fallback). A negative observation must not
+  // turn into a cost credit that buys the other islands' top levels.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::size_t> lowest(4, 0);
+  for (const double bad : {kNaN, kInf, -kInf, -5.0}) {
+    std::vector<IslandObservation> islands(4, obs(1.0, 10.0, 7));
+    islands[2].power_w = bad;
+    MaxBipsManager mgr(config(), units::Watts{30.0});
+    EXPECT_EQ(mgr.choose_levels(islands), lowest) << "power_w " << bad;
+  }
+  std::vector<IslandObservation> islands(4, obs(1.0, 10.0, 7));
+  islands[2].leakage_w = kNaN;
+  MaxBipsManager mgr(config(), units::Watts{30.0});
+  EXPECT_EQ(mgr.choose_levels(islands), lowest) << "leakage_w NaN";
+}
+
+TEST(MaxBips, SolvesOncePerDistinctInput) {
+  const std::vector<IslandObservation> islands{
+      obs(2.0, 12.0, 7), obs(0.8, 9.0, 7), obs(1.5, 11.0, 7)};
+  MaxBipsManager mgr(config(), units::Watts{25.0});
+  const std::vector<std::size_t>& first = mgr.choose_levels(islands);
+  const std::vector<std::size_t> expected = first;
+  for (int k = 0; k < 5; ++k) {
+    const std::vector<std::size_t>& again = mgr.choose_levels(islands);
+    EXPECT_EQ(&again, &first);
+    EXPECT_EQ(again, expected);
+  }
+  EXPECT_EQ(mgr.solves(), 1u);
+
+  mgr.set_budget(units::Watts{25.0});  // same bits: still the same input
+  (void)mgr.choose_levels(islands);
+  EXPECT_EQ(mgr.solves(), 1u);
+  mgr.set_budget(units::Watts{18.0});
+  (void)mgr.choose_levels(islands);
+  EXPECT_EQ(mgr.solves(), 2u);
+
+  // Inputs compare by bit pattern: -0.0 differs from +0.0, and a repeated
+  // NaN is the same input.
+  std::vector<IslandObservation> signed_zero = islands;
+  signed_zero[1].leakage_w = -0.0;
+  (void)mgr.choose_levels(signed_zero);
+  EXPECT_EQ(mgr.solves(), 3u);
+  std::vector<IslandObservation> nan = islands;
+  nan[0].bips = std::numeric_limits<double>::quiet_NaN();
+  (void)mgr.choose_levels(nan);
+  (void)mgr.choose_levels(nan);
+  EXPECT_EQ(mgr.solves(), 4u);
+  // Fields the DP does not read are not part of the input.
+  std::vector<IslandObservation> unread = islands;
+  unread[0].utilization = 0.5;
+  unread[0].instructions = 1e6;
+  unread[0].energy_j = 0.1;
+  (void)mgr.choose_levels(islands);
+  EXPECT_EQ(mgr.solves(), 5u);
+  (void)mgr.choose_levels(unread);
+  EXPECT_EQ(mgr.solves(), 5u);
+}
+
+IslandObservation random_island(util::Xoshiro256pp& rng) {
+  IslandObservation o;
+  o.bips = rng.uniform(0.3, 3.0);
+  o.power_w = rng.uniform(4.0, 15.0);
+  o.leakage_w = rng.uniform(0.0, o.power_w);
+  o.dvfs_level = rng.uniform_int(8);
+  return o;
+}
+
+TEST(MaxBips, RepeatedCallsAnswerLikeAFreshManager) {
+  // Seeded sequences of exact repeats, single-field changes to each input
+  // the DP reads, island-count changes and budget changes: every answer of
+  // one long-lived manager must equal a fresh manager's answer.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    util::Xoshiro256pp rng(seed);
+    std::vector<IslandObservation> islands;
+    for (int i = 0; i < 4; ++i) islands.push_back(random_island(rng));
+    double budget = 30.0;
+    MaxBipsManager mgr(config(), units::Watts{budget});
+    for (int step = 0; step < 400; ++step) {
+      const std::size_t i = rng.uniform_int(islands.size());
+      switch (rng.uniform_int(8)) {
+        case 0:
+        case 1:
+          break;  // exact repeat
+        case 2:
+          islands[i].bips = rng.uniform(0.3, 3.0);
+          break;
+        case 3:
+          islands[i].power_w = rng.uniform(4.0, 15.0);
+          break;
+        case 4:
+          islands[i].leakage_w = rng.uniform(0.0, islands[i].power_w);
+          break;
+        case 5:
+          islands[i].dvfs_level = rng.uniform_int(8);
+          break;
+        case 6:
+          if (islands.size() > 1 && rng.bernoulli(0.5)) {
+            islands.pop_back();
+          } else if (islands.size() < 6) {
+            islands.push_back(random_island(rng));
+          }
+          break;
+        default: {
+          double total = 0.0;
+          for (const IslandObservation& o : islands) total += o.power_w;
+          budget = total * rng.uniform(0.3, 0.95);
+          mgr.set_budget(units::Watts{budget});
+          break;
+        }
+      }
+      MaxBipsManager fresh(config(), units::Watts{budget});
+      const std::vector<std::size_t>& expected = fresh.choose_levels(islands);
+      const std::vector<std::size_t>& actual = mgr.choose_levels(islands);
+      ASSERT_EQ(actual, expected) << "seed " << seed << " step " << step;
+    }
+    EXPECT_LT(mgr.solves(), 400u);
   }
 }
 

@@ -145,6 +145,8 @@ std::vector<GoldenCase> golden_cases() {
       {"adaptive_noise", adaptive, 0x9a9249b3640f6463ULL},
       {"migration", migration, 0x90ddd21130946631ULL},
       {"budget_schedule", schedule, 0xa9e7cb94031fd7b3ULL},
+      {"maxbips_schedule", with_manager(schedule, ManagerKind::kMaxBips),
+       0x36432820e63509bcULL},
   };
 }
 

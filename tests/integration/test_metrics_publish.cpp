@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -99,6 +100,35 @@ TEST(MetricsPublish, SerialAndPooledSweepsPublishTheRunsOwnCounts) {
   EXPECT_EQ(serial.gpm_invocations, pooled.gpm_invocations);
 }
 
+TEST(MetricsPublish, StaticMaxBipsSolvesOncePerBudget) {
+  // The static table never changes, so a static-MaxBIPS run re-solves only
+  // when its budget does: once at the first window, then once per applied
+  // budget change (here a schedule and a supervisor override).
+  core::SimulationConfig cfg =
+      core::with_manager(core::default_config(), core::ManagerKind::kMaxBips);
+  cfg.budget_schedule = {{0.02, 0.6}, {0.035, 0.9}};
+  const util::MetricsRegistry& registry = util::MetricsRegistry::global();
+  const std::uint64_t solves0 = registry.counter_value("maxbips.solves");
+  core::Simulation sim(cfg);
+  const std::unique_ptr<core::SimulationRun> run = sim.start();
+  run->advance(0.01);
+  run->set_budget(sim.max_chip_power() * 0.7);
+  run->advance(0.04);
+  const core::SimulationResult res = run->finish();
+
+  std::uint64_t budget_changes = 0;
+  for (std::size_t k = 1; k < res.gpm_records.size(); ++k) {
+    if (res.gpm_records[k].chip_budget_w !=
+        res.gpm_records[k - 1].chip_budget_w) {
+      ++budget_changes;
+    }
+  }
+  EXPECT_EQ(budget_changes, 3u);
+  EXPECT_EQ(res.gpm_records.size(), 10u);
+  EXPECT_EQ(registry.counter_value("maxbips.solves") - solves0,
+            1 + budget_changes);
+}
+
 bool has_metric(const std::string& name) {
   std::ostringstream out;
   util::MetricsRegistry::global().write_json(out);
@@ -110,6 +140,7 @@ TEST(MetricsPublish, NoDvfsRunPublishesNoControllerMetrics) {
   // absent; run in one process with other tests, only the deltas apply.
   const bool pic_existed = has_metric("pic.invocations");
   const bool gpm_existed = has_metric("gpm.invocations");
+  const bool solves_existed = has_metric("maxbips.solves");
   const util::MetricsRegistry& registry = util::MetricsRegistry::global();
   const std::uint64_t pic0 = registry.counter_value("pic.invocations");
   const std::uint64_t ticks0 = registry.counter_value("chip.ticks");
@@ -122,6 +153,9 @@ TEST(MetricsPublish, NoDvfsRunPublishesNoControllerMetrics) {
   }
   if (!gpm_existed) {
     EXPECT_FALSE(has_metric("gpm.invocations"));
+  }
+  if (!solves_existed) {
+    EXPECT_FALSE(has_metric("maxbips.solves"));
   }
 }
 
