@@ -17,6 +17,7 @@
 #include "core/record_sink.h"
 #include "core/report.h"
 #include "core/trace_io.h"
+#include "util/isa.h"
 #include "util/log.h"
 #include "util/metrics.h"
 #include "util/table.h"
@@ -287,7 +288,9 @@ int main(int argc, char** argv) {
 
     core::Simulation sim(config);
     std::cout << "max chip power: " << sim.max_chip_power().value() << " W, budget "
-              << sim.budget().value() << " W (" << opt.budget * 100 << "%)\n";
+              << sim.budget().value() << " W (" << opt.budget * 100
+              << "%), tick kernels: " << util::isa_name(util::host_isa())
+              << "\n";
 
     std::unique_ptr<core::InvariantChecker> checker;
     if (opt.check_invariants) {

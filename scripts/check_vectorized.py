@@ -15,6 +15,14 @@ optimizer runs at compile time, not at link time) and
 the line of every tagged loop. It exits 1 naming each loop that did not
 vectorize.
 
+On x86-64 each tagged loop is one body built into two wrappers, a baseline
+one and an AVX2 one (src/util/isa.h), so the loop must be reported at both
+widths: 16-byte vectors (SSE2) and 32-byte vectors (AVX2). The recompile
+turns epilogue vectorization off, so a 16-byte report cannot come from the
+AVX2 loop's remainder. When the compile command picks an ISA itself
+(-march=, as the CPM_SIMD build does), the baseline wrapper is built for that
+ISA too, and only the 32-byte report is required.
+
 The reports are GCC's, and the promise is about optimized builds, so the
 script exits 77 (ctest's skip code, SKIP_RETURN_CODE) with a message for
 any other compiler, for a build type other than Release, and for a
@@ -29,6 +37,7 @@ import argparse
 import json
 import os
 import pathlib
+import platform
 import re
 import shlex
 import subprocess
@@ -37,7 +46,9 @@ import sys
 SKIP = 77
 TAG = re.compile(r"^\s*//\s*vectorize:\s*(\S+)")
 LOOP = re.compile(r"^\s*for\s*\(")
-REPORT = re.compile(r"^(.*?):(\d+):\d+: optimized: loop vectorized")
+REPORT = re.compile(
+    r"^(.*?):(\d+):\d+: optimized: loop vectorized(?: using (\d+) byte)?")
+X86_64 = platform.machine().lower() in ("x86_64", "amd64")
 
 
 def tagged_loops(path: pathlib.Path) -> list[tuple[str, int]]:
@@ -71,23 +82,39 @@ def compile_commands(build_dir: pathlib.Path) -> dict[str, dict]:
     return entries
 
 
-def vectorized_lines(entry: dict) -> tuple[set[int], str]:
-    """Lines of entry's file on which GCC reports a vectorized loop."""
-    args = entry.get("arguments") or shlex.split(entry["command"])
+def compile_args(entry: dict) -> list[str]:
+    return entry.get("arguments") or shlex.split(entry["command"])
+
+
+def required_widths(entry: dict) -> set[int]:
+    """Vector widths in bytes at which every tagged loop must be reported."""
+    if not X86_64:
+        return set()
+    if any(arg.startswith("-march=") for arg in compile_args(entry)):
+        return {32}
+    return {16, 32}
+
+
+def vectorized_lines(entry: dict) -> tuple[dict[int, set[int]], str]:
+    """Line -> vector widths (bytes; 0 if GCC names none) of the loops GCC
+    reports vectorized in entry's file."""
+    args = compile_args(entry)
     if "-o" in args:
         args[args.index("-o") + 1] = os.devnull
-    args += ["-fno-lto", "-fopt-info-vec-optimized"]
+    args += ["-fno-lto", "-fopt-info-vec-optimized",
+             "--param=vect-epilogues-nomask=0"]
     done = subprocess.run(args, cwd=entry["directory"], capture_output=True,
                           text=True, check=False)
     if done.returncode != 0:
-        return set(), done.stderr
+        return {}, done.stderr
     target = pathlib.Path(entry["directory"], entry["file"]).resolve()
-    lines = set()
+    lines: dict[int, set[int]] = {}
     for line in done.stderr.splitlines():
         match = REPORT.match(line)
         if match and pathlib.Path(entry["directory"],
                                   match.group(1)).resolve() == target:
-            lines.add(int(match.group(2)))
+            lines.setdefault(int(match.group(2)), set()).add(
+                int(match.group(3) or 0))
     return lines, ""
 
 
@@ -125,15 +152,24 @@ def main() -> int:
         if error:
             failures.append(f"{path}: recompiling failed:\n{error}")
             continue
+        widths = required_widths(entry)
         for tag, line in loops:
             checked += 1
+            missing = sorted(widths - lines.get(line, set()))
             if line < 0:
                 failures.append(f"{path}: tag '{tag}' is not above a loop")
             elif line not in lines:
                 failures.append(
                     f"{path}:{line}: loop '{tag}' is not vectorized")
+            elif missing:
+                failures.append(
+                    f"{path}:{line}: loop '{tag}' is not vectorized with "
+                    + " or ".join(f"{w}-byte" for w in missing)
+                    + " vectors (each tagged kernel needs a baseline and an "
+                    "AVX2 wrapper, see src/util/isa.h)")
             else:
-                print(f"vectorized: {tag} ({path.name}:{line})")
+                found = ", ".join(f"{w}-byte" for w in sorted(lines[line]))
+                print(f"vectorized: {tag} ({path.name}:{line}; {found})")
     if checked == 0 and not failures:
         failures.append(f"no '// vectorize:' tags under {opts.src_root}")
     for failure in failures:

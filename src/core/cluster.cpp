@@ -31,11 +31,11 @@ ClusterPowerManager::ClusterPowerManager(
   for (const auto& chip : chips_) {
     if (!chip) throw std::invalid_argument("ClusterPowerManager: null chip");
   }
-  if (config_.budget_fraction <= 0.0 || config_.budget_fraction > 1.0) {
+  if (!(config_.budget_fraction > 0.0 && config_.budget_fraction <= 1.0)) {
     throw std::invalid_argument(
         "ClusterPowerManager: budget fraction out of (0,1]");
   }
-  if (config_.epoch_s <= 0.0) {
+  if (!(config_.epoch_s > 0.0)) {
     throw std::invalid_argument("ClusterPowerManager: epoch must be positive");
   }
   for (const auto& chip : chips_) {
@@ -46,11 +46,12 @@ ClusterPowerManager::ClusterPowerManager(
           "ClusterPowerManager: epoch shorter than a chip GPM interval");
     }
   }
-  if (config_.efficiency_smoothing < 0.0 || config_.efficiency_smoothing > 1.0) {
+  if (!(config_.efficiency_smoothing >= 0.0 &&
+        config_.efficiency_smoothing <= 1.0)) {
     throw std::invalid_argument(
         "ClusterPowerManager: efficiency smoothing out of [0,1]");
   }
-  if (config_.min_share < 0.0 || config_.min_share >= 1.0) {
+  if (!(config_.min_share >= 0.0 && config_.min_share < 1.0)) {
     throw std::invalid_argument("ClusterPowerManager: min share out of [0,1)");
   }
   if (config_.min_share * static_cast<double>(chips_.size()) > 1.0) {

@@ -72,7 +72,7 @@ Simulation::Simulation(SimulationConfig config,
       config_.mix.cores_per_island() != config_.cmp.cores_per_island) {
     throw std::invalid_argument("Simulation: mix does not match CMP topology");
   }
-  if (config_.budget_fraction <= 0.0 || config_.budget_fraction > 1.0) {
+  if (!(config_.budget_fraction > 0.0 && config_.budget_fraction <= 1.0)) {
     throw std::invalid_argument("Simulation: budget fraction out of (0,1]");
   }
   if (config_.cmp.ticks_per_pic_interval == 0) {
@@ -84,7 +84,7 @@ Simulation::Simulation(SimulationConfig config,
   }
   double prev_time = -1.0;
   for (const auto& [time_s, fraction] : config_.budget_schedule) {
-    if (fraction <= 0.0 || fraction > 1.0) {
+    if (!(fraction > 0.0 && fraction <= 1.0)) {
       throw std::invalid_argument(
           "Simulation: scheduled budget fraction out of (0,1]");
     }

@@ -10,13 +10,6 @@ namespace cpm::power {
 
 namespace {
 
-struct PowerSweepArgs {
-  double ceff_base;
-  double k_design;
-  double beta;
-  double ref_c;
-};
-
 // The chip_power_batch kernel. Multiplication order mirrors
 // DynamicPowerModel::power and LeakageModel::core_power exactly (including
 // the util::exp_fast leakage exponential), so it is element-wise
@@ -25,12 +18,13 @@ struct PowerSweepArgs {
 // same two compare-selects std::clamp performs (NaN and -0.0 pass through
 // unchanged), written on values so they if-convert: the loop vectorizes.
 template <bool kWriteLeak>
-void power_sweep(std::size_t n, const PowerSweepArgs& args,
-                 const double* __restrict u_in, const double* __restrict ab,
-                 const double* __restrict ai, const double* __restrict cs,
-                 const double* __restrict v, const double* __restrict f,
-                 const double* __restrict lm, const double* __restrict t,
-                 double* __restrict out, double* __restrict leak_out) {
+CPM_ALWAYS_INLINE void power_sweep_body(
+    std::size_t n, const kernels::PowerSweepArgs& args,
+    const double* __restrict u_in, const double* __restrict ab,
+    const double* __restrict ai, const double* __restrict cs,
+    const double* __restrict v, const double* __restrict f,
+    const double* __restrict lm, const double* __restrict t,
+    double* __restrict out, double* __restrict leak_out) noexcept {
   const double ceff_base = args.ceff_base;
   const double k_design = args.k_design;
   const double beta = args.beta;
@@ -50,7 +44,65 @@ void power_sweep(std::size_t n, const PowerSweepArgs& args,
   }
 }
 
+// One instantiation per leakage output, so the tick hot loop (no leakage
+// output) carries no per-core store or branch for it.
+CPM_ALWAYS_INLINE void power_sweep_columns(
+    std::size_t n, const kernels::PowerSweepArgs& args, const double* u,
+    const double* ab, const double* ai, const double* cs, const double* v,
+    const double* f, const double* lm, const double* t, double* out,
+    double* leak_out) noexcept {
+  if (leak_out == nullptr) {
+    power_sweep_body<false>(n, args, u, ab, ai, cs, v, f, lm, t, out, nullptr);
+  } else {
+    power_sweep_body<true>(n, args, u, ab, ai, cs, v, f, lm, t, out, leak_out);
+  }
+}
+
+void power_sweep_baseline(std::size_t n, const kernels::PowerSweepArgs& args,
+                          const double* u, const double* ab, const double* ai,
+                          const double* cs, const double* v, const double* f,
+                          const double* lm, const double* t, double* out,
+                          double* leak_out) noexcept {
+  power_sweep_columns(n, args, u, ab, ai, cs, v, f, lm, t, out, leak_out);
+}
+
+#if CPM_HAVE_AVX2_KERNELS
+CPM_TARGET_AVX2 void power_sweep_avx2(std::size_t n,
+                                      const kernels::PowerSweepArgs& args,
+                                      const double* u, const double* ab,
+                                      const double* ai, const double* cs,
+                                      const double* v, const double* f,
+                                      const double* lm, const double* t,
+                                      double* out, double* leak_out) noexcept {
+  power_sweep_columns(n, args, u, ab, ai, cs, v, f, lm, t, out, leak_out);
+}
+#endif
+
 }  // namespace
+
+namespace kernels {
+
+void power_sweep(util::Isa isa, std::size_t n, const PowerSweepArgs& args,
+                 const double* utilization, const double* activity_busy,
+                 const double* activity_idle, const double* ceff_scale,
+                 const double* voltage, const double* freq_ghz,
+                 const double* leak_mult, const double* temps_c,
+                 double* out_total_w, double* out_leak_w) noexcept {
+#if CPM_HAVE_AVX2_KERNELS
+  if (isa == util::Isa::kAvx2) {
+    power_sweep_avx2(n, args, utilization, activity_busy, activity_idle,
+                     ceff_scale, voltage, freq_ghz, leak_mult, temps_c,
+                     out_total_w, out_leak_w);
+    return;
+  }
+#endif
+  (void)isa;
+  power_sweep_baseline(n, args, utilization, activity_busy, activity_idle,
+                       ceff_scale, voltage, freq_ghz, leak_mult, temps_c,
+                       out_total_w, out_leak_w);
+}
+
+}  // namespace kernels
 
 PowerModel::PowerModel(const sim::CmpConfig& config,
                        std::vector<double> island_leak_mults)
@@ -100,21 +152,14 @@ void PowerModel::chip_power_batch(
       temps_c.size() != n || (!out_leak_w.empty() && out_leak_w.size() != n)) {
     throw std::invalid_argument("chip_power_batch: span length mismatch");
   }
-  const PowerSweepArgs args{dynamic_.ceff_base(), leakage_.k_design(),
-                            leakage_.temp_beta(), leakage_.ref_temp_c()};
-  // One instantiation per tag, so the tick hot loop (no leakage output)
-  // carries no per-core store or branch for it.
-  if (out_leak_w.empty()) {
-    power_sweep<false>(n, args, utilization.data(), activity_busy.data(),
-                       activity_idle.data(), ceff_scale.data(), voltage.data(),
-                       freq_ghz.data(), leak_mult.data(), temps_c.data(),
-                       out_total_w.data(), nullptr);
-  } else {
-    power_sweep<true>(n, args, utilization.data(), activity_busy.data(),
-                      activity_idle.data(), ceff_scale.data(), voltage.data(),
-                      freq_ghz.data(), leak_mult.data(), temps_c.data(),
-                      out_total_w.data(), out_leak_w.data());
-  }
+  const kernels::PowerSweepArgs args{dynamic_.ceff_base(), leakage_.k_design(),
+                                     leakage_.temp_beta(),
+                                     leakage_.ref_temp_c()};
+  kernels::power_sweep(util::host_isa(), n, args, utilization.data(),
+                       activity_busy.data(), activity_idle.data(),
+                       ceff_scale.data(), voltage.data(), freq_ghz.data(),
+                       leak_mult.data(), temps_c.data(), out_total_w.data(),
+                       out_leak_w.empty() ? nullptr : out_leak_w.data());
 }
 
 units::Watts PowerModel::max_chip_power(const workload::Mix& mix,

@@ -11,8 +11,32 @@
 #include "power/leakage.h"
 #include "sim/chip.h"
 #include "sim/config.h"
+#include "util/isa.h"
 
 namespace cpm::power {
+
+namespace kernels {
+
+/// The power model's scalar constants, as chip_power_batch passes them.
+struct PowerSweepArgs {
+  double ceff_base;
+  double k_design;
+  double beta;
+  double ref_c;
+};
+
+/// chip_power_batch's sweep over `n` cores at `isa` (both ISAs give the same
+/// bits): each core's dynamic + leakage power into out_total_w, and its
+/// leakage into out_leak_w unless that is null. The outputs must not
+/// overlap the inputs or each other.
+void power_sweep(util::Isa isa, std::size_t n, const PowerSweepArgs& args,
+                 const double* utilization, const double* activity_busy,
+                 const double* activity_idle, const double* ceff_scale,
+                 const double* voltage, const double* freq_ghz,
+                 const double* leak_mult, const double* temps_c,
+                 double* out_total_w, double* out_leak_w) noexcept;
+
+}  // namespace kernels
 
 struct PowerBreakdown {
   double dynamic_w = 0.0;

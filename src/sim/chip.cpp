@@ -14,20 +14,19 @@ namespace {
 // in identical order, element-wise only (the congestion term `cong_term`
 // and the instruction scale are hoisted as the *same* scalar expressions,
 // no sum is reassociated, and both paths multiply by the island's
-// reciprocal frequency rather than dividing), so the SIMD build and the
-// scalar reference kernel produce identical doubles. The reciprocal-
+// reciprocal frequency rather than dividing), so either ISA's wrapper and
+// the scalar reference kernel produce identical doubles. The reciprocal-
 // frequency and compute*`1/t` forms keep this loop at one division per
 // core -- divides are the only non-pipelining operation here. The nine
 // arrays are distinct ChipSoa columns; __restrict says so, which spares GCC
 // the run-time alias checks that otherwise stop it vectorizing the loop.
-void micro_model_sweep(std::size_t cores, double cong_term, double instr_scale,
-                       const double* __restrict cpi,
-                       const double* __restrict mem,
-                       const double* __restrict dbw,
-                       const double* __restrict invf,
-                       const double* __restrict run,
-                       double* __restrict instr, double* __restrict bips,
-                       double* __restrict util, double* __restrict bw) {
+CPM_ALWAYS_INLINE void micro_model_body(
+    std::size_t cores, double cong_term, double instr_scale,
+    const double* __restrict cpi, const double* __restrict mem,
+    const double* __restrict dbw, const double* __restrict invf,
+    const double* __restrict run, double* __restrict instr,
+    double* __restrict bips, double* __restrict util,
+    double* __restrict bw) noexcept {
   // vectorize: sim.micro_model
   for (std::size_t g = 0; g < cores; ++g) {
     const double compute_ns = cpi[g] * invf[g];
@@ -42,7 +41,50 @@ void micro_model_sweep(std::size_t cores, double cong_term, double instr_scale,
   }
 }
 
+void micro_model_baseline(std::size_t cores, double cong_term,
+                          double instr_scale, const double* cpi,
+                          const double* mem, const double* dbw,
+                          const double* invf, const double* run,
+                          double* instr, double* bips, double* util,
+                          double* bw) noexcept {
+  micro_model_body(cores, cong_term, instr_scale, cpi, mem, dbw, invf, run,
+                   instr, bips, util, bw);
+}
+
+#if CPM_HAVE_AVX2_KERNELS
+CPM_TARGET_AVX2 void micro_model_avx2(std::size_t cores, double cong_term,
+                                      double instr_scale, const double* cpi,
+                                      const double* mem, const double* dbw,
+                                      const double* invf, const double* run,
+                                      double* instr, double* bips,
+                                      double* util, double* bw) noexcept {
+  micro_model_body(cores, cong_term, instr_scale, cpi, mem, dbw, invf, run,
+                   instr, bips, util, bw);
+}
+#endif
+
 }  // namespace
+
+namespace kernels {
+
+void micro_model_sweep(util::Isa isa, std::size_t cores, double cong_term,
+                       double instr_scale, const double* cpi,
+                       const double* mem, const double* dbw,
+                       const double* invf, const double* run, double* instr,
+                       double* bips, double* util, double* bw) noexcept {
+#if CPM_HAVE_AVX2_KERNELS
+  if (isa == util::Isa::kAvx2) {
+    micro_model_avx2(cores, cong_term, instr_scale, cpi, mem, dbw, invf, run,
+                     instr, bips, util, bw);
+    return;
+  }
+#endif
+  (void)isa;
+  micro_model_baseline(cores, cong_term, instr_scale, cpi, mem, dbw, invf,
+                       run, instr, bips, util, bw);
+}
+
+}  // namespace kernels
 
 void ChipSoa::resize(std::size_t cores) {
   demand_cpi.assign(cores, 0.0);
@@ -92,7 +134,9 @@ Chip::Chip(const CmpConfig& config, const workload::Mix& mix,
       // Distinct seed and phase offset per core so replicated benchmarks
       // (Mix-3) do not run in lockstep.
       const units::Milliseconds offset{1.7 * static_cast<double>(core_index)};
-      cores.emplace_back(*profile, master(), config.contention_gamma, offset);
+      const std::uint64_t core_seed = master();
+      cores.emplace_back(*profile, core_seed, config.contention_gamma, offset);
+      demand_.add(*profile, core_seed, offset);
       ++core_index;
     }
     islands_.emplace_back(
@@ -125,6 +169,7 @@ void Chip::migrate(std::size_t island_a, std::size_t core_a,
     throw std::invalid_argument("Chip::migrate: island out of range");
   }
   islands_[island_a].swap_core_with(islands_[island_b], core_a, core_b);
+  demand_.swap_rows(offsets_[island_a] + core_a, offsets_[island_b] + core_b);
   // The moved threads carry their workload profiles with them; refresh the
   // cached per-core constants the batched kernel reads.
   sync_profile_constants(island_a);
@@ -152,9 +197,13 @@ const ChipTick& Chip::step(double dt_seconds) {
 void Chip::step_batched(double dt_seconds, double congestion) {
   const std::size_t cores = num_cores();
 
-  // ---- pass 1 (per core, branchy): workload demand + per-island broadcast.
-  // The workload phase/noise state machines are the only irreducibly scalar
-  // part of a tick; everything after this runs as flat array sweeps.
+  // ---- pass 1: workload demand (the bank's flat passes), then the
+  // per-island operating-point broadcast.
+  const util::Isa isa = util::host_isa();
+  demand_.step(dt_seconds,
+               {soa_.demand_cpi.data(), soa_.demand_mem_ns.data(),
+                soa_.demand_activity.data(), soa_.demand_bandwidth.data()},
+               isa);
   for (std::size_t i = 0; i < islands_.size(); ++i) {
     Island& isl = islands_[i];
     DvfsActuator& actuator = isl.actuator();
@@ -168,13 +217,7 @@ void Chip::step_batched(double dt_seconds, double congestion) {
     const double run_fraction = 1.0 - clamped;
     const DvfsPoint op = actuator.operating_point();
     const double inv_freq = 1.0 / op.freq_ghz;
-    for (std::size_t c = 0; c < isl.num_cores(); ++c) {
-      const std::size_t g = offsets_[i] + c;
-      const workload::Demand demand = isl.core_mut(c).sample_demand(dt_seconds);
-      soa_.demand_cpi[g] = demand.cpi;
-      soa_.demand_mem_ns[g] = demand.mem_stall_ns;
-      soa_.demand_activity[g] = demand.activity;
-      soa_.demand_bandwidth[g] = demand.bandwidth_demand;
+    for (std::size_t g = offsets_[i]; g < offsets_[i + 1]; ++g) {
       soa_.freq_ghz[g] = op.freq_ghz;
       soa_.inv_freq[g] = inv_freq;
       soa_.voltage[g] = op.voltage;
@@ -184,13 +227,12 @@ void Chip::step_batched(double dt_seconds, double congestion) {
   }
 
   // ---- pass 2 (flat, vectorized): the core micro-model.
-  micro_model_sweep(cores,
-                    1.0 + config_.contention_gamma * std::max(0.0, congestion),
-                    1e9 * dt_seconds, soa_.demand_cpi.data(),
-                    soa_.demand_mem_ns.data(), soa_.demand_bandwidth.data(),
-                    soa_.inv_freq.data(), soa_.run_fraction.data(),
-                    soa_.instructions.data(), soa_.bips.data(),
-                    soa_.utilization.data(), soa_.bandwidth_demand.data());
+  kernels::micro_model_sweep(
+      isa, cores, 1.0 + config_.contention_gamma * std::max(0.0, congestion),
+      1e9 * dt_seconds, soa_.demand_cpi.data(), soa_.demand_mem_ns.data(),
+      soa_.demand_bandwidth.data(), soa_.inv_freq.data(),
+      soa_.run_fraction.data(), soa_.instructions.data(), soa_.bips.data(),
+      soa_.utilization.data(), soa_.bandwidth_demand.data());
   const double* instr = soa_.instructions.data();
   const double* bips = soa_.bips.data();
   const double* util = soa_.utilization.data();

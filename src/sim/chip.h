@@ -3,10 +3,12 @@
 // threads the shared-memory congestion coupling between them.
 //
 // Tick-state layout: the chip owns all per-core per-tick state as
-// structure-of-arrays (ChipSoa) in island-major flat core order, and the
-// production tick path (TickKernel::kBatched) runs the core micro-model as
-// one flat sweep over those arrays, which GCC vectorizes (its loop carries
-// a `// vectorize:` tag the vectorize_guard test checks). The legacy
+// structure-of-arrays in island-major flat core order: the workload demand
+// state in a workload::DemandBank, the rest in ChipSoa. The production tick
+// path (TickKernel::kBatched) steps the bank and then runs the core
+// micro-model as flat sweeps over those arrays, which GCC vectorizes (their
+// loops carry `// vectorize:` tags the vectorize_guard test checks) and
+// which run at the host's vector width (util/isa.h). The legacy
 // object-walking loop (Chip -> Island::step -> CoreModel::step) is retained
 // as TickKernel::kScalarReference, a test-only differential oracle that the
 // fuzz harness holds bit-identical to the batched kernel. ChipTick /
@@ -21,6 +23,8 @@
 #include "sim/config.h"
 #include "sim/island.h"
 #include "sim/memory.h"
+#include "util/isa.h"
+#include "workload/demand_bank.h"
 #include "workload/mixes.h"
 
 namespace cpm::sim {
@@ -62,6 +66,20 @@ struct ChipSoa {
 
   void resize(std::size_t cores);
 };
+
+namespace kernels {
+
+/// Pass 2 of the batched tick, the core micro-model, over `cores` flat
+/// columns at `isa` (both ISAs give the same bits). `cong_term` is
+/// 1 + gamma * max(0, congestion) and `instr_scale` is 1e9 * dt, hoisted as
+/// CoreModel::step computes them. The outputs must not overlap the inputs.
+void micro_model_sweep(util::Isa isa, std::size_t cores, double cong_term,
+                       double instr_scale, const double* cpi,
+                       const double* mem, const double* dbw,
+                       const double* invf, const double* run, double* instr,
+                       double* bips, double* util, double* bw) noexcept;
+
+}  // namespace kernels
 
 /// Full-chip observation for one tick.
 struct ChipTick {
@@ -117,9 +135,9 @@ class Chip {
   const CmpConfig& config() const noexcept { return config_; }
   const MemorySystem& memory() const noexcept { return memory_; }
 
-  /// Migrates (swaps) the threads on two cores of different islands, and
-  /// charges `stall_seconds` of pipeline drain + cache warmup to both
-  /// islands.
+  /// Migrates (swaps) the threads on two cores of different islands, with
+  /// their workload state, and charges `stall_seconds` of pipeline drain +
+  /// cache warmup to both islands.
   void migrate(std::size_t island_a, std::size_t core_a, std::size_t island_b,
                std::size_t core_b, double stall_seconds = 0.0);
 
@@ -147,6 +165,7 @@ class Chip {
   double max_power_w_ = 0.0;
 
   std::vector<std::size_t> offsets_;  // island -> first flat core index
+  workload::DemandBank demand_;       // the batched kernel's workload state
   ChipSoa soa_;
   ChipTick tick_;  // reused across step() calls (no per-tick allocation)
 };

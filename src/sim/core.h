@@ -33,25 +33,12 @@ class CoreModel {
 
   /// Advances one tick of dt seconds at operating point `op`, under shared
   /// memory congestion `congestion` (previous-tick value) and an island-wide
-  /// DVFS stall taking `stall_fraction` of the tick.
+  /// DVFS stall taking `stall_fraction` of the tick. This is the scalar
+  /// reference kernel's path: the batched kernel steps sim::Chip's
+  /// workload::DemandBank instead and leaves this core's workload state and
+  /// total_instructions() untouched.
   CoreTick step(double dt_seconds, const DvfsPoint& op, double congestion,
                 double stall_fraction);
-
-  /// Batched-kernel entry points (sim::Chip's SoA tick path): the workload
-  /// advance is the only stateful, branchy part of a core tick, so the chip
-  /// samples demand per core here and then runs the micro-model arithmetic
-  /// as one flat sweep over all cores. sample_demand() consumes exactly the
-  /// RNG draws step() would, keeping the scalar and batched kernels
-  /// bit-identical. The batched kernel does NOT maintain total_instructions()
-  /// (per-core retirement totals live in the chip SoA and the simulation
-  /// result layer); add_instructions() remains for callers that want to pay
-  /// the count back into the core.
-  workload::Demand sample_demand(double dt_seconds) {
-    return workload_.step(dt_seconds);
-  }
-  void add_instructions(double instructions) noexcept {
-    total_instructions_ += instructions;
-  }
 
   const workload::BenchmarkProfile& profile() const noexcept {
     return workload_.profile();

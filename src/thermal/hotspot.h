@@ -7,7 +7,21 @@
 #include <span>
 #include <vector>
 
+#include "util/isa.h"
+
 namespace cpm::thermal {
+
+namespace kernels {
+
+/// HotspotDetector::record's sweep over `n` cores at `isa` (both ISAs give
+/// the same bits): adds dt_seconds to core_hot_s[i] for every core hotter
+/// than threshold_c, and returns whether any was. core_hot_s must not
+/// overlap temps_c.
+bool hotspot_accumulate(util::Isa isa, std::size_t n, const double* temps_c,
+                        double threshold_c, double dt_seconds,
+                        double* core_hot_s) noexcept;
+
+}  // namespace kernels
 
 class HotspotDetector {
  public:

@@ -93,6 +93,10 @@ class Xoshiro256pp {
   /// Derives an independent child stream (for per-core RNGs).
   Xoshiro256pp fork() noexcept;
 
+  /// The four state words (workload::DemandBank steps copies of them in
+  /// its own columns).
+  const std::array<std::uint64_t, 4>& state() const noexcept { return state_; }
+
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

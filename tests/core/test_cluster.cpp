@@ -72,6 +72,32 @@ TEST(Cluster, RejectsBadConstruction) {
   EXPECT_NO_THROW(ClusterPowerManager(one_window, std::move(chips)));
 }
 
+// A NaN field must fail its range check: each is written as a negated
+// in-range test, which NaN cannot pass.
+TEST(Cluster, RejectsNanBudgetFraction) {
+  ClusterConfig bad;
+  bad.budget_fraction = std::nan("");
+  EXPECT_THROW(ClusterPowerManager(bad, make_chips(1)), std::invalid_argument);
+}
+
+TEST(Cluster, RejectsNanEpoch) {
+  ClusterConfig bad;
+  bad.epoch_s = std::nan("");
+  EXPECT_THROW(ClusterPowerManager(bad, make_chips(1)), std::invalid_argument);
+}
+
+TEST(Cluster, RejectsNanEfficiencySmoothing) {
+  ClusterConfig bad;
+  bad.efficiency_smoothing = std::nan("");
+  EXPECT_THROW(ClusterPowerManager(bad, make_chips(1)), std::invalid_argument);
+}
+
+TEST(Cluster, RejectsNanMinShare) {
+  ClusterConfig bad;
+  bad.min_share = std::nan("");
+  EXPECT_THROW(ClusterPowerManager(bad, make_chips(1)), std::invalid_argument);
+}
+
 TEST(Cluster, RejectsInfeasibleShareFloor) {
   // min_share * num_chips > 1 would promise the chips more than the whole
   // budget; the old rack tier silently over-committed here.

@@ -77,6 +77,33 @@ TEST(Migration, EndToEndConvergesTowardHomogeneousGrouping) {
             static_cast<double>(res.gpm_records.size()) * 0.5);
 }
 
+TEST(Migration, BatchedKernelMatchesScalarReference) {
+  // The batched tick keeps each thread's workload state in the chip's
+  // demand bank, so a migration must move the bank rows along with the
+  // threads. fuzz_sim holds the two kernels together but never migrates.
+  SimulationConfig batched = default_config(0.8, 21);
+  batched.enable_migration = true;
+  SimulationConfig scalar = batched;
+  scalar.tick_kernel = sim::TickKernel::kScalarReference;
+  Simulation batched_sim(batched);
+  Simulation scalar_sim(scalar);
+  const SimulationResult a = batched_sim.run(0.25);
+  const SimulationResult b = scalar_sim.run(0.25);
+  ASSERT_GE(a.migrations, 2u);
+  EXPECT_EQ(a.migrations, b.migrations);
+  EXPECT_EQ(a.total_instructions, b.total_instructions);
+  EXPECT_EQ(a.island_instructions, b.island_instructions);
+  EXPECT_EQ(a.island_energy_j, b.island_energy_j);
+  ASSERT_EQ(a.gpm_records.size(), b.gpm_records.size());
+  for (std::size_t i = 0; i < a.gpm_records.size(); ++i) {
+    EXPECT_EQ(a.gpm_records[i].island_actual_w,
+              b.gpm_records[i].island_actual_w)
+        << "window " << i;
+    EXPECT_EQ(a.gpm_records[i].island_bips, b.gpm_records[i].island_bips)
+        << "window " << i;
+  }
+}
+
 TEST(Migration, DisabledByDefault) {
   Simulation sim(default_config(0.8, 21));
   EXPECT_EQ(sim.run(0.05).migrations, 0u);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 
 #include "core/experiment.h"
@@ -19,6 +20,20 @@ TEST(Simulation, RejectsBadConfig) {
   SimulationConfig cfg2 = default_config();
   cfg2.mix = workload::mix3(1);  // 16-core mix on an 8-core chip
   EXPECT_THROW(Simulation{cfg2}, std::invalid_argument);
+}
+
+// Each range check is written as a negated in-range test, so a NaN field
+// fails it instead of slipping past `f <= lo || f > hi`.
+TEST(Simulation, RejectsNanBudgetFraction) {
+  SimulationConfig cfg = default_config();
+  cfg.budget_fraction = std::nan("");
+  EXPECT_THROW(Simulation{cfg}, std::invalid_argument);
+}
+
+TEST(Simulation, RejectsNanScheduledBudgetFraction) {
+  SimulationConfig cfg = default_config();
+  cfg.budget_schedule = {{0.05, std::nan("")}};
+  EXPECT_THROW(Simulation{cfg}, std::invalid_argument);
 }
 
 TEST(Simulation, CalibrationProducesPlausibleModels) {

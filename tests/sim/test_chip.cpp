@@ -177,6 +177,33 @@ TEST(Chip, ScalarAndBatchedKernelsAgreeBitExact) {
   }
 }
 
+TEST(Chip, KernelsAgreeBitExactAcrossMigrations) {
+  // A migration swaps two threads' workload state: CoreModels on the
+  // scalar path, demand-bank rows on the batched one.
+  const CmpConfig cfg = CmpConfig::default_8core();
+  Chip batched(cfg, workload::mix1(), 5, TickKernel::kBatched);
+  Chip scalar(cfg, workload::mix1(), 5, TickKernel::kScalarReference);
+  for (int i = 0; i < 900; ++i) {
+    if (i % 150 == 40) {
+      const std::size_t a = static_cast<std::size_t>(i / 150) % 4;
+      const std::size_t b = (a + 1) % 4;
+      batched.migrate(a, 0, b, 1, 2e-5);
+      scalar.migrate(a, 0, b, 1, 2e-5);
+    }
+    const ChipTick& tb = batched.step(1e-4);
+    const ChipTick& ts = scalar.step(1e-4);
+    ASSERT_EQ(tb.total_bips, ts.total_bips) << "tick " << i;
+    ASSERT_EQ(tb.total_instructions, ts.total_instructions) << "tick " << i;
+    for (std::size_t g = 0; g < batched.num_cores(); ++g) {
+      ASSERT_EQ(batched.soa().demand_activity[g],
+                scalar.soa().demand_activity[g])
+          << "tick " << i << " core " << g;
+      ASSERT_EQ(batched.soa().bips[g], scalar.soa().bips[g])
+          << "tick " << i << " core " << g;
+    }
+  }
+}
+
 TEST(CmpConfig, DerivedQuantities) {
   const CmpConfig cfg = CmpConfig::default_8core();
   EXPECT_EQ(cfg.total_cores(), 8u);
