@@ -15,6 +15,14 @@ optimizer runs at compile time, not at link time) and
 the line of every tagged loop. It exits 1 naming each loop that did not
 vectorize.
 
+A tagged loop must also read and write memory only at addresses affine in
+the loop index (contiguous or shifted columns): GCC vectorizes a load
+through an index array too, as a gather (emulated with scalar loads at
+SSE2), which would pass the report check while losing what the tag
+promises. The recompile also writes GCC's vectorizer details dump, and any
+"evolution of base/offset is not affine" data reference on a line inside a
+tagged loop's body fails the loop.
+
 On x86-64 each tagged loop is one body built into two wrappers, a baseline
 one and an AVX2 one (src/util/isa.h), so the loop must be reported at both
 widths: 16-byte vectors (SSE2) and 32-byte vectors (AVX2). The recompile
@@ -42,17 +50,35 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 
 SKIP = 77
 TAG = re.compile(r"^\s*//\s*vectorize:\s*(\S+)")
+NOT_AFFINE = re.compile(
+    r"(\S+?):(\d+):\d+: missed:\s+failed: evolution of (?:base|offset) "
+    r"is not affine")
 LOOP = re.compile(r"^\s*for\s*\(")
 REPORT = re.compile(
     r"^(.*?):(\d+):\d+: optimized: loop vectorized(?: using (\d+) byte)?")
 X86_64 = platform.machine().lower() in ("x86_64", "amd64")
 
 
-def tagged_loops(path: pathlib.Path) -> list[tuple[str, int]]:
-    """(tag, 1-based line of the loop) for each tag in `path`."""
+def loop_end(lines: list[str], start: int) -> int:
+    """1-based line of the brace that closes the loop on lines[start]."""
+    depth = 0
+    opened = False
+    for k in range(start, len(lines)):
+        code = lines[k].split("//", 1)[0]
+        depth += code.count("{") - code.count("}")
+        opened = opened or "{" in code
+        if opened and depth <= 0:
+            return k + 1
+    return len(lines)
+
+
+def tagged_loops(path: pathlib.Path) -> list[tuple[str, int, int]]:
+    """(tag, first and last 1-based line of the loop) for each tag in
+    `path`; the first line is -1 when the tag is not above a loop."""
     loops = []
     lines = path.read_text().splitlines()
     for i, line in enumerate(lines):
@@ -61,11 +87,11 @@ def tagged_loops(path: pathlib.Path) -> list[tuple[str, int]]:
             continue
         for j in range(i + 1, len(lines)):
             if LOOP.match(lines[j]):
-                loops.append((match.group(1), j + 1))
+                loops.append((match.group(1), j + 1, loop_end(lines, j)))
                 break
             stripped = lines[j].strip()
             if stripped and not stripped.startswith("//"):
-                loops.append((match.group(1), -1))  # tag not above a loop
+                loops.append((match.group(1), -1, -1))
                 break
     return loops
 
@@ -95,27 +121,39 @@ def required_widths(entry: dict) -> set[int]:
     return {16, 32}
 
 
-def vectorized_lines(entry: dict) -> tuple[dict[int, set[int]], str]:
+def vectorized_lines(
+        entry: dict) -> tuple[dict[int, set[int]], set[int], str]:
     """Line -> vector widths (bytes; 0 if GCC names none) of the loops GCC
-    reports vectorized in entry's file."""
+    reports vectorized in entry's file, and the lines of the file's data
+    references that are not affine in their loop's index."""
     args = compile_args(entry)
     if "-o" in args:
         args[args.index("-o") + 1] = os.devnull
-    args += ["-fno-lto", "-fopt-info-vec-optimized",
-             "--param=vect-epilogues-nomask=0"]
-    done = subprocess.run(args, cwd=entry["directory"], capture_output=True,
-                          text=True, check=False)
-    if done.returncode != 0:
-        return {}, done.stderr
     target = pathlib.Path(entry["directory"], entry["file"]).resolve()
+
+    def in_target(name: str) -> bool:
+        return pathlib.Path(entry["directory"], name).resolve() == target
+
+    with tempfile.TemporaryDirectory() as tmp:
+        dump = pathlib.Path(tmp, "vect.txt")
+        args += ["-fno-lto", "-fopt-info-vec-optimized",
+                 "--param=vect-epilogues-nomask=0",
+                 f"-fdump-tree-vect-details={dump}"]
+        done = subprocess.run(args, cwd=entry["directory"],
+                              capture_output=True, text=True, check=False)
+        if done.returncode != 0:
+            return {}, set(), done.stderr
+        details = dump.read_text(errors="replace") if dump.is_file() else ""
     lines: dict[int, set[int]] = {}
     for line in done.stderr.splitlines():
         match = REPORT.match(line)
-        if match and pathlib.Path(entry["directory"],
-                                  match.group(1)).resolve() == target:
+        if match and in_target(match.group(1)):
             lines.setdefault(int(match.group(2)), set()).add(
                 int(match.group(3) or 0))
-    return lines, ""
+    not_affine = {int(match.group(2))
+                  for match in NOT_AFFINE.finditer(details)
+                  if in_target(match.group(1))}
+    return lines, not_affine, ""
 
 
 def main() -> int:
@@ -148,16 +186,23 @@ def main() -> int:
         if entry is None:
             failures.append(f"{path}: no compile command in the build")
             continue
-        lines, error = vectorized_lines(entry)
+        lines, not_affine, error = vectorized_lines(entry)
         if error:
             failures.append(f"{path}: recompiling failed:\n{error}")
             continue
         widths = required_widths(entry)
-        for tag, line in loops:
+        for tag, line, last in loops:
             checked += 1
             missing = sorted(widths - lines.get(line, set()))
+            indexed = sorted(k for k in not_affine if line <= k <= last)
             if line < 0:
                 failures.append(f"{path}: tag '{tag}' is not above a loop")
+            elif indexed:
+                failures.append(
+                    f"{path}:{line}: loop '{tag}' accesses memory through "
+                    "an address that is not affine in the loop index (an "
+                    "index array: a gather) on line "
+                    + ", ".join(str(k) for k in indexed))
             elif line not in lines:
                 failures.append(
                     f"{path}:{line}: loop '{tag}' is not vectorized")

@@ -59,11 +59,11 @@ ClusterPowerManager::ClusterPowerManager(
         "ClusterPowerManager: infeasible share floor (min_share * num_chips > "
         "1 would over-commit the cluster budget)");
   }
-  if (config_.integral_gain < 0.0) {
+  if (!(config_.integral_gain >= 0.0)) {
     throw std::invalid_argument(
         "ClusterPowerManager: integral gain must be non-negative");
   }
-  if (config_.trim_limit < 0.0 || config_.trim_limit > 1.0) {
+  if (!(config_.trim_limit >= 0.0 && config_.trim_limit <= 1.0)) {
     throw std::invalid_argument("ClusterPowerManager: trim limit out of [0,1]");
   }
   if (config_.shard_size == 0) {

@@ -65,7 +65,7 @@ void BoundedSink::Buffer<Record>::push(const Record& rec) {
     ring.push_back(rec);
   } else {
     ring[head] = rec;
-    head = (head + 1) % this->capacity;
+    if (++head == this->capacity) head = 0;
   }
 }
 

@@ -94,6 +94,12 @@ Simulation::Simulation(SimulationConfig config,
     }
     prev_time = time_s;
   }
+  const sim::DvfsTable& dvfs = config_.cmp.dvfs;
+  const double top_scale = dvfs.level(dvfs.max_level()).dynamic_energy_scale();
+  level_scale_.reserve(dvfs.num_levels());
+  for (const sim::DvfsPoint& point : dvfs.levels()) {
+    level_scale_.push_back(point.dynamic_energy_scale() / top_scale);
+  }
   if (calibration == nullptr) {
     calibrate();  // sets max_power_w_ (unmanaged peak) and budget_w_
   } else {
@@ -166,12 +172,6 @@ const sim::ChipTick& ChipPlant::step(double dt,
   }
   thermal_.step(core_power, dt);
   return tick;
-}
-
-double Simulation::level_scale(std::size_t level) const {
-  const auto& dvfs = config_.cmp.dvfs;
-  return dvfs.level(level).dynamic_energy_scale() /
-         dvfs.level(dvfs.max_level()).dynamic_energy_scale();
 }
 
 void Simulation::calibrate() {
@@ -319,6 +319,7 @@ SimulationRun::SimulationRun(Simulation& owner, RecordSink* sink)
       dt_(owner.config_.cmp.tick_seconds()),
       n_(owner.config_.cmp.num_islands),
       ticks_per_pic_(owner.config_.cmp.ticks_per_pic_interval),
+      ticks_to_pic_(ticks_per_pic_),
       pics_per_gpm_(owner.config_.cmp.pic_invocations_per_gpm()),
       fmax_(owner.config_.cmp.dvfs.max_freq().value()),
       live_budget_w_(owner.budget_w_),
@@ -520,12 +521,13 @@ void SimulationRun::tick_once() {
     result_.island_avg_bips[i] += it.bips;
   }
   hotspots_.record(plant_.thermal().temperatures(), dt_);
-  chip_power_stats_.add(plant_.chip_power_w());
-  chip_bips_stats_.add(tick.total_bips);
+  chip_power_mean_.add(plant_.chip_power_w());
+  chip_bips_mean_.add(tick.total_bips);
   result_.total_instructions += tick.total_instructions;
   ++tick_;
 
-  if (tick_ % ticks_per_pic_ == 0) {
+  if (--ticks_to_pic_ == 0) {
+    ticks_to_pic_ = ticks_per_pic_;
     pic_boundary(now);
     ++pic_count_in_window_;
   }
@@ -705,8 +707,8 @@ SimulationResult SimulationRun::finish() {
       for (double& r : residency) r /= total;
     }
   }
-  result_.avg_chip_power_w = chip_power_stats_.mean();
-  result_.avg_chip_bips = chip_bips_stats_.mean();
+  result_.avg_chip_power_w = chip_power_mean_.mean();
+  result_.avg_chip_bips = chip_bips_mean_.mean();
   result_.hotspot_fraction = hotspots_.hot_fraction();
   for (std::size_t i = 0; i < n_; ++i) {
     result_.island_avg_bips[i] /=

@@ -237,9 +237,9 @@ class SimulationRun {
   }
   /// Mean chip power / BIPS over everything simulated so far.
   units::Watts mean_power() const noexcept {
-    return units::Watts{chip_power_stats_.mean()};
+    return units::Watts{chip_power_mean_.mean()};
   }
-  double mean_bips() const noexcept { return chip_bips_stats_.mean(); }
+  double mean_bips() const noexcept { return chip_bips_mean_.mean(); }
   /// Instructions retired so far. Like the other live observables, invalid
   /// once finish() has consumed the run (throws).
   double instructions() const;
@@ -272,6 +272,7 @@ class SimulationRun {
   double dt_;
   std::size_t n_;
   std::size_t ticks_per_pic_;
+  std::size_t ticks_to_pic_;  // ticks left before the next PIC boundary
   std::size_t pics_per_gpm_;
   std::uint64_t tick_ = 0;
   double tick_carry_ = 0.0;  // fractional ticks owed by advance()
@@ -323,8 +324,8 @@ class SimulationRun {
   double live_budget_w_;
   double pending_budget_w_ = -1.0;  // <0: none pending
   // Aggregation.
-  util::RunningStats chip_power_stats_;
-  util::RunningStats chip_bips_stats_;
+  util::RunningMean chip_power_mean_;
+  util::RunningMean chip_bips_mean_;
   // Run-owned observation, published to the process-wide metrics registry
   // (util/metrics.h) once, by finish(): |error| after every PIC invocation
   // and the summed observed island power before every GPM invocation.
@@ -379,7 +380,9 @@ class Simulation {
 
   /// Dynamic-power scale factor (V^2 f) of `level` relative to the top level
   /// (the transducer's calibration reference).
-  double level_scale(std::size_t level) const;
+  double level_scale(std::size_t level) const noexcept {
+    return level_scale_[level];
+  }
 
  private:
   friend class SimulationRun;
@@ -391,6 +394,7 @@ class Simulation {
   power::PowerModel power_model_;
   double max_power_w_ = 0.0;
   double budget_w_ = 0.0;
+  std::vector<double> level_scale_;  // level_scale(), one entry per level
   CalibrationResult calibration_;
 };
 

@@ -146,6 +146,7 @@ Chip::Chip(const CmpConfig& config, const workload::Mix& mix,
     offsets_.push_back(core_index);
   }
   soa_.resize(core_index);
+  broadcast_.resize(islands_.size());
   tick_.islands.resize(islands_.size());
   for (std::size_t i = 0; i < islands_.size(); ++i) {
     sync_profile_constants(i);
@@ -204,25 +205,40 @@ void Chip::step_batched(double dt_seconds, double congestion) {
                {soa_.demand_cpi.data(), soa_.demand_mem_ns.data(),
                 soa_.demand_activity.data(), soa_.demand_bandwidth.data()},
                isa);
+  // An island's columns keep their values from tick to tick, so they are
+  // rewritten only when what they derive from changed: the operating point
+  // (and its 1/f) when the DVFS level did, the stall columns while a stall
+  // is pending and on the tick after one drains. The level is tracked by
+  // index, not by comparing doubles.
   for (std::size_t i = 0; i < islands_.size(); ++i) {
-    Island& isl = islands_[i];
-    DvfsActuator& actuator = isl.actuator();
-    // With no stall pending, consume_stall(dt) / dt would be 0 / dt = +0.0:
-    // skip the call and its division on the common tick.
-    const double stall_fraction =
-        actuator.pending_stall() != 0.0
-            ? actuator.consume_stall(dt_seconds) / dt_seconds
-            : 0.0;
-    const double clamped = std::clamp(stall_fraction, 0.0, 1.0);
-    const double run_fraction = 1.0 - clamped;
-    const DvfsPoint op = actuator.operating_point();
-    const double inv_freq = 1.0 / op.freq_ghz;
-    for (std::size_t g = offsets_[i]; g < offsets_[i + 1]; ++g) {
-      soa_.freq_ghz[g] = op.freq_ghz;
-      soa_.inv_freq[g] = inv_freq;
-      soa_.voltage[g] = op.voltage;
-      soa_.run_fraction[g] = run_fraction;
-      soa_.stall_fraction[g] = clamped;
+    DvfsActuator& actuator = islands_[i].actuator();
+    IslandBroadcast& cached = broadcast_[i];
+    const std::size_t g0 = offsets_[i];
+    const std::size_t g1 = offsets_[i + 1];
+    const std::size_t level = actuator.current_level();
+    if (level != cached.level) {
+      const DvfsPoint op = actuator.operating_point();
+      const double inv_freq = 1.0 / op.freq_ghz;
+      for (std::size_t g = g0; g < g1; ++g) {
+        soa_.freq_ghz[g] = op.freq_ghz;
+        soa_.inv_freq[g] = inv_freq;
+        soa_.voltage[g] = op.voltage;
+      }
+      cached.level = level;
+    }
+    const bool stalled = actuator.pending_stall() != 0.0;
+    if (stalled || cached.stalled) {
+      // With no stall pending the fraction is +0.0 (what consume_stall(dt)
+      // / dt would give), without the call or its division.
+      const double stall_fraction =
+          stalled ? actuator.consume_stall(dt_seconds) / dt_seconds : 0.0;
+      const double clamped = std::clamp(stall_fraction, 0.0, 1.0);
+      const double run_fraction = 1.0 - clamped;
+      for (std::size_t g = g0; g < g1; ++g) {
+        soa_.run_fraction[g] = run_fraction;
+        soa_.stall_fraction[g] = clamped;
+      }
+      cached.stalled = stalled;
     }
   }
 
@@ -263,7 +279,7 @@ void Chip::step_batched(double dt_seconds, double congestion) {
       isl_instr += instr[g];
       isl_bw += bw[g];
     }
-    for (std::size_t c = 0; c < size; ++c) chip_util += util[g0 + c];
+    chip_util += isl_util;
     it.bips = isl_bips;
     it.utilization = isl_util / static_cast<double>(size);
     it.instructions = isl_instr;
@@ -303,6 +319,7 @@ void Chip::step_scalar(double dt_seconds, double congestion) {
   for (std::size_t i = 0; i < islands_.size(); ++i) {
     IslandTick it = islands_[i].step(dt_seconds, congestion);
     const DvfsPoint op = islands_[i].operating_point();
+    double isl_util = 0.0;
     for (std::size_t c = 0; c < it.cores.size(); ++c) {
       const std::size_t g = offsets_[i] + c;
       const CoreTick& ct = it.cores[c];
@@ -318,8 +335,9 @@ void Chip::step_scalar(double dt_seconds, double congestion) {
       soa_.bips[g] = ct.bips;
       soa_.utilization[g] = ct.utilization;
       soa_.bandwidth_demand[g] = ct.bandwidth_demand;
-      chip_util += ct.utilization;
+      isl_util += ct.utilization;
     }
+    chip_util += isl_util;
     tick_.total_bips += it.bips;
     tick_.total_instructions += it.instructions;
     total_demand += it.bandwidth_demand;

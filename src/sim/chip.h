@@ -47,7 +47,8 @@ struct ChipSoa {
   std::vector<double> demand_mem_ns;
   std::vector<double> demand_activity;
   std::vector<double> demand_bandwidth;
-  // -- per-core operating conditions (broadcast per island every tick) --
+  // -- per-core operating conditions (broadcast per island when they
+  // change) --
   std::vector<double> freq_ghz;
   std::vector<double> inv_freq;        // 1/freq_ghz (one divide per island)
   std::vector<double> voltage;         // operating-point voltage (for power)
@@ -164,8 +165,16 @@ class Chip {
   bool record_cores_ = true;
   double max_power_w_ = 0.0;
 
+  /// What an island's broadcast columns in soa_ were last written from (the
+  /// batched kernel's pass 1). The initial values force a first write.
+  struct IslandBroadcast {
+    std::size_t level = static_cast<std::size_t>(-1);  // DVFS level index
+    bool stalled = true;  // the stall columns may hold a nonzero stall
+  };
+
   std::vector<std::size_t> offsets_;  // island -> first flat core index
   workload::DemandBank demand_;       // the batched kernel's workload state
+  std::vector<IslandBroadcast> broadcast_;
   ChipSoa soa_;
   ChipTick tick_;  // reused across step() calls (no per-tick allocation)
 };

@@ -6,16 +6,105 @@
 
 namespace cpm::thermal {
 
+namespace {
+
+// The substep stencil. Each neighbour term is taken in the floorplan's
+// order (up, down, left, right) and selected in or out by its edge flag; a
+// term is computed on every lane, and on an edge it reads whatever the
+// halo or the wrapped-around row holds, which the select then discards.
+// For GCC to if-convert the selects, every selected value is loaded into a
+// local first.
+CPM_ALWAYS_INLINE void rc_step_body(
+    std::size_t n, std::size_t cols, const kernels::RcStepArgs& args,
+    const double* __restrict temps, const double* __restrict power,
+    const double* __restrict edge, double* __restrict next) noexcept {
+  const double below = args.below;
+  const double g_v = args.vertical_conductance;
+  const double g_l = args.lateral_conductance;
+  const double h = args.h;
+  const double inv_c = args.inv_c;
+  const double* __restrict up = temps - cols;
+  const double* __restrict down = temps + cols;
+  const double* __restrict left = temps - 1;
+  const double* __restrict right = temps + 1;
+  const double* __restrict has_up = edge;
+  const double* __restrict has_down = edge + n;
+  const double* __restrict has_left = edge + 2 * n;
+  const double* __restrict has_right = edge + 3 * n;
+  // vectorize: thermal.rc_step
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = temps[i];
+    const double tu = up[i];
+    const double td = down[i];
+    const double tl = left[i];
+    const double tr = right[i];
+    const double f0 = power[i] - g_v * (t - below);
+    const double f1 = has_up[i] != 0.0 ? f0 - g_l * (t - tu) : f0;
+    const double f2 = has_down[i] != 0.0 ? f1 - g_l * (t - td) : f1;
+    const double f3 = has_left[i] != 0.0 ? f2 - g_l * (t - tl) : f2;
+    const double f4 = has_right[i] != 0.0 ? f3 - g_l * (t - tr) : f3;
+    next[i] = t + h * f4 * inv_c;
+  }
+}
+
+void rc_step_baseline(std::size_t n, std::size_t cols,
+                      const kernels::RcStepArgs& args, const double* temps,
+                      const double* power, const double* edge,
+                      double* next) noexcept {
+  rc_step_body(n, cols, args, temps, power, edge, next);
+}
+
+#if CPM_HAVE_AVX2_KERNELS
+CPM_TARGET_AVX2 void rc_step_avx2(std::size_t n, std::size_t cols,
+                                  const kernels::RcStepArgs& args,
+                                  const double* temps, const double* power,
+                                  const double* edge, double* next) noexcept {
+  rc_step_body(n, cols, args, temps, power, edge, next);
+}
+#endif
+
+}  // namespace
+
+namespace kernels {
+
+void rc_step(util::Isa isa, std::size_t n, std::size_t cols,
+             const RcStepArgs& args, const double* temps,
+             const double* power_w, const double* edge,
+             double* next) noexcept {
+#if CPM_HAVE_AVX2_KERNELS
+  if (isa == util::Isa::kAvx2) {
+    rc_step_avx2(n, cols, args, temps, power_w, edge, next);
+    return;
+  }
+#endif
+  (void)isa;
+  rc_step_baseline(n, cols, args, temps, power_w, edge, next);
+}
+
+}  // namespace kernels
+
 RcThermalModel::RcThermalModel(Floorplan floorplan, ThermalParams params)
     : floorplan_(std::move(floorplan)), params_(params) {
   if (params_.capacitance <= 0.0 || params_.vertical_conductance <= 0.0) {
     throw std::invalid_argument("RcThermalModel: non-physical parameters");
   }
-  temps_.assign(floorplan_.num_cores(), params_.ambient_c);
-  spreader_temp_ = params_.ambient_c;
+  const std::size_t rows = floorplan_.rows();
+  const std::size_t cols = floorplan_.cols();
+  const std::size_t n = floorplan_.num_cores();
+  padded_ = (rows + 2) * cols;
+  grid_.assign(2 * padded_ + 4 * n, 0.0);
+  double* edge = grid_.data() + 2 * padded_;
+  for (std::size_t i = 0; i < n; ++i) {
+    const GridPosition pos = floorplan_.position(i);
+    edge[i] = pos.row > 0 ? 1.0 : 0.0;
+    edge[n + i] = pos.row + 1 < rows ? 1.0 : 0.0;
+    edge[2 * n + i] = pos.col > 0 ? 1.0 : 0.0;
+    edge[3 * n + i] = pos.col + 1 < cols ? 1.0 : 0.0;
+  }
+  reset(params_.ambient_c);
   // Explicit Euler is stable for dt < 2C/G_total; use half of that.
   std::size_t max_degree = 0;
-  for (std::size_t i = 0; i < floorplan_.num_cores(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     max_degree = std::max(max_degree, floorplan_.neighbors(i).size());
   }
   const double g_total =
@@ -25,23 +114,16 @@ RcThermalModel::RcThermalModel(Floorplan floorplan, ThermalParams params)
   if (params_.two_layer) {
     const double g_spreader =
         params_.spreader_to_ambient_conductance +
-        params_.vertical_conductance * static_cast<double>(floorplan_.num_cores());
+        params_.vertical_conductance * static_cast<double>(n);
     max_stable_dt_ =
         std::min(max_stable_dt_, params_.spreader_capacitance / g_spreader);
   }
-  neighbor_offsets_.reserve(floorplan_.num_cores() + 1);
-  neighbor_offsets_.push_back(0);
-  for (std::size_t i = 0; i < floorplan_.num_cores(); ++i) {
-    const auto& nbrs = floorplan_.neighbors(i);
-    neighbor_ids_.insert(neighbor_ids_.end(), nbrs.begin(), nbrs.end());
-    neighbor_offsets_.push_back(neighbor_ids_.size());
-  }
-  next_.resize(floorplan_.num_cores());
   inv_c_ = 1.0 / params_.capacitance;
 }
 
 void RcThermalModel::step(std::span<const double> power_w, double dt_seconds) {
-  if (power_w.size() != temps_.size()) {
+  const std::size_t n = floorplan_.num_cores();
+  if (power_w.size() != n) {
     throw std::invalid_argument("RcThermalModel::step: power size mismatch");
   }
   // Every caller steps with one fixed tick, so the substep split is derived
@@ -52,45 +134,38 @@ void RcThermalModel::step(std::span<const double> power_w, double dt_seconds) {
     h_ = dt_seconds / static_cast<double>(substeps_);
     step_dt_ = dt_seconds;
   }
-  const std::size_t substeps = substeps_;
-  const double h = h_;
-  const std::size_t n = temps_.size();
+  const util::Isa isa = util::host_isa();
   const double g_v = params_.vertical_conductance;
-  const double g_l = params_.lateral_conductance;
-  const double inv_c = inv_c_;
-  const std::size_t* offsets = neighbor_offsets_.data();
-  const std::size_t* ids = neighbor_ids_.data();
-  for (std::size_t s = 0; s < substeps; ++s) {
+  const double* edge = grid_.data() + 2 * padded_;
+  for (std::size_t s = 0; s < substeps_; ++s) {
     // In two-layer mode, cores sink vertically into the spreader; otherwise
     // directly into ambient.
     const double below = params_.two_layer ? spreader_temp_ : params_.ambient_c;
-    double into_spreader = 0.0;
-    const double* temps = temps_.data();
-    double* next = next_.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      const double vertical = g_v * (temps[i] - below);
-      double flow = power_w[i] - vertical;
-      into_spreader += vertical;
-      for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-        flow -= g_l * (temps[i] - temps[ids[k]]);
-      }
-      next[i] = temps[i] + h * flow * inv_c;
-    }
+    const double* temps = interior(current_);
+    kernels::rc_step(isa, n, floorplan_.cols(),
+                     {below, g_v, params_.lateral_conductance, h_, inv_c_},
+                     temps, power_w.data(), edge, interior(current_ ^ 1));
     if (params_.two_layer) {
+      // The spreader's inflow, summed in core order.
+      double into_spreader = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        into_spreader += g_v * (temps[i] - below);
+      }
       const double out = params_.spreader_to_ambient_conductance *
                          (spreader_temp_ - params_.ambient_c);
-      spreader_temp_ += h * (into_spreader - out) / params_.spreader_capacitance;
+      spreader_temp_ +=
+          h_ * (into_spreader - out) / params_.spreader_capacitance;
     }
-    temps_.swap(next_);
+    current_ ^= 1;
   }
 }
 
 std::vector<double> RcThermalModel::steady_state(
     std::span<const double> power_w) const {
-  if (power_w.size() != temps_.size()) {
+  const std::size_t cores = floorplan_.num_cores();
+  if (power_w.size() != cores) {
     throw std::invalid_argument("RcThermalModel::steady_state: size mismatch");
   }
-  const std::size_t cores = temps_.size();
   // Assemble G * T = rhs (with an extra spreader node in two-layer mode) and
   // solve by Gaussian elimination with partial pivoting. The matrix is
   // small (core count + 1) and diagonally dominant, so this is robust.
@@ -143,11 +218,12 @@ std::vector<double> RcThermalModel::steady_state(
 }
 
 double RcThermalModel::max_temperature() const noexcept {
-  return *std::max_element(temps_.begin(), temps_.end());
+  const std::span<const double> temps = temperatures();
+  return *std::max_element(temps.begin(), temps.end());
 }
 
 void RcThermalModel::reset(double temp_c) {
-  std::fill(temps_.begin(), temps_.end(), temp_c);
+  std::fill_n(interior(current_), floorplan_.num_cores(), temp_c);
   spreader_temp_ = params_.two_layer ? temp_c : params_.ambient_c;
 }
 

@@ -6,6 +6,17 @@
 //
 // Integrated with forward Euler using internal substeps sized for stability.
 // A direct steady-state solver is provided for validation.
+//
+// Each substep is a grid stencil (`// vectorize: thermal.rc_step`). The
+// temperatures live in a padded buffer: the cores' row-major grid with one
+// halo row above and one below, so a core's up, down, left and right
+// neighbours are the loads at -cols, +cols, -1 and +1, all in bounds. A
+// core on a grid edge has no neighbour there; per-core edge flags select
+// each neighbour term in or out (a compare-select, never a multiply by 0,
+// which would turn an infinite temperature into NaN), in the floorplan's
+// neighbour order, so each flow rounds exactly as a walk over
+// Floorplan::neighbors would (tests/thermal/test_rc.cpp holds the two
+// together bit for bit).
 #pragma once
 
 #include <cstddef>
@@ -14,8 +25,34 @@
 #include <vector>
 
 #include "thermal/floorplan.h"
+#include "util/isa.h"
 
 namespace cpm::thermal {
+
+namespace kernels {
+
+/// The constants of one substep, as RcThermalModel::step passes them.
+struct RcStepArgs {
+  double below;  // the node cores sink into: the spreader, or ambient
+  double vertical_conductance;
+  double lateral_conductance;
+  double h;      // substep length, seconds
+  double inv_c;  // 1 / capacitance
+};
+
+/// One explicit-Euler substep over `n` cores of a grid `cols` wide, at `isa`
+/// (both ISAs give the same bits): next[i] = T + h * flow * inv_c with
+/// flow = P - G_v (T - below) - G_l (T - T_j) over each neighbour j that
+/// core i has. `temps` points at core 0 of a padded buffer readable from
+/// temps[-cols] to temps[n + cols - 1]. `edge` holds four n-long columns,
+/// up, down, left and right: nonzero where core i has that neighbour. `next`
+/// must not overlap the other arrays.
+void rc_step(util::Isa isa, std::size_t n, std::size_t cols,
+             const RcStepArgs& args, const double* temps,
+             const double* power_w, const double* edge,
+             double* next) noexcept;
+
+}  // namespace kernels
 
 struct ThermalParams {
   double ambient_c = 45.0;
@@ -48,8 +85,15 @@ class RcThermalModel {
   /// Temperatures for constant `power_w` as t -> infinity (direct solve).
   std::vector<double> steady_state(std::span<const double> power_w) const;
 
-  const std::vector<double>& temperatures() const noexcept { return temps_; }
-  double temperature(std::size_t core) const noexcept { return temps_[core]; }
+  /// Per-core temperatures in core order. The view stays valid until the
+  /// next step() or reset().
+  std::span<const double> temperatures() const noexcept {
+    return {grid_.data() + current_ * padded_ + floorplan_.cols(),
+            floorplan_.num_cores()};
+  }
+  double temperature(std::size_t core) const noexcept {
+    return temperatures()[core];
+  }
   double max_temperature() const noexcept;
   /// Spreader-node temperature (two-layer mode; ambient otherwise).
   double spreader_temperature() const noexcept { return spreader_temp_; }
@@ -59,17 +103,21 @@ class RcThermalModel {
   const ThermalParams& params() const noexcept { return params_; }
 
  private:
+  /// Interior (core 0) of padded buffer `b` (0 or 1).
+  double* interior(std::size_t b) noexcept {
+    return grid_.data() + b * padded_ + floorplan_.cols();
+  }
+
   Floorplan floorplan_;
   ThermalParams params_;
-  std::vector<double> temps_;
+  // One allocation: two padded temperature buffers of padded_ doubles each
+  // (`current_` holds the temperatures, a substep writes the other one),
+  // then the four edge-flag columns of num_cores() each.
+  std::vector<double> grid_;
+  std::size_t padded_;       // (rows + 2) * cols
+  std::size_t current_ = 0;  // which padded buffer holds the temperatures
   double spreader_temp_;
   double max_stable_dt_;  // explicit-Euler stability bound
-  // Flat CSR copy of the floorplan adjacency plus a reused scratch buffer:
-  // step() runs every simulation tick, so it must not chase nested vectors
-  // or allocate.
-  std::vector<std::size_t> neighbor_offsets_;
-  std::vector<std::size_t> neighbor_ids_;
-  std::vector<double> next_;
   double inv_c_;  // 1 / params_.capacitance
   // Substep split for the last dt step() saw (NaN: none yet, and never
   // equal to a dt, so the first step always derives it).

@@ -34,6 +34,22 @@ class RunningStats {
   double sum_ = 0.0;
 };
 
+/// Running mean alone: RunningStats' mean recurrence (mean += (x - mean) / n),
+/// so its mean() is bit-identical, without the variance, extrema and sum
+/// that a per-tick aggregate never reads.
+class RunningMean {
+ public:
+  void add(double x) noexcept {
+    ++n_;
+    mean_ += (x - mean_) / static_cast<double>(n_);
+  }
+  double mean() const noexcept { return mean_; }
+
+ private:
+  std::size_t n_ = 0;
+  double mean_ = 0.0;
+};
+
 /// Ordinary least-squares fit y = slope*x + intercept with R².
 struct LinearFit {
   double slope = 0.0;

@@ -148,9 +148,51 @@ CPM_TARGET_AVX2 void demand_sweep_avx2(std::size_t n, const DemandRows& rows,
 }
 #endif
 
+// The clock pass: WorkloadInstance::advance_clock on every row, and whether
+// any clock ran past its phase. The roll flag is a 64-bit OR of a selected
+// double's bits: SSE2 can select doubles on the double compare and OR the
+// bits, but has no select from a double compare to a 64-bit integer, and a
+// bool reduction does not vectorize at all. A NaN phase length (no phases)
+// never compares true.
+CPM_ALWAYS_INLINE bool demand_clock_body(std::size_t n, double dt_ms,
+                                         double* __restrict time,
+                                         const double* __restrict len) noexcept {
+  std::uint64_t rolled = 0;
+  // vectorize: workload.clock
+  for (std::size_t r = 0; r < n; ++r) {
+    const double t = time[r] + dt_ms;
+    time[r] = t;
+    rolled |= std::bit_cast<std::uint64_t>(t >= len[r] ? 1.0 : 0.0);
+  }
+  return rolled != 0;
+}
+
+bool demand_clock_baseline(std::size_t n, double dt_ms, double* time,
+                           const double* len) noexcept {
+  return demand_clock_body(n, dt_ms, time, len);
+}
+
+#if CPM_HAVE_AVX2_KERNELS
+CPM_TARGET_AVX2 bool demand_clock_avx2(std::size_t n, double dt_ms,
+                                       double* time,
+                                       const double* len) noexcept {
+  return demand_clock_body(n, dt_ms, time, len);
+}
+#endif
+
 }  // namespace
 
 namespace kernels {
+
+bool demand_clock(util::Isa isa, std::size_t n, units::Milliseconds dt,
+                  double* time, const double* len) noexcept {
+  const double dt_ms = dt.value();
+#if CPM_HAVE_AVX2_KERNELS
+  if (isa == util::Isa::kAvx2) return demand_clock_avx2(n, dt_ms, time, len);
+#endif
+  (void)isa;
+  return demand_clock_baseline(n, dt_ms, time, len);
+}
 
 void demand_sweep(util::Isa isa, std::size_t n, const DemandRows& rows,
                   const DemandOutputs& out) noexcept {
@@ -226,18 +268,11 @@ void DemandBank::add(const BenchmarkProfile& profile, std::uint64_t seed,
 void DemandBank::step(double dt_seconds, const DemandOutputs& out,
                       util::Isa isa) noexcept {
   const std::size_t n = size();
-  const double dt_ms = units::Seconds{dt_seconds}.to_milliseconds().value();
+  const units::Milliseconds dt = units::Seconds{dt_seconds}.to_milliseconds();
   double* time = real_.data() + DemandRows::kTime * stride_;
   const double* len = real_.data() + DemandRows::kLen * stride_;
-  // The clock pass (WorkloadInstance::advance_clock), then the rare
-  // roll-over fix-up, then the sweep.
-  bool rolled = false;
-  for (std::size_t r = 0; r < n; ++r) {
-    const double t = time[r] + dt_ms;
-    time[r] = t;
-    rolled |= t >= len[r];
-  }
-  if (rolled) {
+  // The clock pass, then the rare roll-over fix-up, then the sweep.
+  if (kernels::demand_clock(isa, n, dt, time, len)) {
     for (std::size_t r = 0; r < n; ++r) {
       if (time[r] >= len[r]) roll(r);
     }

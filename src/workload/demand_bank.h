@@ -6,7 +6,8 @@
 // each step() writes, for every row, the demand that instance's step() would
 // return, bit for bit (tests/workload/test_demand_bank.cpp holds the two
 // together). A tick is three passes:
-//   1. the clock pass: every phase clock advances by dt;
+//   1. the clock pass (`// vectorize: workload.clock`): every phase clock
+//      advances by dt;
 //   2. the roll-over fix-up: scalar, and only when some clock ran past its
 //      phase, which refreshes that row's phase length, ramp window,
 //      multipliers and held demand;
@@ -87,6 +88,12 @@ struct DemandOutputs {
 };
 
 namespace kernels {
+
+/// The clock pass (pass 1 above) over `n` rows at `isa` (both ISAs give the
+/// same bits): adds dt to every time[r] and returns whether any reached its
+/// len[r]. `time` must not overlap `len`.
+bool demand_clock(util::Isa isa, std::size_t n, units::Milliseconds dt,
+                  double* time, const double* len) noexcept;
 
 /// The demand sweep (pass 3 above) over the first `n` rows of `rows` at
 /// `isa`, writing each row's demand to `out`. Both ISAs give the same bits.

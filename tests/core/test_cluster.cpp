@@ -98,6 +98,18 @@ TEST(Cluster, RejectsNanMinShare) {
   EXPECT_THROW(ClusterPowerManager(bad, make_chips(1)), std::invalid_argument);
 }
 
+TEST(Cluster, RejectsNanIntegralGain) {
+  ClusterConfig bad;
+  bad.integral_gain = std::nan("");
+  EXPECT_THROW(ClusterPowerManager(bad, make_chips(1)), std::invalid_argument);
+}
+
+TEST(Cluster, RejectsNanTrimLimit) {
+  ClusterConfig bad;
+  bad.trim_limit = std::nan("");
+  EXPECT_THROW(ClusterPowerManager(bad, make_chips(1)), std::invalid_argument);
+}
+
 TEST(Cluster, RejectsInfeasibleShareFloor) {
   // min_share * num_chips > 1 would promise the chips more than the whole
   // budget; the old rack tier silently over-committed here.

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "util/rng.h"
 #include "workload/mixes.h"
 #include "workload/profile.h"
 
@@ -179,29 +180,65 @@ TEST(Chip, ScalarAndBatchedKernelsAgreeBitExact) {
 
 TEST(Chip, KernelsAgreeBitExactAcrossMigrations) {
   // A migration swaps two threads' workload state: CoreModels on the
-  // scalar path, demand-bank rows on the batched one.
+  // scalar path, demand-bank rows on the batched one. Along the way every
+  // kind of operating-point change the batched kernel's broadcast must pick
+  // up: PIC frequency requests, MaxBIPS-style set_level (some to the level
+  // already set, which changes nothing), their transition stalls, and
+  // migration stalls both shorter and longer than a tick.
   const CmpConfig cfg = CmpConfig::default_8core();
   Chip batched(cfg, workload::mix1(), 5, TickKernel::kBatched);
   Chip scalar(cfg, workload::mix1(), 5, TickKernel::kScalarReference);
+  util::Xoshiro256pp rng(99);
+  const auto both = [&](auto&& change) {
+    change(batched);
+    change(scalar);
+  };
   for (int i = 0; i < 900; ++i) {
     if (i % 150 == 40) {
       const std::size_t a = static_cast<std::size_t>(i / 150) % 4;
       const std::size_t b = (a + 1) % 4;
-      batched.migrate(a, 0, b, 1, 2e-5);
-      scalar.migrate(a, 0, b, 1, 2e-5);
+      const double stall = i % 300 == 40 ? 2e-5 : 2.5e-4;
+      both([&](Chip& c) { c.migrate(a, 0, b, 1, stall); });
+    }
+    if (i % 5 == 0) {  // a PIC boundary on one island
+      const std::size_t isl = static_cast<std::size_t>(i / 5) % 4;
+      const units::GigaHertz f{rng.uniform(0.5, 2.1)};
+      both([&](Chip& c) { c.island(isl).actuator().request_frequency(f); });
+    }
+    if (i % 50 == 25) {  // a GPM boundary setting every island's level
+      for (std::size_t isl = 0; isl < 4; ++isl) {
+        const std::size_t level =
+            i % 100 == 25 ? batched.island(isl).actuator().current_level()
+                          : rng.uniform_int(cfg.dvfs.num_levels());
+        both([&](Chip& c) { c.island(isl).actuator().set_level(level); });
+      }
     }
     const ChipTick& tb = batched.step(1e-4);
     const ChipTick& ts = scalar.step(1e-4);
     ASSERT_EQ(tb.total_bips, ts.total_bips) << "tick " << i;
     ASSERT_EQ(tb.total_instructions, ts.total_instructions) << "tick " << i;
+    ASSERT_EQ(tb.utilization, ts.utilization) << "tick " << i;
+    const ChipSoa& sb = batched.soa();
+    const ChipSoa& ss = scalar.soa();
     for (std::size_t g = 0; g < batched.num_cores(); ++g) {
-      ASSERT_EQ(batched.soa().demand_activity[g],
-                scalar.soa().demand_activity[g])
+      ASSERT_EQ(sb.demand_activity[g], ss.demand_activity[g])
           << "tick " << i << " core " << g;
-      ASSERT_EQ(batched.soa().bips[g], scalar.soa().bips[g])
+      ASSERT_EQ(sb.freq_ghz[g], ss.freq_ghz[g]) << "tick " << i << " core " << g;
+      ASSERT_EQ(sb.inv_freq[g], ss.inv_freq[g]) << "tick " << i << " core " << g;
+      ASSERT_EQ(sb.voltage[g], ss.voltage[g]) << "tick " << i << " core " << g;
+      ASSERT_EQ(sb.run_fraction[g], ss.run_fraction[g])
           << "tick " << i << " core " << g;
+      ASSERT_EQ(sb.stall_fraction[g], ss.stall_fraction[g])
+          << "tick " << i << " core " << g;
+      ASSERT_EQ(sb.bips[g], ss.bips[g]) << "tick " << i << " core " << g;
     }
   }
+  // The schedule must have exercised what it claims to.
+  std::size_t transitions = 0;
+  for (std::size_t isl = 0; isl < 4; ++isl) {
+    transitions += batched.island(isl).actuator().transition_count();
+  }
+  EXPECT_GT(transitions, 50u);
 }
 
 TEST(CmpConfig, DerivedQuantities) {

@@ -18,6 +18,7 @@
 #include "power/model.h"
 #include "sim/chip.h"
 #include "thermal/hotspot.h"
+#include "thermal/rc_model.h"
 #include "util/isa.h"
 #include "util/rng.h"
 #include "workload/demand_bank.h"
@@ -219,6 +220,48 @@ TEST_F(KernelIsa, HotspotAccumulate) {
     }
     EXPECT_EQ(any[0], any[1]) << "n " << n;
     EXPECT_EQ(bit_diff(hot[0], hot[1]), "") << "n " << n;
+  }
+}
+
+TEST_F(KernelIsa, DemandClock) {
+  for (std::size_t n = 1; n <= kMaxLength; ++n) {
+    Inputs in(5000 + n);
+    // Phase lengths include NaN (a row without phases) and clocks that
+    // land exactly on their length.
+    const auto len = in.column(n, 0.0, 3.0);
+    const auto time0 = in.column(n, 0.0, 3.0);
+    std::array<std::vector<double>, 2> time{time0, time0};
+    std::array<bool, 2> rolled{};
+    const Isa isas[] = {Isa::kBaseline, Isa::kAvx2};
+    for (int w = 0; w < 2; ++w) {
+      rolled[w] = workload::kernels::demand_clock(
+          isas[w], n, units::Milliseconds{0.1}, time[w].data(), len.data());
+    }
+    EXPECT_EQ(rolled[0], rolled[1]) << "n " << n;
+    EXPECT_EQ(bit_diff(time[0], time[1]), "") << "n " << n;
+  }
+}
+
+TEST_F(KernelIsa, RcStep) {
+  for (std::size_t n = 1; n <= kMaxLength; ++n) {
+    Inputs in(6000 + n);
+    // Any width up to n (n need not be a multiple of it: the kernel reads
+    // only the edge flags, which are random here), halo rows included in
+    // the random temperatures.
+    const std::size_t cols = 1 + (n * 7) % std::min<std::size_t>(n, 9);
+    const auto padded = in.column(n + 2 * cols, 20.0, 120.0);
+    const auto power = in.column(n, 0.0, 15.0);
+    std::vector<double> edge = in.column(4 * n, 0.0, 1.0);
+    for (double& e : edge) e = e > 0.5 ? 1.0 : 0.0;
+    const thermal::kernels::RcStepArgs args{52.0, 0.8, 2.0, 1e-4, 50.0};
+    std::array<std::vector<double>, 2> next;
+    const Isa isas[] = {Isa::kBaseline, Isa::kAvx2};
+    for (int w = 0; w < 2; ++w) {
+      next[w].assign(n, 0.0);
+      thermal::kernels::rc_step(isas[w], n, cols, args, padded.data() + cols,
+                                power.data(), edge.data(), next[w].data());
+    }
+    EXPECT_EQ(bit_diff(next[0], next[1]), "") << "n " << n;
   }
 }
 

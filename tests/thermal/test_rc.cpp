@@ -6,8 +6,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
+#include "util/isa.h"
 #include "util/rng.h"
 
 namespace cpm::thermal {
@@ -123,51 +126,67 @@ TEST(RcModel, MaxTemperature) {
   EXPECT_DOUBLE_EQ(m.max_temperature(), m.temperature(1));
 }
 
-/// The previous step(), kept as the bit-level reference: the substep split
-/// and 1/C derived on every call instead of once per distinct dt.
-struct PerCallReference {
-  Floorplan floorplan;
+/// The per-core adjacency walk the grid stencil replaced, kept as step()'s
+/// bit-level oracle: a flat CSR copy of the floorplan's neighbour lists,
+/// walked in list order for every core, with the substep split and 1/C
+/// derived on every call instead of once per distinct dt.
+struct CsrReference {
   ThermalParams p;
+  std::vector<std::size_t> offsets{0};
+  std::vector<std::size_t> ids;
   std::vector<double> temps;
+  std::vector<double> next;
   double spreader;
+  double max_stable_dt;
+  double h = 0.0;
 
-  PerCallReference(Floorplan fp, ThermalParams params)
-      : floorplan(std::move(fp)), p(params),
-        temps(floorplan.num_cores(), params.ambient_c),
-        spreader(params.ambient_c) {}
+  CsrReference(const Floorplan& fp, ThermalParams params)
+      : p(params), temps(fp.num_cores(), params.ambient_c),
+        next(fp.num_cores()), spreader(params.ambient_c) {
+    std::size_t max_degree = 0;
+    for (std::size_t i = 0; i < fp.num_cores(); ++i) {
+      const auto& nbrs = fp.neighbors(i);
+      max_degree = std::max(max_degree, nbrs.size());
+      ids.insert(ids.end(), nbrs.begin(), nbrs.end());
+      offsets.push_back(ids.size());
+    }
+    max_stable_dt = p.capacitance /
+                    (p.vertical_conductance +
+                     static_cast<double>(max_degree) * p.lateral_conductance);
+    if (p.two_layer) {
+      max_stable_dt = std::min(
+          max_stable_dt,
+          p.spreader_capacitance /
+              (p.spreader_to_ambient_conductance +
+               p.vertical_conductance * static_cast<double>(temps.size())));
+    }
+  }
+
+  /// One substep's core update, into `out`; returns the spreader inflow.
+  double substep(const double* in, const std::vector<double>& power,
+                 double below, double* out) const {
+    const double inv_c = 1.0 / p.capacitance;
+    double into_spreader = 0.0;
+    for (std::size_t i = 0; i < temps.size(); ++i) {
+      const double vertical = p.vertical_conductance * (in[i] - below);
+      double flow = power[i] - vertical;
+      into_spreader += vertical;
+      for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+        flow -= p.lateral_conductance * (in[i] - in[ids[k]]);
+      }
+      out[i] = in[i] + h * flow * inv_c;
+    }
+    return into_spreader;
+  }
 
   void step(const std::vector<double>& power, double dt) {
-    std::size_t max_degree = 0;
-    for (std::size_t i = 0; i < temps.size(); ++i) {
-      max_degree = std::max(max_degree, floorplan.neighbors(i).size());
-    }
-    double max_dt = p.capacitance / (p.vertical_conductance +
-                                     static_cast<double>(max_degree) *
-                                         p.lateral_conductance);
-    if (p.two_layer) {
-      max_dt = std::min(
-          max_dt, p.spreader_capacitance /
-                      (p.spreader_to_ambient_conductance +
-                       p.vertical_conductance *
-                           static_cast<double>(temps.size())));
-    }
     const std::size_t substeps = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::ceil(dt / max_dt)));
-    const double h = dt / static_cast<double>(substeps);
-    const double inv_c = 1.0 / p.capacitance;
-    std::vector<double> next(temps.size());
+        1, static_cast<std::size_t>(std::ceil(dt / max_stable_dt)));
+    h = dt / static_cast<double>(substeps);
     for (std::size_t s = 0; s < substeps; ++s) {
       const double below = p.two_layer ? spreader : p.ambient_c;
-      double into_spreader = 0.0;
-      for (std::size_t i = 0; i < temps.size(); ++i) {
-        const double vertical = p.vertical_conductance * (temps[i] - below);
-        double flow = power[i] - vertical;
-        into_spreader += vertical;
-        for (const std::size_t j : floorplan.neighbors(i)) {
-          flow -= p.lateral_conductance * (temps[i] - temps[j]);
-        }
-        next[i] = temps[i] + h * flow * inv_c;
-      }
+      const double into_spreader =
+          substep(temps.data(), power, below, next.data());
       if (p.two_layer) {
         const double out = p.spreader_to_ambient_conductance *
                            (spreader - p.ambient_c);
@@ -175,6 +194,11 @@ struct PerCallReference {
       }
       temps.swap(next);
     }
+  }
+
+  void reset(double temp_c) {
+    std::fill(temps.begin(), temps.end(), temp_c);
+    spreader = p.two_layer ? temp_c : p.ambient_c;
   }
 };
 
@@ -188,7 +212,7 @@ TEST(RcModel, CachedSubstepSplitBitIdenticalToPerCallReference) {
       ThermalParams prm = params();
       prm.two_layer = two_layer;
       RcThermalModel model(Floorplan(rows, cols), prm);
-      PerCallReference ref(Floorplan(rows, cols), prm);
+      CsrReference ref(Floorplan(rows, cols), prm);
       util::Xoshiro256pp rng(rows * 100 + cols + (two_layer ? 7 : 0));
       std::vector<double> power(rows * cols);
       for (int t = 0; t < 300; ++t) {
@@ -204,6 +228,129 @@ TEST(RcModel, CachedSubstepSplitBitIdenticalToPerCallReference) {
         }
         ASSERT_EQ(std::bit_cast<std::uint64_t>(model.spreader_temperature()),
                   std::bit_cast<std::uint64_t>(ref.spreader));
+      }
+    }
+  }
+}
+
+/// True when a and b hold the same bits, or are both NaN: where two NaN
+/// operands meet, x86 returns the first one's payload, and operand order
+/// within a commutative operation is the compiler's choice per loop.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b) ||
+         (std::isnan(a) && std::isnan(b));
+}
+
+const std::vector<std::pair<std::size_t, std::size_t>>& stencil_grids() {
+  static const std::vector<std::pair<std::size_t, std::size_t>> grids = {
+      {1, 1}, {1, 7}, {7, 1}, {2, 2}, {2, 4}, {3, 5}, {8, 8}};
+  return grids;
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(RcStencil, MatchesCsrOracleBitForBit) {
+  // Ticks 0-99 one substep each, 100-149 several, with non-finite and
+  // signed-zero powers and resets (to ambient, -0.0, +-inf and NaN, then
+  // back to a finite value) along the way.
+  for (const auto& [rows, cols] : stencil_grids()) {
+    for (const bool two_layer : {false, true}) {
+      ThermalParams prm = params();
+      prm.two_layer = two_layer;
+      const Floorplan fp(rows, cols);
+      RcThermalModel model(fp, prm);
+      CsrReference ref(fp, prm);
+      util::Xoshiro256pp rng(rows * 131 + cols + (two_layer ? 17 : 0));
+      std::vector<double> power(fp.num_cores());
+      for (int t = 0; t < 200; ++t) {
+        for (double& w : power) w = rng.uniform(0.0, 12.0);
+        const std::size_t hit = rng.uniform_int(power.size());
+        switch (t) {
+          case 20: power[hit] = -0.0; break;
+          case 30: std::fill(power.begin(), power.end(), -0.0); break;
+          case 40: power[hit] = kInf; break;
+          case 45: power[hit] = -kInf; break;
+          case 60: power[hit] = kNaN; break;
+          default: break;
+        }
+        const std::pair<int, double> resets[] = {
+            {43, 45.0}, {50, 45.0}, {70, -0.0}, {75, kInf}, {78, -kInf},
+            {81, kNaN}, {84, 50.0}, {160, -0.0}, {170, 60.0}};
+        for (const auto& [at, temp] : resets) {
+          if (t == at) {
+            model.reset(temp);
+            ref.reset(temp);
+          }
+        }
+        const double dt = t < 100 ? 1e-4 : (t < 150 ? 7e-3 : 2.5e-4);
+        model.step(power, dt);
+        ref.step(power, dt);
+        const auto temps = model.temperatures();
+        ASSERT_EQ(temps.size(), ref.temps.size());
+        for (std::size_t i = 0; i < temps.size(); ++i) {
+          ASSERT_TRUE(same_bits(temps[i], ref.temps[i]))
+              << rows << "x" << cols << (two_layer ? " two-layer" : "")
+              << " tick " << t << " core " << i << ": " << temps[i]
+              << " vs " << ref.temps[i];
+        }
+        ASSERT_TRUE(same_bits(model.spreader_temperature(), ref.spreader))
+            << rows << "x" << cols << " tick " << t;
+      }
+    }
+  }
+}
+
+TEST(RcStencil, KernelMatchesCsrOracleOnAnyTemperatures) {
+  // One substep from temperatures no reset can set up: every core its own
+  // value, NaN, +-inf and -0.0 among them. The halo rows hold NaN, which an
+  // edge core's selected-out term must never let through.
+  const double special[] = {kNaN, kInf, -kInf, -0.0, 0.0};
+  const util::Isa isas[] = {util::Isa::kBaseline, util::host_isa()};
+  for (const auto& [rows, cols] : stencil_grids()) {
+    const Floorplan fp(rows, cols);
+    const std::size_t n = fp.num_cores();
+    ThermalParams prm = params();
+    CsrReference ref(fp, prm);
+    ref.h = 1e-4;
+    util::Xoshiro256pp rng(rows * 7 + cols);
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<double> padded((rows + 2) * cols, kNaN);
+      double* temps = padded.data() + cols;
+      std::vector<double> power(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        temps[i] = rng.uniform_int(4) == 0 ? special[rng.uniform_int(5)]
+                                           : rng.uniform(30.0, 110.0);
+        power[i] = rng.uniform_int(4) == 0 ? special[rng.uniform_int(5)]
+                                           : rng.uniform(0.0, 12.0);
+      }
+      // Edge flags from the floorplan's neighbour lists.
+      std::vector<double> edge(4 * n, 0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (const std::size_t j : fp.neighbors(i)) {
+          const std::size_t side = j + cols == i ? 0
+                                   : j == i + cols ? 1
+                                   : j + 1 == i    ? 2
+                                                   : 3;
+          edge[side * n + i] = 1.0;
+        }
+      }
+      const double below = trial % 2 == 0 ? prm.ambient_c : 52.5;
+      std::vector<double> expected(n);
+      ref.substep(temps, power, below, expected.data());
+      for (const util::Isa isa : isas) {
+        std::vector<double> next(n, -1.0);
+        kernels::rc_step(isa, n, cols,
+                         {below, prm.vertical_conductance,
+                          prm.lateral_conductance, ref.h,
+                          1.0 / prm.capacitance},
+                         temps, power.data(), edge.data(), next.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_TRUE(same_bits(next[i], expected[i]))
+              << rows << "x" << cols << " " << util::isa_name(isa)
+              << " trial " << trial << " core " << i << ": " << next[i]
+              << " vs " << expected[i];
+        }
       }
     }
   }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "util/rng.h"
@@ -26,6 +28,21 @@ TEST(RunningStats, KnownValues) {
   EXPECT_EQ(s.min(), 2.0);
   EXPECT_EQ(s.max(), 9.0);
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
+}
+
+TEST(RunningMean, BitIdenticalToRunningStatsMean) {
+  RunningStats full;
+  RunningMean mean;
+  EXPECT_EQ(mean.mean(), full.mean());
+  Xoshiro256pp rng(17);
+  for (int i = 0; i < 5000; ++i) {
+    const double x = rng.uniform(-3.0, 40.0);
+    full.add(x);
+    mean.add(x);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(mean.mean()),
+              std::bit_cast<std::uint64_t>(full.mean()))
+        << "sample " << i;
+  }
 }
 
 TEST(RunningStats, MergeMatchesSequential) {
