@@ -50,10 +50,10 @@ int main() {
     const double ticks = static_cast<double>(cfg.ticks_per_pic_interval);
     for (std::size_t i = 0; i < 4; ++i) {
       island_w[i].push_back(ip[i] / ticks);
-      island_freq[i].push_back(chip.island(i).operating_point().freq_ghz);
+      island_freq[i].push_back(chip.actuator(i).operating_point().freq_ghz);
       interval_power += ip[i] / ticks;
       // White-noise DVFS excitation.
-      chip.island(i).actuator().set_level(rng.uniform_int(8));
+      chip.actuator(i).set_level(rng.uniform_int(8));
     }
     chip_power.push_back(interval_power);
     freq0.push_back(island_freq[0].back());

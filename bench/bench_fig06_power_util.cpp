@@ -46,7 +46,7 @@ int main() {
       double u = 0.0, p = 0.0;
       for (std::size_t t = 0; t < cfg.ticks_per_pic_interval; ++t) {
         const sim::ChipTick tick = chip.step(dt);
-        const auto op = chip.island(0).operating_point();
+        const auto op = chip.actuator(0).operating_point();
         u += tick.islands[0].utilization;
         const double fv2 = op.voltage * op.voltage * op.freq_ghz;
         p += model.core_power(tick.islands[0].cores[0], op, 0, 55.0).total() *
@@ -55,7 +55,7 @@ int main() {
       const double ticks = static_cast<double>(cfg.ticks_per_pic_interval);
       utils.push_back(u / ticks);
       powers.push_back(p / ticks);
-      chip.island(0).actuator().set_level(rng.uniform_int(8));
+      chip.actuator(0).set_level(rng.uniform_int(8));
     }
 
     const power::TransducerModel fit =

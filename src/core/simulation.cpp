@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -82,6 +83,16 @@ Simulation::Simulation(SimulationConfig config,
     throw std::invalid_argument(
         "Simulation: PIC interval must not exceed the GPM interval");
   }
+  // calibrate() casts the calibration's tick count to std::size_t.
+  const double calibration_ticks =
+      config_.calibration_seconds / config_.cmp.tick_seconds();
+  if (!(config_.calibration_seconds >= 0.0 &&
+        calibration_ticks <
+            static_cast<double>(std::numeric_limits<std::size_t>::max()))) {
+    throw std::invalid_argument(
+        "Simulation: calibration_seconds must be finite, >= 0 and a "
+        "representable tick count");
+  }
   double prev_time = -1.0;
   for (const auto& [time_s, fraction] : config_.budget_schedule) {
     if (!(fraction > 0.0 && fraction <= 1.0)) {
@@ -131,7 +142,7 @@ Simulation::Simulation(SimulationConfig config,
 ChipPlant::ChipPlant(const SimulationConfig& config,
                      const power::PowerModel& power)
     : power_(&power),
-      chip_(config.cmp, config.mix, config.seed, config.tick_kernel),
+      chip_(config.cmp, config.mix, config.seed),
       thermal_(make_floorplan(config.cmp.total_cores()),
                config.thermal_params),
       core_leak_mult_(config.cmp.total_cores()),
@@ -228,19 +239,18 @@ void Simulation::calibrate() {
 
     if ((t + 1) % cmp.ticks_per_pic_interval == 0) {
       for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t level = chip.island(i).actuator().current_level();
+        const std::size_t level = chip.actuator(i).current_level();
         utils[i].push_back(accum[i].mean_util());
         // Normalize power samples to the reference (top) level so a single
         // linear u->P line covers the whole DVFS range.
         powers_ref[i].push_back(accum[i].mean_power() / level_scale(level));
         powers_raw[i].push_back(accum[i].mean_power());
-        freqs[i].push_back(chip.island(i).operating_point().freq_ghz);
+        freqs[i].push_back(chip.actuator(i).operating_point().freq_ghz);
         accum[i].reset();
         if (!phase_a) {
           // White-noise DVFS excitation (paper Fig. 5 methodology): jump to
           // a uniformly random level each local interval.
-          chip.island(i).actuator().set_level(
-              rng.uniform_int(cmp.dvfs.num_levels()));
+          chip.actuator(i).set_level(rng.uniform_int(cmp.dvfs.num_levels()));
         }
       }
     }
@@ -329,7 +339,6 @@ SimulationRun::SimulationRun(Simulation& owner, RecordSink* sink)
   const auto& cmp = config.cmp;
   const CalibrationResult& calibration = owner.calibration_;
   sim::Chip& chip = plant_.chip();
-  chip.set_max_power(units::Watts{owner.max_power_w_});
 
   // ---- build the manager -------------------------------------------------
   if (config.manager == ManagerKind::kCpm) {
@@ -390,8 +399,8 @@ SimulationRun::SimulationRun(Simulation& owner, RecordSink* sink)
              owner.level_scale(init_level) > config.budget_fraction) {
         --init_level;
       }
-      chip.island(i).actuator().set_level(init_level);
-      chip.island(i).actuator().consume_stall(1.0);  // no startup stall
+      chip.actuator(i).set_level(init_level);
+      chip.actuator(i).consume_stall(1.0);  // no startup stall
       pics_.emplace_back(pc, calibration.transducers[i],
                          units::GigaHertz{cmp.dvfs.level(init_level).freq_ghz});
       pics_.back().set_target(
@@ -481,6 +490,13 @@ void SimulationRun::advance(double seconds) {
   // call: each invocation alone rounding `seconds / dt_` would silently lose
   // (or double-count) time under repeated sub-interval stepping.
   const double frac_ticks = seconds / dt_ + tick_carry_;
+  // The rounded tick count below is cast to std::uint64_t.
+  if (!(frac_ticks + 0.5 <
+        static_cast<double>(std::numeric_limits<std::uint64_t>::max()))) {
+    throw std::invalid_argument(
+        "SimulationRun::advance: duration exceeds the representable tick "
+        "count");
+  }
   const std::uint64_t ticks =
       frac_ticks <= 0.0 ? 0 : static_cast<std::uint64_t>(frac_ticks + 0.5);
   tick_carry_ = frac_ticks - static_cast<double>(ticks);
@@ -555,8 +571,8 @@ void SimulationRun::pic_boundary(double now) {
     rec.actual_w = pic_accum_[i].mean_power();
     rec.utilization = u;
     rec.bips = pic_accum_[i].mean_bips();
-    rec.freq_ghz = plant_.chip().island(i).operating_point().freq_ghz;
-    rec.dvfs_level = plant_.chip().island(i).actuator().current_level();
+    rec.freq_ghz = plant_.chip().actuator(i).operating_point().freq_ghz;
+    rec.dvfs_level = plant_.chip().actuator(i).current_level();
 
     if (config.manager == ManagerKind::kCpm) {
       const double scale = owner_->level_scale(rec.dvfs_level);
@@ -571,7 +587,7 @@ void SimulationRun::pic_boundary(double now) {
       gpm_sensed_energy_[i] += rec.sensed_w * cmp.pic_interval_s;
       const units::GigaHertz freq_req = pics_[i].invoke(u, scale);
       pic_abs_error_stats_.add(units::abs(pics_[i].last_error()).value());
-      plant_.chip().island(i).actuator().request_frequency(freq_req);
+      plant_.chip().actuator(i).request_frequency(freq_req);
     } else {
       rec.target_w = live_budget_w_ / static_cast<double>(n_);
       rec.sensed_w = rec.actual_w;
@@ -626,7 +642,7 @@ void SimulationRun::gpm_boundary(double now) {
     obs[i].energy_j = gpm_sensed_energy_[i];
     obs[i].power_w = gpm_sensed_energy_[i] / cmp.gpm_interval_s;
     observed_w += obs[i].power_w;
-    obs[i].dvfs_level = plant_.chip().island(i).actuator().current_level();
+    obs[i].dvfs_level = plant_.chip().actuator(i).current_level();
 
     rec.island_actual_w[i] = gpm_accum_[i].mean_power();
     rec.island_bips[i] = obs[i].bips;
@@ -649,7 +665,7 @@ void SimulationRun::gpm_boundary(double now) {
                                : std::span<const IslandObservation>(
                                      maxbips_static_));
     for (std::size_t i = 0; i < n_; ++i) {
-      plant_.chip().island(i).actuator().set_level(levels[i]);
+      plant_.chip().actuator(i).set_level(levels[i]);
     }
     rec.island_alloc_w.assign(n_, live_budget_w_ / static_cast<double>(n_));
   } else {
@@ -714,7 +730,7 @@ SimulationResult SimulationRun::finish() {
     result_.island_avg_bips[i] /=
         static_cast<double>(std::max<std::uint64_t>(1, tick_));
     result_.dvfs_transitions += static_cast<double>(
-        plant_.chip().island(i).actuator().transition_count());
+        plant_.chip().actuator(i).transition_count());
   }
   util::MetricsRegistry& registry = util::MetricsRegistry::global();
   registry.add("chip.ticks", tick_);

@@ -45,11 +45,6 @@ struct SimulationConfig {
   workload::Mix mix;  // topology must match `cmp`
   std::uint64_t seed = 42;
 
-  /// Which chip tick kernel to run. kScalarReference is the pre-SoA
-  /// object-walking loop, retained for differential testing only (see
-  /// sim::TickKernel); production runs use the batched default.
-  sim::TickKernel tick_kernel = sim::TickKernel::kBatched;
-
   ManagerKind manager = ManagerKind::kCpm;
   PolicyKind policy = PolicyKind::kPerformance;
   /// Chip power budget as a fraction of maximum chip power (paper: 0.8).
@@ -80,6 +75,7 @@ struct SimulationConfig {
   std::vector<double> island_leak_mults;
 
   /// Duration of the offline calibration run (transducer + plant gain id).
+  /// Must be finite and >= 0; the run lasts at least 16 PIC intervals.
   double calibration_seconds = 0.1;
 
   thermal::ThermalParams thermal_params{};
@@ -169,9 +165,8 @@ ThermalConstraints resolved_thermal_constraints(const SimulationConfig& config);
 /// PICs then control step the same model.
 class ChipPlant {
  public:
-  /// Builds the chip (config.tick_kernel, per-core record mirrors off) and
-  /// the RC thermal model from `config`. `power` is borrowed and must
-  /// outlive the plant.
+  /// Builds the chip (per-core record mirrors off) and the RC thermal model
+  /// from `config`. `power` is borrowed and must outlive the plant.
   ChipPlant(const SimulationConfig& config, const power::PowerModel& power);
 
   /// Advances one tick: Chip::step, then the flat chip_power_batch sweep at

@@ -9,17 +9,18 @@ namespace cpm::sim {
 
 namespace {
 
-// Pass 2 of the batched tick: the core micro-model over the flat SoA
-// arrays. Bit-exactness contract with CoreModel::step: identical operations
-// in identical order, element-wise only (the congestion term `cong_term`
-// and the instruction scale are hoisted as the *same* scalar expressions,
-// no sum is reassociated, and both paths multiply by the island's
-// reciprocal frequency rather than dividing), so either ISA's wrapper and
-// the scalar reference kernel produce identical doubles. The reciprocal-
-// frequency and compute*`1/t` forms keep this loop at one division per
-// core -- divides are the only non-pipelining operation here. The nine
-// arrays are distinct ChipSoa columns; __restrict says so, which spares GCC
-// the run-time alias checks that otherwise stop it vectorizing the loop.
+// Pass 2 of the tick: the core micro-model over the flat SoA arrays.
+// Bit-exactness contract with CoreModel::step, which the test tree's
+// reference chip steps: identical operations in identical order,
+// element-wise only (the congestion term `cong_term` and the instruction
+// scale are hoisted as the *same* scalar expressions, no sum is
+// reassociated, and both paths multiply by the island's reciprocal
+// frequency rather than dividing), so either ISA's wrapper and the
+// reference produce identical doubles. The reciprocal-frequency and
+// compute*`1/t` forms keep this loop at one division per core -- divides
+// are the only non-pipelining operation here. The nine arrays are distinct
+// ChipSoa columns; __restrict says so, which spares GCC the run-time alias
+// checks that otherwise stop it vectorizing the loop.
 CPM_ALWAYS_INLINE void micro_model_body(
     std::size_t cores, double cong_term, double instr_scale,
     const double* __restrict cpi, const double* __restrict mem,
@@ -106,10 +107,8 @@ void ChipSoa::resize(std::size_t cores) {
 }
 
 Chip::Chip(const CmpConfig& config, const workload::Mix& mix,
-           std::uint64_t seed, TickKernel kernel)
-    : config_(config),
-      memory_(config.memory_bandwidth_capacity),
-      kernel_(kernel) {
+           std::uint64_t seed)
+    : config_(config), memory_(config.memory_bandwidth_capacity) {
   if (mix.num_islands() != config.num_islands) {
     throw std::invalid_argument("Chip: mix island count != config");
   }
@@ -120,83 +119,66 @@ Chip::Chip(const CmpConfig& config, const workload::Mix& mix,
     throw std::invalid_argument("Chip: mix cores/island != config");
   }
   util::Xoshiro256pp master(seed);
-  islands_.reserve(mix.islands.size());
+  actuators_.reserve(mix.islands.size());
   offsets_.reserve(mix.islands.size() + 1);
   offsets_.push_back(0);
-  std::size_t core_index = 0;
   for (const auto& assignment : mix.islands) {
     if (assignment.empty()) {
       throw std::invalid_argument("Chip: mix island with zero cores");
     }
-    std::vector<CoreModel> cores;
-    cores.reserve(assignment.size());
     for (const auto* profile : assignment) {
       // Distinct seed and phase offset per core so replicated benchmarks
       // (Mix-3) do not run in lockstep.
-      const units::Milliseconds offset{1.7 * static_cast<double>(core_index)};
-      const std::uint64_t core_seed = master();
-      cores.emplace_back(*profile, core_seed, config.contention_gamma, offset);
-      demand_.add(*profile, core_seed, offset);
-      ++core_index;
+      const units::Milliseconds offset{
+          1.7 * static_cast<double>(demand_.size())};
+      demand_.add(*profile, master(), offset);
     }
-    islands_.emplace_back(
-        std::move(cores),
-        DvfsActuator(config_.dvfs, config_.dvfs.max_level(),
-                     config_.dvfs_overhead_fraction, config_.pic_interval_s));
-    offsets_.push_back(core_index);
+    actuators_.emplace_back(config_.dvfs, config_.dvfs.max_level(),
+                            config_.dvfs_overhead_fraction,
+                            config_.pic_interval_s);
+    offsets_.push_back(demand_.size());
   }
-  soa_.resize(core_index);
-  broadcast_.resize(islands_.size());
-  tick_.islands.resize(islands_.size());
-  for (std::size_t i = 0; i < islands_.size(); ++i) {
-    sync_profile_constants(i);
-  }
+  soa_.resize(demand_.size());
+  broadcast_.resize(actuators_.size());
+  tick_.islands.resize(actuators_.size());
+  for (std::size_t g = 0; g < demand_.size(); ++g) sync_profile_constants(g);
 }
 
-void Chip::sync_profile_constants(std::size_t island_idx) {
-  const Island& isl = islands_[island_idx];
-  for (std::size_t c = 0; c < isl.num_cores(); ++c) {
-    const std::size_t g = offsets_[island_idx] + c;
-    const workload::BenchmarkProfile& profile = isl.core(c).profile();
-    soa_.activity_idle[g] = profile.activity_idle;
-    soa_.ceff_scale[g] = profile.ceff_scale;
-  }
+void Chip::sync_profile_constants(std::size_t g) {
+  const workload::BenchmarkProfile& profile = demand_.profile(g);
+  soa_.activity_idle[g] = profile.activity_idle;
+  soa_.ceff_scale[g] = profile.ceff_scale;
 }
 
 void Chip::migrate(std::size_t island_a, std::size_t core_a,
                    std::size_t island_b, std::size_t core_b,
                    double stall_seconds) {
-  if (island_a >= islands_.size() || island_b >= islands_.size()) {
+  const std::size_t n = num_islands();
+  if (island_a >= n || island_b >= n) {
     throw std::invalid_argument("Chip::migrate: island out of range");
   }
-  islands_[island_a].swap_core_with(islands_[island_b], core_a, core_b);
-  demand_.swap_rows(offsets_[island_a] + core_a, offsets_[island_b] + core_b);
+  if (core_a >= island_size(island_a) || core_b >= island_size(island_b)) {
+    throw std::invalid_argument("Chip::migrate: core out of range");
+  }
+  const std::size_t ga = offsets_[island_a] + core_a;
+  const std::size_t gb = offsets_[island_b] + core_b;
+  demand_.swap_rows(ga, gb);
   // The moved threads carry their workload profiles with them; refresh the
-  // cached per-core constants the batched kernel reads.
-  sync_profile_constants(island_a);
-  sync_profile_constants(island_b);
+  // cached per-core constants the tick reads.
+  sync_profile_constants(ga);
+  sync_profile_constants(gb);
   if (stall_seconds > 0.0) {
-    islands_[island_a].actuator().add_stall(stall_seconds);
-    islands_[island_b].actuator().add_stall(stall_seconds);
+    actuators_[island_a].add_stall(stall_seconds);
+    actuators_[island_b].add_stall(stall_seconds);
   }
 }
 
 const ChipTick& Chip::step(double dt_seconds) {
+  const std::size_t cores = num_cores();
   const double congestion = memory_.congestion();
   tick_.congestion = congestion;
   tick_.total_bips = 0.0;
   tick_.total_instructions = 0.0;
-  tick_.utilization = 0.0;
-  if (kernel_ == TickKernel::kScalarReference) {
-    step_scalar(dt_seconds, congestion);
-    return tick_;
-  }
-  step_batched(dt_seconds, congestion);
-  return tick_;
-}
-
-void Chip::step_batched(double dt_seconds, double congestion) {
-  const std::size_t cores = num_cores();
 
   // ---- pass 1: workload demand (the bank's flat passes), then the
   // per-island operating-point broadcast.
@@ -210,8 +192,8 @@ void Chip::step_batched(double dt_seconds, double congestion) {
   // (and its 1/f) when the DVFS level did, the stall columns while a stall
   // is pending and on the tick after one drains. The level is tracked by
   // index, not by comparing doubles.
-  for (std::size_t i = 0; i < islands_.size(); ++i) {
-    DvfsActuator& actuator = islands_[i].actuator();
+  for (std::size_t i = 0; i < actuators_.size(); ++i) {
+    DvfsActuator& actuator = actuators_[i];
     IslandBroadcast& cached = broadcast_[i];
     const std::size_t g0 = offsets_[i];
     const std::size_t g1 = offsets_[i + 1];
@@ -257,14 +239,10 @@ void Chip::step_batched(double dt_seconds, double congestion) {
   // ---- pass 3: island/chip reductions, per-core bookkeeping, views.
   double total_demand = 0.0;
   double chip_util = 0.0;
-  for (std::size_t i = 0; i < islands_.size(); ++i) {
-    Island& isl = islands_[i];
+  for (std::size_t i = 0; i < actuators_.size(); ++i) {
     const std::size_t g0 = offsets_[i];
-    const std::size_t size = isl.num_cores();
+    const std::size_t size = island_size(i);
     IslandTick& it = tick_.islands[i];
-    // Note: the batched kernel does not pay retired instructions back into
-    // each CoreModel (per-core totals live in the SoA / result layer; the
-    // CoreModel counter is only advanced by the scalar kernel's step()).
     // The sums run in locals: `it` may alias the SoA columns as far as the
     // compiler knows, so summing into its fields would store and reload
     // every partial sum.
@@ -307,45 +285,7 @@ void Chip::step_batched(double dt_seconds, double congestion) {
   }
   tick_.utilization = chip_util / static_cast<double>(cores);
   memory_.update(total_demand);
-}
-
-void Chip::step_scalar(double dt_seconds, double congestion) {
-  // The original object-walking tick loop, kept verbatim as the batched
-  // kernel's differential oracle. It additionally mirrors its results into
-  // the SoA arrays so downstream consumers (power, thermal, migration) see
-  // one layout regardless of kernel.
-  double total_demand = 0.0;
-  double chip_util = 0.0;
-  for (std::size_t i = 0; i < islands_.size(); ++i) {
-    IslandTick it = islands_[i].step(dt_seconds, congestion);
-    const DvfsPoint op = islands_[i].operating_point();
-    double isl_util = 0.0;
-    for (std::size_t c = 0; c < it.cores.size(); ++c) {
-      const std::size_t g = offsets_[i] + c;
-      const CoreTick& ct = it.cores[c];
-      soa_.demand_activity[g] = ct.activity;
-      soa_.freq_ghz[g] = op.freq_ghz;
-      soa_.inv_freq[g] = 1.0 / op.freq_ghz;
-      soa_.voltage[g] = op.voltage;
-      soa_.run_fraction[g] = 1.0 - ct.stall_fraction;
-      soa_.stall_fraction[g] = ct.stall_fraction;
-      soa_.activity_idle[g] = ct.activity_idle;
-      soa_.ceff_scale[g] = ct.ceff_scale;
-      soa_.instructions[g] = ct.instructions;
-      soa_.bips[g] = ct.bips;
-      soa_.utilization[g] = ct.utilization;
-      soa_.bandwidth_demand[g] = ct.bandwidth_demand;
-      isl_util += ct.utilization;
-    }
-    chip_util += isl_util;
-    tick_.total_bips += it.bips;
-    tick_.total_instructions += it.instructions;
-    total_demand += it.bandwidth_demand;
-    tick_.islands[i] = std::move(it);
-    if (!record_cores_) tick_.islands[i].cores.clear();
-  }
-  tick_.utilization = chip_util / static_cast<double>(num_cores());
-  memory_.update(total_demand);
+  return tick_;
 }
 
 }  // namespace cpm::sim

@@ -1,18 +1,20 @@
-// The CMP: islands + shared memory system, built from a CmpConfig and an
-// application mix (Table III). Chip::step advances every core one tick and
-// threads the shared-memory congestion coupling between them.
+// The CMP: islands of cores behind one DVFS actuator each, plus the shared
+// memory system, built from a CmpConfig and an application mix (Table III).
+// Chip::step advances every core one tick and threads the shared-memory
+// congestion coupling between them.
 //
 // Tick-state layout: the chip owns all per-core per-tick state as
 // structure-of-arrays in island-major flat core order: the workload demand
-// state in a workload::DemandBank, the rest in ChipSoa. The production tick
-// path (TickKernel::kBatched) steps the bank and then runs the core
+// state in a workload::DemandBank, the rest in ChipSoa. Each core's state
+// lives there once. A tick steps the bank and then runs the core
 // micro-model as flat sweeps over those arrays, which GCC vectorizes (their
 // loops carry `// vectorize:` tags the vectorize_guard test checks) and
-// which run at the host's vector width (util/isa.h). The legacy
-// object-walking loop (Chip -> Island::step -> CoreModel::step) is retained
-// as TickKernel::kScalarReference, a test-only differential oracle that the
-// fuzz harness holds bit-identical to the batched kernel. ChipTick /
-// IslandTick are thin record views filled from the SoA arrays each tick.
+// which run at the host's vector width (util/isa.h). The test tree's
+// reference chip (tests/support/reference_chip.h) steps the same model
+// object by object, one CoreModel per core under one DvfsActuator per
+// island; the tests and the fuzz harness run it in lockstep with this chip
+// and hold the two bit-identical. ChipTick / IslandTick are thin record
+// views filled from the SoA arrays each tick.
 #pragma once
 
 #include <cstddef>
@@ -21,19 +23,14 @@
 #include <vector>
 
 #include "sim/config.h"
-#include "sim/island.h"
+#include "sim/core.h"
+#include "sim/dvfs.h"
 #include "sim/memory.h"
 #include "util/isa.h"
 #include "workload/demand_bank.h"
 #include "workload/mixes.h"
 
 namespace cpm::sim {
-
-/// Which tick kernel Chip::step runs. kBatched is the production path;
-/// kScalarReference preserves the original per-object loop purely so
-/// differential tests (tests/fuzz/fuzz_sim --scenarios N runs every scenario
-/// through both) can prove the batched kernel bit-honest.
-enum class TickKernel { kBatched, kScalarReference };
 
 /// Contiguous per-core tick state, island-major (island i owns flat core
 /// indices [island_offset(i), island_offset(i+1))). Inputs are refreshed by
@@ -70,8 +67,8 @@ struct ChipSoa {
 
 namespace kernels {
 
-/// Pass 2 of the batched tick, the core micro-model, over `cores` flat
-/// columns at `isa` (both ISAs give the same bits). `cong_term` is
+/// Pass 2 of the tick, the core micro-model, over `cores` flat columns at
+/// `isa` (both ISAs give the same bits). `cong_term` is
 /// 1 + gamma * max(0, congestion) and `instr_scale` is 1e9 * dt, hoisted as
 /// CoreModel::step computes them. The outputs must not overlap the inputs.
 void micro_model_sweep(util::Isa isa, std::size_t cores, double cong_term,
@@ -81,6 +78,15 @@ void micro_model_sweep(util::Isa isa, std::size_t cores, double cong_term,
                        double* bips, double* util, double* bw) noexcept;
 
 }  // namespace kernels
+
+/// Aggregated island observation for one tick.
+struct IslandTick {
+  double bips = 0.0;              // summed over cores
+  double utilization = 0.0;       // mean over cores
+  double instructions = 0.0;      // summed
+  double bandwidth_demand = 0.0;  // summed
+  std::vector<CoreTick> cores;    // per-core detail (power/thermal inputs)
+};
 
 /// Full-chip observation for one tick.
 struct ChipTick {
@@ -100,16 +106,22 @@ class Chip {
   /// (same island count and total core count -- island sizes may differ
   /// from config.cores_per_island as long as the totals agree), or
   /// std::invalid_argument is thrown. All randomness derives from `seed`.
-  Chip(const CmpConfig& config, const workload::Mix& mix, std::uint64_t seed,
-       TickKernel kernel = TickKernel::kBatched);
+  Chip(const CmpConfig& config, const workload::Mix& mix, std::uint64_t seed);
+  // Each actuator points at this chip's own DVFS table, so a copy or a move
+  // would leave the new chip's actuators reading the old one's.
+  Chip(const Chip&) = delete;
+  Chip& operator=(const Chip&) = delete;
 
   /// Advances every core one tick. Returns a reference to an internal
   /// record that is overwritten by the next step() call; copy it to retain.
   const ChipTick& step(double dt_seconds);
 
-  std::size_t num_islands() const noexcept { return islands_.size(); }
-  Island& island(std::size_t idx) noexcept { return islands_[idx]; }
-  const Island& island(std::size_t idx) const noexcept { return islands_[idx]; }
+  std::size_t num_islands() const noexcept { return actuators_.size(); }
+  /// Island `idx`'s DVFS knob, shared by all its cores.
+  DvfsActuator& actuator(std::size_t idx) noexcept { return actuators_[idx]; }
+  const DvfsActuator& actuator(std::size_t idx) const noexcept {
+    return actuators_[idx];
+  }
 
   std::size_t num_cores() const noexcept { return offsets_.back(); }
   /// First flat core index of island `idx`; offsets_[num_islands()] is the
@@ -119,6 +131,10 @@ class Chip {
   }
   std::size_t island_size(std::size_t idx) const noexcept {
     return offsets_[idx + 1] - offsets_[idx];
+  }
+  /// The workload profile of the thread on flat core `g`.
+  const workload::BenchmarkProfile& core_profile(std::size_t g) const noexcept {
+    return demand_.profile(g);
   }
 
   /// The chip's flat per-core tick state (valid after the first step()).
@@ -131,49 +147,33 @@ class Chip {
   /// record-surface compatibility.
   void set_record_cores(bool record) noexcept { record_cores_ = record; }
   bool record_cores() const noexcept { return record_cores_; }
-  TickKernel kernel() const noexcept { return kernel_; }
 
   const CmpConfig& config() const noexcept { return config_; }
-  const MemorySystem& memory() const noexcept { return memory_; }
 
   /// Migrates (swaps) the threads on two cores of different islands, with
   /// their workload state, and charges `stall_seconds` of pipeline drain +
-  /// cache warmup to both islands.
+  /// cache warmup to both islands. An island or core index out of range
+  /// throws std::invalid_argument and leaves the chip unchanged.
   void migrate(std::size_t island_a, std::size_t core_a, std::size_t island_b,
                std::size_t core_b, double stall_seconds = 0.0);
 
-  /// Upper bound on chip dynamic+leakage power used to express budgets as a
-  /// percentage of "maximum chip power": every core at the top DVFS level,
-  /// full utilization, worst-case workload activity/capacitance.
-  /// (Computed by the power model; stored here at wiring time.)
-  void set_max_power(units::Watts watts) noexcept {
-    max_power_w_ = watts.value();
-  }
-  units::Watts max_power() const noexcept {
-    return units::Watts{max_power_w_};
-  }
-
  private:
-  void step_batched(double dt_seconds, double congestion);
-  void step_scalar(double dt_seconds, double congestion);
-  void sync_profile_constants(std::size_t island_idx);
+  void sync_profile_constants(std::size_t g);
 
   CmpConfig config_;
-  std::vector<Island> islands_;
+  std::vector<DvfsActuator> actuators_;  // one per island
   MemorySystem memory_;
-  TickKernel kernel_;
   bool record_cores_ = true;
-  double max_power_w_ = 0.0;
 
-  /// What an island's broadcast columns in soa_ were last written from (the
-  /// batched kernel's pass 1). The initial values force a first write.
+  /// What an island's broadcast columns in soa_ were last written from (pass
+  /// 1 of the tick). The initial values force a first write.
   struct IslandBroadcast {
     std::size_t level = static_cast<std::size_t>(-1);  // DVFS level index
     bool stalled = true;  // the stall columns may hold a nonzero stall
   };
 
   std::vector<std::size_t> offsets_;  // island -> first flat core index
-  workload::DemandBank demand_;       // the batched kernel's workload state
+  workload::DemandBank demand_;       // every core's workload state
   std::vector<IslandBroadcast> broadcast_;
   ChipSoa soa_;
   ChipTick tick_;  // reused across step() calls (no per-tick allocation)

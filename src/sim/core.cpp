@@ -15,9 +15,8 @@ CoreTick CoreModel::step(double dt_seconds, const DvfsPoint& op,
   const workload::Demand demand = workload_.step(dt_seconds);
 
   // Reciprocal-frequency and compute*(1/t) forms, NOT cpi/f and compute/t:
-  // the batched chip kernel hoists 1/f per island and reuses 1/t, and the
-  // scalar/batched bit-exactness contract requires the identical operations
-  // here.
+  // sim::Chip's tick hoists 1/f per island and reuses 1/t, and the
+  // reference chip that steps this model must match it bit for bit.
   const double inv_freq = 1.0 / op.freq_ghz;
   const double instr_scale = 1e9 * dt_seconds;
   const double compute_ns = demand.cpi * inv_freq;

@@ -4,6 +4,12 @@
 // the paper's Simics/GEMS LOPA cores: the controllers only consume
 // (utilization, BIPS, power) aggregates, which this model reproduces with the
 // correct frequency scaling for CPU- and memory-bound codes.
+//
+// CoreModel is the per-object form of the model: one core, stepping its own
+// workload::WorkloadInstance. sim::Chip builds none; it runs the same
+// arithmetic as flat sweeps over all its cores (sim/chip.h). The test
+// tree's reference chip (tests/support/reference_chip.h) steps one
+// CoreModel per core and holds sim::Chip bit-identical to it.
 #pragma once
 
 #include <cstdint>
@@ -33,10 +39,7 @@ class CoreModel {
 
   /// Advances one tick of dt seconds at operating point `op`, under shared
   /// memory congestion `congestion` (previous-tick value) and an island-wide
-  /// DVFS stall taking `stall_fraction` of the tick. This is the scalar
-  /// reference kernel's path: the batched kernel steps sim::Chip's
-  /// workload::DemandBank instead and leaves this core's workload state and
-  /// total_instructions() untouched.
+  /// DVFS stall taking `stall_fraction` of the tick.
   CoreTick step(double dt_seconds, const DvfsPoint& op, double congestion,
                 double stall_fraction);
 

@@ -14,7 +14,6 @@ MemorySystem::MemorySystem(double bandwidth_capacity)
 
 void MemorySystem::update(double total_bandwidth_demand) noexcept {
   congestion_ = std::max(0.0, total_bandwidth_demand) / capacity_;
-  stats_.add(congestion_);
 }
 
 }  // namespace cpm::sim

@@ -4,8 +4,6 @@
 // paper's motivation for coordinated, rather than purely local, management).
 #pragma once
 
-#include "util/stats.h"
-
 namespace cpm::sim {
 
 class MemorySystem {
@@ -22,12 +20,10 @@ class MemorySystem {
   void update(double total_bandwidth_demand) noexcept;
 
   double capacity() const noexcept { return capacity_; }
-  const util::RunningStats& congestion_stats() const noexcept { return stats_; }
 
  private:
   double capacity_;
   double congestion_ = 0.0;
-  util::RunningStats stats_;
 };
 
 }  // namespace cpm::sim

@@ -16,8 +16,9 @@
 //      multiplicative noise, with no branch on any row's state.
 // All columns live in two allocations (DemandRows), so a tick hands the
 // sweep three words instead of a pointer per column.
-// WorkloadInstance stays as the per-object reference (the scalar tick
-// kernel, and the tests and benchmark that time one instance).
+// WorkloadInstance stays as the per-object reference: sim::CoreModel steps
+// one (the test tree's reference chip is built from those), and the tests
+// and the benchmark time one instance.
 #pragma once
 
 #include <cstddef>

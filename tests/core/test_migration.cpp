@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/experiment.h"
+#include "support/reference_chip.h"
 #include "workload/mixes.h"
 
 namespace cpm::core {
@@ -78,30 +80,36 @@ TEST(Migration, EndToEndConvergesTowardHomogeneousGrouping) {
 }
 
 TEST(Migration, BatchedKernelMatchesScalarReference) {
-  // The batched tick keeps each thread's workload state in the chip's
-  // demand bank, so a migration must move the bank rows along with the
-  // threads. fuzz_sim holds the two kernels together but never migrates.
-  SimulationConfig batched = default_config(0.8, 21);
-  batched.enable_migration = true;
-  SimulationConfig scalar = batched;
-  scalar.tick_kernel = sim::TickKernel::kScalarReference;
-  Simulation batched_sim(batched);
-  Simulation scalar_sim(scalar);
-  const SimulationResult a = batched_sim.run(0.25);
-  const SimulationResult b = scalar_sim.run(0.25);
-  ASSERT_GE(a.migrations, 2u);
-  EXPECT_EQ(a.migrations, b.migrations);
-  EXPECT_EQ(a.total_instructions, b.total_instructions);
-  EXPECT_EQ(a.island_instructions, b.island_instructions);
-  EXPECT_EQ(a.island_energy_j, b.island_energy_j);
-  ASSERT_EQ(a.gpm_records.size(), b.gpm_records.size());
-  for (std::size_t i = 0; i < a.gpm_records.size(); ++i) {
-    EXPECT_EQ(a.gpm_records[i].island_actual_w,
-              b.gpm_records[i].island_actual_w)
-        << "window " << i;
-    EXPECT_EQ(a.gpm_records[i].island_bips, b.gpm_records[i].island_bips)
-        << "window " << i;
+  // The chip keeps each thread's workload state in its demand bank, so a
+  // migration must move the bank rows along with the threads. Here the
+  // advisor drives the swaps at SimulationRun's cadence and stall, and the
+  // chip must stay bit-identical to the reference chip, whose CoreModels
+  // carry their own workload state.
+  const SimulationConfig cfg = default_config(0.8, 21);
+  reference::ChipLockstep lock(cfg.cmp, cfg.mix, cfg.seed, false);
+  const sim::Chip& chip = lock.chip();
+  const MigrationAdvisor advisor(cfg.migration);
+  const std::size_t window =
+      cfg.cmp.ticks_per_pic_interval * cfg.cmp.pic_invocations_per_gpm();
+  std::vector<double> util(chip.num_cores(), 0.0);
+  std::size_t migrations = 0;
+  for (std::size_t t = 1; t <= 50 * window; ++t) {
+    ASSERT_EQ(lock.step(cfg.cmp.tick_seconds()), "") << "tick " << t;
+    for (std::size_t g = 0; g < util.size(); ++g) {
+      util[g] += chip.soa().utilization[g];
+    }
+    if (t % window != 0) continue;
+    for (double& u : util) u /= static_cast<double>(window);
+    const auto proposal =
+        advisor.propose(util, chip.num_islands(), cfg.cmp.cores_per_island);
+    if (proposal) {
+      lock.migrate(proposal->island_a, proposal->core_a, proposal->island_b,
+                   proposal->core_b, cfg.migration.migration_stall_s);
+      ++migrations;
+    }
+    std::fill(util.begin(), util.end(), 0.0);
   }
+  EXPECT_GE(migrations, 2u);
 }
 
 TEST(Migration, DisabledByDefault) {
@@ -111,15 +119,40 @@ TEST(Migration, DisabledByDefault) {
 
 TEST(Migration, ChipSwapMovesWorkloads) {
   sim::Chip chip(sim::CmpConfig::default_8core(), workload::mix1(), 3);
-  const auto* before_a = &chip.island(0).core(0).profile();
-  const auto* before_b = &chip.island(1).core(1).profile();
+  const std::size_t ga = chip.island_offset(0);
+  const std::size_t gb = chip.island_offset(1) + 1;
+  const auto* before_a = &chip.core_profile(ga);
+  const auto* before_b = &chip.core_profile(gb);
   chip.migrate(0, 0, 1, 1, /*stall=*/1e-4);
-  EXPECT_EQ(&chip.island(0).core(0).profile(), before_b);
-  EXPECT_EQ(&chip.island(1).core(1).profile(), before_a);
+  EXPECT_EQ(&chip.core_profile(ga), before_b);
+  EXPECT_EQ(&chip.core_profile(gb), before_a);
   // Both islands owe the migration stall.
-  EXPECT_GT(chip.island(0).actuator().pending_stall(), 0.0);
-  EXPECT_GT(chip.island(1).actuator().pending_stall(), 0.0);
+  EXPECT_GT(chip.actuator(0).pending_stall(), 0.0);
+  EXPECT_GT(chip.actuator(1).pending_stall(), 0.0);
   EXPECT_THROW(chip.migrate(0, 0, 9, 0), std::invalid_argument);
+}
+
+TEST(Migration, OutOfRangeCoreThrowsAndLeavesChipUnchanged) {
+  // mix1 has two cores per island: core index 2 is one past the end. The
+  // failed call must not swap, stall or touch any state: the chip keeps
+  // agreeing bit for bit with a reference chip that never saw it.
+  const sim::CmpConfig cfg = sim::CmpConfig::default_8core();
+  reference::ChipLockstep lock(cfg, workload::mix1(), 3, true);
+  sim::Chip& chip = lock.chip();
+  for (int i = 0; i < 20; ++i) ASSERT_EQ(lock.step(1e-4), "");
+  const auto* profile_0 = &chip.core_profile(0);
+  const auto* profile_3 = &chip.core_profile(3);
+  EXPECT_THROW(chip.migrate(0, 2, 1, 1, 1e-3), std::invalid_argument);
+  EXPECT_THROW(chip.migrate(0, 0, 1, 2, 1e-3), std::invalid_argument);
+  EXPECT_THROW(chip.migrate(3, 0, 0, 99, 1e-3), std::invalid_argument);
+  EXPECT_EQ(&chip.core_profile(0), profile_0);
+  EXPECT_EQ(&chip.core_profile(3), profile_3);
+  for (std::size_t i = 0; i < chip.num_islands(); ++i) {
+    EXPECT_EQ(chip.actuator(i).pending_stall(), 0.0) << "island " << i;
+  }
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_EQ(lock.step(1e-4), "") << "tick " << i;
+  }
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // schedule, actuation knobs, sensing pathologies) from a seeded util::rng
 // stream, then runs all five manager/policy variants (CPM x
 // perf/thermal/variation, MaxBIPS, NoDVFS) under an InvariantChecker and
-// asserts four differential guarantees on top of the per-record invariants:
+// asserts five differential guarantees on top of the per-record invariants:
 //
 //   1. determinism  -- the same seed produces bit-identical results whether
 //                      the five variants run serially or via
@@ -15,10 +15,15 @@
 //   3. time-slicing -- advance(T) is equivalent to any partition
 //                      advance(t1)..advance(tk) with sum(ti) = T (the
 //                      fractional-tick carry contract);
-//   4. batched-vs-scalar -- the production SoA tick kernel
-//                      (sim::TickKernel::kBatched) and the legacy per-object
-//                      scalar kernel (kScalarReference) produce bit-identical
-//                      results for every variant;
+//   4. chip-vs-reference -- sim::Chip, stepped in lockstep with the test
+//                      tree's object-walking reference chip
+//                      (tests/support/reference_chip.h) on the scenario's
+//                      chip, under a seeded stream of every actuator call
+//                      SimulationRun and calibration make (start-up levels,
+//                      PIC requests, MaxBIPS and calibration set_level,
+//                      migrations with short and long stalls), agrees with
+//                      it bit for bit at every tick: the tick record, the
+//                      per-core SoA columns and every actuator's state;
 //   5. cluster-threads / cluster-shards -- a ClusterPowerManager run over
 //                      a small random fleet (randomized objective, share
 //                      floor, integral trim) produces bit-identical results
@@ -45,6 +50,7 @@
 #include "core/record_sink.h"
 #include "core/simulation.h"
 #include "core/trace_io.h"
+#include "support/reference_chip.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "workload/mixes.h"
@@ -277,6 +283,7 @@ class FuzzRun {
   const std::vector<Failure>& failures() const noexcept { return failures_; }
   std::size_t simulations() const noexcept { return simulations_; }
   std::size_t records_checked() const noexcept { return records_checked_; }
+  std::size_t lockstep_ticks() const noexcept { return lockstep_ticks_; }
 
  private:
   void fail(std::size_t scenario, const std::string& variant,
@@ -294,6 +301,7 @@ class FuzzRun {
   std::vector<Failure> failures_;
   std::size_t simulations_ = 0;
   std::size_t records_checked_ = 0;
+  std::size_t lockstep_ticks_ = 0;
 };
 
 void FuzzRun::check_round_trip(std::size_t index, const VariantSpec& variant,
@@ -409,27 +417,26 @@ bool FuzzRun::run_scenario(std::size_t index) {
     fail(index, "all", "parallel-exception", e.what());
   }
 
-  // Differential: the batched production kernel vs the scalar reference
-  // kernel, full pipeline (calibration included), every variant. The scalar
-  // kernel is the pre-SoA per-object loop kept precisely as this oracle; any
-  // arithmetic drift between the two tick paths surfaces here as the first
-  // divergent record.
-  for (std::size_t v = 0; v < kNumVariants; ++v) {
-    if (serial.size() <= v) break;  // serial pass bailed on this variant
-    try {
-      core::SimulationConfig scalar_config = configs[v];
-      scalar_config.tick_kernel = sim::TickKernel::kScalarReference;
-      core::Simulation sim(scalar_config);
-      const core::SimulationResult scalar = sim.run(duration);
-      ++simulations_;
-      const std::string diff = diff_results(serial[v], scalar);
-      if (!diff.empty()) {
-        fail(index, kVariants[v].name, "batched-vs-scalar",
-             "first divergence: " + diff);
-      }
-    } catch (const std::exception& e) {
-      fail(index, kVariants[v].name, "scalar-exception", e.what());
+  // Differential: sim::Chip vs the reference chip, in lockstep over as
+  // many ticks as a variant's calibration and run together, under a random
+  // stream of actuator calls and migrations. The stream has its own seed,
+  // so the scenario's other draws are unchanged. SimulationRun is a
+  // deterministic function of the per-tick outputs compared here and of
+  // those calls, so any drift of the chip's tick shows here as the first
+  // divergent tick.
+  try {
+    const std::size_t ticks =
+        static_cast<std::size_t>(duration / base.cmp.tick_seconds() + 0.5) +
+        40 * base.cmp.ticks_per_pic_interval;
+    const reference::LockstepReport lockstep = reference::run_random_lockstep(
+        base.cmp, base.mix, base.seed, base.seed ^ 0x10C57E9ULL, ticks);
+    lockstep_ticks_ += lockstep.ticks;
+    if (!lockstep.divergence.empty()) {
+      fail(index, "chip", "chip-vs-reference",
+           "first divergence: " + lockstep.divergence);
     }
+  } catch (const std::exception& e) {
+    fail(index, "chip", "lockstep-exception", e.what());
   }
 
   // Differential: 1-thread vs N-thread ClusterPowerManager over a small
@@ -600,6 +607,7 @@ int main(int argc, char** argv) {
       std::cout << "fuzz: " << (k + 1) << "/" << count << " scenarios, "
                 << fuzz.simulations() << " simulations, "
                 << fuzz.records_checked() << " records checked, "
+                << fuzz.lockstep_ticks() << " lockstep chip ticks, "
                 << fuzz.failures().size() << " failures\n";
     }
   }

@@ -115,8 +115,6 @@ std::vector<GoldenCase> golden_cases() {
   const SimulationConfig base = default_config();
   SimulationConfig maxbips_dynamic = with_manager(base, ManagerKind::kMaxBips);
   maxbips_dynamic.maxbips_dynamic = true;
-  SimulationConfig scalar = base;
-  scalar.tick_kernel = sim::TickKernel::kScalarReference;
   SimulationConfig no_cal_time = base;
   no_cal_time.calibration_seconds = 0.0;
   SimulationConfig adaptive = base;
@@ -140,7 +138,6 @@ std::vector<GoldenCase> golden_cases() {
       {"maxbips_dynamic", maxbips_dynamic, 0x10ee7193df4aa0f6ULL},
       {"nodvfs", with_manager(base, ManagerKind::kNoDvfs),
        0x4e12aae5f1fa5123ULL},
-      {"scalar_kernel", scalar, 0x1734ef61e3add27bULL},
       {"calibration_seconds_0", no_cal_time, 0x4a7958ca433729f6ULL},
       {"adaptive_noise", adaptive, 0x9a9249b3640f6463ULL},
       {"migration", migration, 0x90ddd21130946631ULL},

@@ -36,6 +36,32 @@ TEST(Simulation, RejectsNanScheduledBudgetFraction) {
   EXPECT_THROW(Simulation{cfg}, std::invalid_argument);
 }
 
+// calibrate() casts calibration_seconds / dt to a tick count: a value that
+// is not a finite, non-negative, representable count is rejected up front.
+TEST(Simulation, RejectsNanCalibrationSeconds) {
+  SimulationConfig cfg = default_config();
+  cfg.calibration_seconds = std::nan("");
+  EXPECT_THROW(Simulation{cfg}, std::invalid_argument);
+}
+
+TEST(Simulation, RejectsNegativeCalibrationSeconds) {
+  SimulationConfig cfg = default_config();
+  cfg.calibration_seconds = -1.0;
+  EXPECT_THROW(Simulation{cfg}, std::invalid_argument);
+}
+
+TEST(Simulation, RejectsInfiniteCalibrationSeconds) {
+  SimulationConfig cfg = default_config();
+  cfg.calibration_seconds = HUGE_VAL;
+  EXPECT_THROW(Simulation{cfg}, std::invalid_argument);
+}
+
+TEST(Simulation, RejectsCalibrationTickCountThatDoesNotFit) {
+  SimulationConfig cfg = default_config();
+  cfg.calibration_seconds = 1e300;  // 1e304 ticks of 0.1 ms
+  EXPECT_THROW(Simulation{cfg}, std::invalid_argument);
+}
+
 TEST(Simulation, CalibrationProducesPlausibleModels) {
   Simulation sim(default_config());
   const CalibrationResult& cal = sim.calibration();
@@ -173,6 +199,16 @@ TEST(SimulationRun, LifecycleGuards) {
   // Live observables are invalid once finish() has consumed the run.
   EXPECT_THROW(live->instructions(), std::logic_error);
   EXPECT_THROW(live->last_window_power().value(), std::logic_error);
+}
+
+TEST(SimulationRun, AdvanceRejectsTickCountThatDoesNotFit) {
+  Simulation sim(default_config(0.8, 17));
+  auto live = sim.start();
+  EXPECT_THROW(live->advance(1e300), std::invalid_argument);
+  // The rejected call leaves the run where it was.
+  EXPECT_EQ(live->elapsed_s(), 0.0);
+  live->advance(0.01);
+  EXPECT_DOUBLE_EQ(live->elapsed_s(), 0.01);
 }
 
 TEST(SimulationRun, MidRunBudgetChangeApplies) {

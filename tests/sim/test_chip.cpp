@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 
-#include "util/rng.h"
+#include "support/reference_chip.h"
 #include "workload/mixes.h"
 #include "workload/profile.h"
 
@@ -14,7 +15,7 @@ namespace {
 TEST(Chip, BuildsFromDefaultConfigAndMix1) {
   Chip chip(CmpConfig::default_8core(), workload::mix1(), 42);
   EXPECT_EQ(chip.num_islands(), 4u);
-  EXPECT_EQ(chip.island(0).num_cores(), 2u);
+  EXPECT_EQ(chip.island_size(0), 2u);
 }
 
 TEST(Chip, RejectsTopologyMismatch) {
@@ -69,8 +70,8 @@ TEST(Chip, CongestionCouplesIslands) {
   cfg.memory_bandwidth_capacity = 1.0;  // force heavy contention
   Chip contended(cfg, workload::mix1(), 5);
   Chip relieved(cfg, workload::mix1(), 5);
-  relieved.island(0).actuator().set_level(0);  // slow island 0 only
-  relieved.island(0).actuator().consume_stall(1.0);
+  relieved.actuator(0).set_level(0);  // slow island 0 only
+  relieved.actuator(0).consume_stall(1.0);
 
   double cong_contended = 0.0, cong_relieved = 0.0;
   for (int i = 0; i < 500; ++i) {
@@ -83,19 +84,19 @@ TEST(Chip, CongestionCouplesIslands) {
 TEST(Chip, ScalingConfigsBuild) {
   Chip c16(CmpConfig::scale_16core(), workload::mix3(1), 1);
   EXPECT_EQ(c16.num_islands(), 4u);
-  EXPECT_EQ(c16.island(0).num_cores(), 4u);
+  EXPECT_EQ(c16.island_size(0), 4u);
   Chip c32(CmpConfig::scale_32core(), workload::mix3(2), 1);
   EXPECT_EQ(c32.num_islands(), 8u);
   Chip t8(CmpConfig::thermal_8x1(), workload::thermal_mix(), 1);
   EXPECT_EQ(t8.num_islands(), 8u);
-  EXPECT_EQ(t8.island(0).num_cores(), 1u);
+  EXPECT_EQ(t8.island_size(0), 1u);
 }
 
 TEST(Chip, DvfsTransitionStallsWholeIsland) {
   Chip chip(CmpConfig::default_8core(), workload::mix1(), 9);
   // Make a transition, then step one tick: cores should see the stall
   // (the transition stall is 0.5 % of 0.5 ms = 2.5 us; tick 1 us is inside).
-  chip.island(0).actuator().set_level(0);
+  chip.actuator(0).set_level(0);
   const ChipTick tick = chip.step(1e-6);
   for (const auto& core : tick.islands[0].cores) {
     EXPECT_DOUBLE_EQ(core.stall_fraction, 1.0);
@@ -122,8 +123,8 @@ TEST(Chip, UnevenIslandUtilizationIsCoreWeighted) {
                          &workload::find_profile("canneal"),
                          &workload::find_profile("canneal")});
   Chip chip(cfg, mix, 11);
-  ASSERT_EQ(chip.island(0).num_cores(), 1u);
-  ASSERT_EQ(chip.island(1).num_cores(), 3u);
+  ASSERT_EQ(chip.island_size(0), 1u);
+  ASSERT_EQ(chip.island_size(1), 3u);
 
   bool aggregates_differ = false;
   for (int i = 0; i < 50; ++i) {
@@ -144,101 +145,51 @@ TEST(Chip, UnevenIslandUtilizationIsCoreWeighted) {
   EXPECT_TRUE(aggregates_differ);
 }
 
+TEST(Chip, IsNeitherCopyableNorMovable) {
+  // Every island's actuator points at the chip's own DVFS table: a copied
+  // or moved chip would read the source's table after it is destroyed.
+  EXPECT_FALSE(std::is_copy_constructible_v<Chip>);
+  EXPECT_FALSE(std::is_copy_assignable_v<Chip>);
+  EXPECT_FALSE(std::is_move_constructible_v<Chip>);
+  EXPECT_FALSE(std::is_move_assignable_v<Chip>);
+}
+
 TEST(Chip, ScalarAndBatchedKernelsAgreeBitExact) {
-  // The legacy per-object scalar kernel is kept solely as a differential
-  // oracle for the batched SoA kernel: every tick field must agree
+  // The object-walking scalar loop lives on as the test tree's reference
+  // chip: every tick field, SoA column and actuator state must agree
   // bit-for-bit, DVFS transitions and congestion coupling included.
   CmpConfig cfg = CmpConfig::default_8core();
   cfg.memory_bandwidth_capacity = 24.0;  // keep congestion in play
-  Chip batched(cfg, workload::mix1(), 21, TickKernel::kBatched);
-  Chip scalar(cfg, workload::mix1(), 21, TickKernel::kScalarReference);
-  for (int i = 0; i < 300; ++i) {
-    if (i == 100) {  // mid-run DVFS transition on one island
-      batched.island(1).actuator().set_level(1);
-      scalar.island(1).actuator().set_level(1);
-    }
-    const ChipTick tb = batched.step(1e-4);
-    const ChipTick ts = scalar.step(1e-4);
-    ASSERT_EQ(tb.total_bips, ts.total_bips);
-    ASSERT_EQ(tb.total_instructions, ts.total_instructions);
-    ASSERT_EQ(tb.utilization, ts.utilization);
-    ASSERT_EQ(tb.congestion, ts.congestion);
-    ASSERT_EQ(tb.islands.size(), ts.islands.size());
-    for (std::size_t k = 0; k < tb.islands.size(); ++k) {
-      ASSERT_EQ(tb.islands[k].bips, ts.islands[k].bips);
-      ASSERT_EQ(tb.islands[k].bandwidth_demand, ts.islands[k].bandwidth_demand);
-      ASSERT_EQ(tb.islands[k].utilization, ts.islands[k].utilization);
-      for (std::size_t c = 0; c < tb.islands[k].cores.size(); ++c) {
-        ASSERT_EQ(tb.islands[k].cores[c].instructions,
-                  ts.islands[k].cores[c].instructions);
-        ASSERT_EQ(tb.islands[k].cores[c].utilization,
-                  ts.islands[k].cores[c].utilization);
+  for (const bool record_cores : {true, false}) {
+    reference::ChipLockstep lock(cfg, workload::mix1(), 21, record_cores);
+    for (int i = 0; i < 300; ++i) {
+      if (i == 100) {  // mid-run DVFS transition on one island
+        lock.on_actuator(1, [](DvfsActuator& a) { a.set_level(1); });
       }
+      ASSERT_EQ(lock.step(1e-4), "") << "tick " << i;
     }
+    EXPECT_GT(lock.chip().step(1e-4).congestion, 0.0);
   }
 }
 
 TEST(Chip, KernelsAgreeBitExactAcrossMigrations) {
-  // A migration swaps two threads' workload state: CoreModels on the
-  // scalar path, demand-bank rows on the batched one. Along the way every
-  // kind of operating-point change the batched kernel's broadcast must pick
-  // up: PIC frequency requests, MaxBIPS-style set_level (some to the level
-  // already set, which changes nothing), their transition stalls, and
-  // migration stalls both shorter and longer than a tick.
+  // A migration swaps two threads' workload state: CoreModels in the
+  // reference, demand-bank rows in the chip. Along the way every kind of
+  // operating-point change the chip's broadcast must pick up: PIC frequency
+  // requests, MaxBIPS and calibration set_level (some to the level already
+  // set, which changes nothing), their transition stalls, and migration
+  // stalls both shorter and longer than a tick.
   const CmpConfig cfg = CmpConfig::default_8core();
-  Chip batched(cfg, workload::mix1(), 5, TickKernel::kBatched);
-  Chip scalar(cfg, workload::mix1(), 5, TickKernel::kScalarReference);
-  util::Xoshiro256pp rng(99);
-  const auto both = [&](auto&& change) {
-    change(batched);
-    change(scalar);
-  };
-  for (int i = 0; i < 900; ++i) {
-    if (i % 150 == 40) {
-      const std::size_t a = static_cast<std::size_t>(i / 150) % 4;
-      const std::size_t b = (a + 1) % 4;
-      const double stall = i % 300 == 40 ? 2e-5 : 2.5e-4;
-      both([&](Chip& c) { c.migrate(a, 0, b, 1, stall); });
-    }
-    if (i % 5 == 0) {  // a PIC boundary on one island
-      const std::size_t isl = static_cast<std::size_t>(i / 5) % 4;
-      const units::GigaHertz f{rng.uniform(0.5, 2.1)};
-      both([&](Chip& c) { c.island(isl).actuator().request_frequency(f); });
-    }
-    if (i % 50 == 25) {  // a GPM boundary setting every island's level
-      for (std::size_t isl = 0; isl < 4; ++isl) {
-        const std::size_t level =
-            i % 100 == 25 ? batched.island(isl).actuator().current_level()
-                          : rng.uniform_int(cfg.dvfs.num_levels());
-        both([&](Chip& c) { c.island(isl).actuator().set_level(level); });
-      }
-    }
-    const ChipTick& tb = batched.step(1e-4);
-    const ChipTick& ts = scalar.step(1e-4);
-    ASSERT_EQ(tb.total_bips, ts.total_bips) << "tick " << i;
-    ASSERT_EQ(tb.total_instructions, ts.total_instructions) << "tick " << i;
-    ASSERT_EQ(tb.utilization, ts.utilization) << "tick " << i;
-    const ChipSoa& sb = batched.soa();
-    const ChipSoa& ss = scalar.soa();
-    for (std::size_t g = 0; g < batched.num_cores(); ++g) {
-      ASSERT_EQ(sb.demand_activity[g], ss.demand_activity[g])
-          << "tick " << i << " core " << g;
-      ASSERT_EQ(sb.freq_ghz[g], ss.freq_ghz[g]) << "tick " << i << " core " << g;
-      ASSERT_EQ(sb.inv_freq[g], ss.inv_freq[g]) << "tick " << i << " core " << g;
-      ASSERT_EQ(sb.voltage[g], ss.voltage[g]) << "tick " << i << " core " << g;
-      ASSERT_EQ(sb.run_fraction[g], ss.run_fraction[g])
-          << "tick " << i << " core " << g;
-      ASSERT_EQ(sb.stall_fraction[g], ss.stall_fraction[g])
-          << "tick " << i << " core " << g;
-      ASSERT_EQ(sb.bips[g], ss.bips[g]) << "tick " << i << " core " << g;
-    }
+  for (std::uint64_t stream = 1; stream <= 4; ++stream) {
+    const reference::LockstepReport report =
+        reference::run_random_lockstep(cfg, workload::mix1(), 5, stream, 900);
+    ASSERT_EQ(report.divergence, "") << "stream " << stream;
+    EXPECT_EQ(report.ticks, 900u);
+    // The schedule must have exercised what it claims to.
+    EXPECT_GT(report.transitions, 50u);
+    EXPECT_GT(report.migrations, 2u);
+    EXPECT_GT(report.stalled_ticks, 50u);
   }
-  // The schedule must have exercised what it claims to.
-  std::size_t transitions = 0;
-  for (std::size_t isl = 0; isl < 4; ++isl) {
-    transitions += batched.island(isl).actuator().transition_count();
-  }
-  EXPECT_GT(transitions, 50u);
 }
 
 TEST(CmpConfig, DerivedQuantities) {

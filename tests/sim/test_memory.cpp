@@ -37,14 +37,5 @@ TEST(Memory, OneTickDelaySemantics) {
   EXPECT_DOUBLE_EQ(m.congestion(), 1.0);
 }
 
-TEST(Memory, StatsTrackHistory) {
-  MemorySystem m(2.0);
-  m.update(1.0);
-  m.update(3.0);
-  EXPECT_EQ(m.congestion_stats().count(), 2u);
-  EXPECT_DOUBLE_EQ(m.congestion_stats().mean(), 1.0);
-  EXPECT_DOUBLE_EQ(m.congestion_stats().max(), 1.5);
-}
-
 }  // namespace
 }  // namespace cpm::sim
