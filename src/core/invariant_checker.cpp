@@ -254,18 +254,4 @@ InvariantCheckerConfig checker_config_for(const Simulation& sim) {
   return cc;
 }
 
-std::optional<InvariantViolation> check_pipeline_accounting(
-    const sim::PipelineRunStats& stats) {
-  if (stats.accounting_closed()) return std::nullopt;
-  InvariantViolation v;
-  v.invariant = "pipeline.cycle_accounting";
-  std::ostringstream os;
-  os << "cycles=" << stats.cycles
-     << " != fetch_stall=" << stats.fetch_stall_cycles
-     << " + rob_full=" << stats.rob_full_cycles
-     << " + dispatch=" << stats.dispatch_cycles;
-  v.detail = os.str();
-  return v;
-}
-
 }  // namespace cpm::core

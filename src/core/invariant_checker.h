@@ -29,7 +29,6 @@
 #include "core/thermal_policy.h"
 #include "core/types.h"
 #include "sim/dvfs.h"
-#include "sim/pipeline.h"
 
 namespace cpm::core {
 
@@ -140,12 +139,5 @@ class CheckingSink : public RecordSink {
 /// table, its PIC step clamp (CPM only), and -- for thermal-aware runs --
 /// the same resolved thermal constraints the policy uses.
 InvariantCheckerConfig checker_config_for(const Simulation& sim);
-
-/// Validates the pipeline front-end cycle-accounting closure (invariant
-/// "pipeline.cycle_accounting"): every simulated cycle is exactly one of
-/// fetch-stalled / ROB-full / dispatching, including the mispredict-flush
-/// path. Returns the violation, or std::nullopt when the books close.
-std::optional<InvariantViolation> check_pipeline_accounting(
-    const sim::PipelineRunStats& stats);
 
 }  // namespace cpm::core

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "sim/config.h"
-#include "workload/memtrace.h"
+#include "workload/profile.h"
 
 namespace cpm::power {
 

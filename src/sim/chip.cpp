@@ -160,6 +160,9 @@ void Chip::migrate(std::size_t island_a, std::size_t core_a,
   if (core_a >= island_size(island_a) || core_b >= island_size(island_b)) {
     throw std::invalid_argument("Chip::migrate: core out of range");
   }
+  if (island_a == island_b) {
+    throw std::invalid_argument("Chip::migrate: both cores on one island");
+  }
   const std::size_t ga = offsets_[island_a] + core_a;
   const std::size_t gb = offsets_[island_b] + core_b;
   demand_.swap_rows(ga, gb);

@@ -152,8 +152,9 @@ class Chip {
 
   /// Migrates (swaps) the threads on two cores of different islands, with
   /// their workload state, and charges `stall_seconds` of pipeline drain +
-  /// cache warmup to both islands. An island or core index out of range
-  /// throws std::invalid_argument and leaves the chip unchanged.
+  /// cache warmup to both islands. An island or core index out of range,
+  /// or two cores of one island, throws std::invalid_argument and leaves
+  /// the chip unchanged.
   void migrate(std::size_t island_a, std::size_t core_a, std::size_t island_b,
                std::size_t core_b, double stall_seconds = 0.0);
 

@@ -36,8 +36,6 @@ CoreTick CoreModel::step(double dt_seconds, const DvfsPoint& op,
   tick.activity_idle = workload_.profile().activity_idle;
   tick.ceff_scale = workload_.profile().ceff_scale;
   tick.bandwidth_demand = bips_running * demand.bandwidth_demand * run_fraction;
-
-  total_instructions_ += tick.instructions;
   return tick;
 }
 

@@ -46,12 +46,10 @@ class CoreModel {
   const workload::BenchmarkProfile& profile() const noexcept {
     return workload_.profile();
   }
-  double total_instructions() const noexcept { return total_instructions_; }
 
  private:
   workload::WorkloadInstance workload_;
   double contention_gamma_;
-  double total_instructions_ = 0.0;
 };
 
 }  // namespace cpm::sim

@@ -173,6 +173,32 @@ constexpr std::array<BenchmarkProfile, 4> kSpec{{
      1.05, 0.08, 0.08, 1.00, 0.10, 1.20, 0.012, kSixtrackPhases},
 }};
 
+struct NamedMix {
+  std::string_view name;
+  InstructionMix mix;
+};
+
+// Fractions in field order: int_alu, fp_alu, load, store, branch.
+constexpr std::array<NamedMix, 17> kInstructionMixes{{
+    {"blackscholes", {0.25, 0.45, 0.20, 0.05, 0.05}},
+    {"bodytrack", {0.30, 0.30, 0.25, 0.08, 0.07}},
+    {"facesim", {0.25, 0.30, 0.30, 0.10, 0.05}},
+    {"freqmine", {0.40, 0.05, 0.30, 0.10, 0.15}},
+    {"x264", {0.35, 0.20, 0.25, 0.12, 0.08}},
+    {"vips", {0.30, 0.15, 0.30, 0.20, 0.05}},
+    {"streamcluster", {0.30, 0.15, 0.35, 0.10, 0.10}},
+    {"canneal", {0.30, 0.05, 0.40, 0.15, 0.10}},
+    {"swaptions", {0.25, 0.50, 0.17, 0.05, 0.03}},
+    {"raytrace", {0.30, 0.30, 0.25, 0.05, 0.10}},
+    {"fluidanimate", {0.28, 0.27, 0.28, 0.12, 0.05}},
+    {"ferret", {0.32, 0.18, 0.32, 0.08, 0.10}},
+    {"dedup", {0.40, 0.02, 0.33, 0.15, 0.10}},
+    {"mesa", {0.30, 0.35, 0.22, 0.08, 0.05}},
+    {"bzip", {0.45, 0.02, 0.30, 0.13, 0.10}},
+    {"gcc", {0.42, 0.03, 0.28, 0.12, 0.15}},
+    {"sixtrack", {0.25, 0.50, 0.17, 0.05, 0.03}},
+}};
+
 }  // namespace
 
 std::span<const BenchmarkProfile> parsec_profiles() { return kParsec; }
@@ -193,6 +219,14 @@ const BenchmarkProfile& find_profile(std::string_view name) {
   }
   throw std::invalid_argument("unknown benchmark profile: " +
                               std::string(name));
+}
+
+const InstructionMix& instruction_mix(std::string_view profile_name) {
+  for (const auto& entry : kInstructionMixes) {
+    if (entry.name == profile_name) return entry.mix;
+  }
+  throw std::invalid_argument("instruction_mix: unknown benchmark " +
+                              std::string(profile_name));
 }
 
 }  // namespace cpm::workload

@@ -83,4 +83,18 @@ std::span<const BenchmarkProfile> extra_parsec_profiles();
 /// std::invalid_argument if unknown.
 const BenchmarkProfile& find_profile(std::string_view name);
 
+/// Per-instruction kind fractions of a code; they sum to 1. They weight the
+/// per-structure activity of power::StructuralPowerModel.
+struct InstructionMix {
+  double int_alu = 0.4;
+  double fp_alu = 0.1;
+  double load = 0.3;
+  double store = 0.1;
+  double branch = 0.1;
+};
+
+/// Instruction mix of every profile in the three suites, by full name;
+/// throws std::invalid_argument if unknown.
+const InstructionMix& instruction_mix(std::string_view profile_name);
+
 }  // namespace cpm::workload

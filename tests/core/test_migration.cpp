@@ -155,5 +155,31 @@ TEST(Migration, OutOfRangeCoreThrowsAndLeavesChipUnchanged) {
   }
 }
 
+TEST(Migration, SameIslandThrowsAndLeavesChipUnchanged) {
+  // A swap inside one island would charge that island the stall twice. Both
+  // chips reject it before touching any state, so they keep agreeing bit for
+  // bit after the failed calls.
+  const sim::CmpConfig cfg = sim::CmpConfig::default_8core();
+  reference::ChipLockstep lock(cfg, workload::mix1(), 3, true);
+  sim::Chip& chip = lock.chip();
+  for (int i = 0; i < 20; ++i) ASSERT_EQ(lock.step(1e-4), "");
+  const auto* profile_0 = &chip.core_profile(0);
+  const auto* profile_1 = &chip.core_profile(1);
+  EXPECT_THROW(lock.migrate(0, 0, 0, 1, 1e-4), std::invalid_argument);
+  EXPECT_THROW(chip.migrate(2, 1, 2, 1, 1e-4), std::invalid_argument);
+  EXPECT_EQ(&chip.core_profile(0), profile_0);
+  EXPECT_EQ(&chip.core_profile(1), profile_1);
+  for (std::size_t i = 0; i < chip.num_islands(); ++i) {
+    EXPECT_EQ(chip.actuator(i).pending_stall(), 0.0) << "island " << i;
+  }
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_EQ(lock.step(1e-4), "") << "tick " << i;
+  }
+  // The reference rejects the call on its own, too.
+  reference::ReferenceChip ref(cfg, workload::mix1(), 3);
+  EXPECT_THROW(ref.migrate(1, 0, 1, 1, 1e-4), std::invalid_argument);
+  EXPECT_EQ(ref.actuator(1).pending_stall(), 0.0);
+}
+
 }  // namespace
 }  // namespace cpm::core

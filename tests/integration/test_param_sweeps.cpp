@@ -1,6 +1,6 @@
-// Parameterized property sweeps across module boundaries: cache geometry
-// laws, PID design-space consistency (algebraic stability vs simulated
-// convergence), and DVFS actuator optimality.
+// Parameterized property sweeps across module boundaries: PID design-space
+// consistency (algebraic stability vs simulated convergence) and DVFS
+// actuator optimality.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,57 +9,11 @@
 #include "control/analysis.h"
 #include "control/pid.h"
 #include "control/stability.h"
-#include "sim/cache.h"
 #include "sim/dvfs.h"
-#include "util/rng.h"
 #include "util/units.h"
 
 namespace cpm {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Cache geometry: bigger caches and more ways never hurt a random working
-// set; miss rate is ~1 when the working set is far larger than the cache.
-// ---------------------------------------------------------------------------
-class CacheGeometrySweep
-    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
-
-TEST_P(CacheGeometrySweep, RandomWorkingSetMissRateLaws) {
-  const auto [size_kb, ways] = GetParam();
-  sim::SetAssocCache cache(size_kb, ways, 64);
-  sim::SetAssocCache bigger(size_kb * 4, ways, 64);
-  util::Xoshiro256pp rng(99);
-
-  // Random accesses within a working set twice the small cache's size.
-  const std::uint64_t ws = size_kb * 2 * 1024;
-  for (int i = 0; i < 30000; ++i) {
-    const std::uint64_t addr = rng.uniform_int(ws) & ~63ULL;
-    cache.access(addr, false);
-    bigger.access(addr, false);
-  }
-  EXPECT_LE(bigger.stats().miss_rate(), cache.stats().miss_rate() + 0.01);
-  EXPECT_GT(cache.stats().miss_rate(), 0.2);  // WS 2x the cache: real misses
-}
-
-TEST_P(CacheGeometrySweep, FittingWorkingSetConverges) {
-  const auto [size_kb, ways] = GetParam();
-  sim::SetAssocCache cache(size_kb, ways, 64);
-  util::Xoshiro256pp rng(7);
-  const std::uint64_t ws = size_kb * 1024 / 2;  // half the cache
-  for (int i = 0; i < 20000; ++i) {
-    cache.access(rng.uniform_int(ws) & ~63ULL, false);
-  }
-  cache.reset_stats();
-  for (int i = 0; i < 20000; ++i) {
-    cache.access(rng.uniform_int(ws) & ~63ULL, false);
-  }
-  EXPECT_LT(cache.stats().miss_rate(), 0.01);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Geometries, CacheGeometrySweep,
-    ::testing::Combine(::testing::Values(16ul, 64ul, 256ul),
-                       ::testing::Values(1ul, 2ul, 8ul)));
 
 // ---------------------------------------------------------------------------
 // PID design space: the algebraic stability verdict (Jury) must agree with

@@ -2,7 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "workload/profile.h"
+
+namespace cpm::workload {
+
+// Names the parameter of CoreModelFrequencyScaling in test listings.
+static void PrintTo(const BenchmarkProfile& profile, std::ostream* os) {
+  *os << profile.name;
+}
+
+}  // namespace cpm::workload
 
 namespace cpm::sim {
 namespace {
@@ -32,26 +43,33 @@ double mean_util(const workload::BenchmarkProfile& profile, double freq_ghz) {
   return sum / kSteps;
 }
 
-TEST(CoreModel, CpuBoundScalesNearlyLinearlyWithFrequency) {
-  const auto& p = workload::find_profile("bschls");
-  const double b1 = mean_bips(p, 1.0);
-  const double b2 = mean_bips(p, 2.0);
-  // Perfect scaling would be 2.0; cpu-bound must be close.
-  EXPECT_GT(b2 / b1, 1.7);
+// Frequency scaling across the DVFS table's range (0.6 -> 2.0 GHz) for
+// each of the paper's eight PARSEC profiles: every CPU-bound code speeds up
+// more than every memory-bound one, and utilization falls as f rises.
+double speedup(const workload::BenchmarkProfile& profile) {
+  return mean_bips(profile, 2.0) / mean_bips(profile, 0.6);
 }
 
-TEST(CoreModel, MemoryBoundBarelyScalesWithFrequency) {
-  const auto& p = workload::find_profile("canneal");
-  const double b1 = mean_bips(p, 1.0);
-  const double b2 = mean_bips(p, 2.0);
-  EXPECT_LT(b2 / b1, 1.35);
-  EXPECT_GT(b2 / b1, 1.0);  // but still monotone
-}
+class CoreModelFrequencyScaling
+    : public ::testing::TestWithParam<workload::BenchmarkProfile> {};
 
-TEST(CoreModel, UtilizationFallsWithFrequencyForMemoryBound) {
-  const auto& p = workload::find_profile("sclust");
+TEST_P(CoreModelFrequencyScaling, ClassesSeparateAndUtilizationFalls) {
+  const workload::BenchmarkProfile& p = GetParam();
+  const double s = speedup(p);
+  EXPECT_GT(s, 1.0);
+  for (const auto& other : workload::parsec_profiles()) {
+    if (other.cpu_bound() == p.cpu_bound()) continue;
+    if (p.cpu_bound()) {
+      EXPECT_GT(s, speedup(other)) << other.name;
+    } else {
+      EXPECT_LT(s, speedup(other)) << other.name;
+    }
+  }
   EXPECT_GT(mean_util(p, 0.6), mean_util(p, 2.0));
 }
+
+INSTANTIATE_TEST_SUITE_P(Parsec, CoreModelFrequencyScaling,
+                         ::testing::ValuesIn(workload::parsec_profiles()));
 
 TEST(CoreModel, UtilizationBounds) {
   const auto& p = workload::find_profile("vips");
@@ -87,17 +105,6 @@ TEST(CoreModel, StallFractionScalesInstructions) {
   const double full = mean_bips(quiet, 2.0, 0.0, /*stall=*/0.0);
   const double half = mean_bips(quiet, 2.0, 0.0, /*stall=*/0.5);
   EXPECT_NEAR(half, full * 0.5, full * 0.01);
-}
-
-TEST(CoreModel, InstructionsAccumulate) {
-  const auto& p = workload::find_profile("x264");
-  CoreModel core(p, 3, 0.5);
-  double manual = 0.0;
-  for (int i = 0; i < 100; ++i) {
-    manual += core.step(kDt, {1.26, 2.0}, 0.0, 0.0).instructions;
-  }
-  EXPECT_NEAR(core.total_instructions(), manual, 1e-6);
-  EXPECT_GT(manual, 0.0);
 }
 
 TEST(CoreModel, BipsMatchesInstructionRate) {

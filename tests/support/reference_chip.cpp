@@ -86,6 +86,10 @@ void ReferenceChip::migrate(std::size_t island_a, std::size_t core_a,
       core_a >= cores_[island_a].size() || core_b >= cores_[island_b].size()) {
     throw std::invalid_argument("ReferenceChip::migrate: index out of range");
   }
+  if (island_a == island_b) {
+    throw std::invalid_argument(
+        "ReferenceChip::migrate: both cores on one island");
+  }
   std::swap(cores_[island_a][core_a], cores_[island_b][core_b]);
   if (stall_seconds > 0.0) {
     actuators_[island_a].add_stall(stall_seconds);

@@ -56,7 +56,8 @@ class ReferenceChip {
   const sim::ChipSoa& soa() const noexcept { return soa_; }
 
   /// Swaps the two cores' threads (with their workload state) and charges
-  /// `stall_seconds` to both islands, as sim::Chip::migrate does.
+  /// `stall_seconds` to both islands, as sim::Chip::migrate does; throws
+  /// std::invalid_argument on the indices sim::Chip::migrate rejects.
   void migrate(std::size_t island_a, std::size_t core_a, std::size_t island_b,
                std::size_t core_b, double stall_seconds);
 

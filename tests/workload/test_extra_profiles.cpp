@@ -1,8 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
-#include "sim/pipeline.h"
-#include "workload/memtrace.h"
+#include "sim/core.h"
 #include "workload/profile.h"
 
 namespace cpm::workload {
@@ -14,7 +13,7 @@ TEST(ExtraProfiles, FiveRemainingParsecBenchmarks) {
   for (const char* name :
        {"swaptions", "raytrace", "fluidanimate", "ferret", "dedup"}) {
     EXPECT_NO_THROW(find_profile(name)) << name;
-    EXPECT_NO_THROW(micro_behavior(name)) << name;
+    EXPECT_NO_THROW(instruction_mix(name)) << name;
   }
 }
 
@@ -33,9 +32,6 @@ TEST(ExtraProfiles, ClassesAreConsistent) {
   EXPECT_FALSE(find_profile("fluidanimate").cpu_bound());
   EXPECT_FALSE(find_profile("ferret").cpu_bound());
   EXPECT_FALSE(find_profile("dedup").cpu_bound());
-  // Working sets consistent with the class boundary (512 KB L2 slice).
-  EXPECT_LE(micro_behavior("swaptions").stream.working_set_kb, 512u);
-  EXPECT_GT(micro_behavior("dedup").stream.working_set_kb, 512u);
 }
 
 TEST(ExtraProfiles, FrequencyScalingMatchesClass) {

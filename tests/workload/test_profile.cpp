@@ -81,5 +81,30 @@ TEST(Profiles, PhysicallySensibleParameters) {
   for (const auto& p : spec_profiles()) check(p);
 }
 
+TEST(InstructionMix, UnknownThrows) {
+  EXPECT_THROW(instruction_mix("nonexistent"), std::invalid_argument);
+}
+
+TEST(InstructionMix, CoversEveryProfile) {
+  for (const auto suite :
+       {parsec_profiles(), spec_profiles(), extra_parsec_profiles()}) {
+    for (const auto& p : suite) {
+      EXPECT_NO_THROW(instruction_mix(p.name)) << p.name;
+    }
+  }
+}
+
+TEST(InstructionMix, MixesSumToOne) {
+  for (const auto suite :
+       {parsec_profiles(), spec_profiles(), extra_parsec_profiles()}) {
+    for (const auto& p : suite) {
+      const InstructionMix& m = instruction_mix(p.name);
+      EXPECT_NEAR(m.int_alu + m.fp_alu + m.load + m.store + m.branch, 1.0,
+                  1e-9)
+          << p.name;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cpm::workload
