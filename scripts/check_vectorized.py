@@ -23,13 +23,22 @@ promises. The recompile also writes GCC's vectorizer details dump, and any
 "evolution of base/offset is not affine" data reference on a line inside a
 tagged loop's body fails the loop.
 
-On x86-64 each tagged loop is one body built into two wrappers, a baseline
-one and an AVX2 one (src/util/isa.h), so the loop must be reported at both
-widths: 16-byte vectors (SSE2) and 32-byte vectors (AVX2). The recompile
-turns epilogue vectorization off, so a 16-byte report cannot come from the
-AVX2 loop's remainder. When the compile command picks an ISA itself
-(-march=, as the CPM_SIMD build does), the baseline wrapper is built for that
-ISA too, and only the 32-byte report is required.
+On x86-64 each tagged loop is one body built into three wrappers, a
+baseline, an AVX2 and an AVX-512 one (util::dispatch_kernel in
+src/util/isa.h), so the loop must be reported at all three widths: 16-byte
+vectors (SSE2), 32-byte vectors (AVX2) and 64-byte vectors (AVX-512). The
+recompile turns epilogue vectorization off, so a narrower report cannot
+come from a wider loop's remainder. When the compile command picks an ISA
+itself (-march=, as the CPM_SIMD build does), the baseline wrapper is built
+for that ISA too, and only the 32- and 64-byte reports are required.
+
+AVX-512F includes FMA, so the AVX-512 wrappers stay bit-identical to the
+others only while FP contraction is off (-ffp-contract=off on cpm_util).
+On x86-64 the recompile therefore also writes an object file, and the
+script disassembles it (objdump) and fails any AVX-512 wrapper that holds
+a vfmadd*, vfmsub*, vfnmadd* or vfnmsub* instruction, and any tagged file
+whose object has no AVX-512 wrapper at all. Both checks read the compiler's
+output only, so they hold on hosts without AVX-512.
 
 The reports are GCC's, and the promise is about optimized builds, so the
 script exits 77 (ctest's skip code, SKIP_RETURN_CODE) with a message for
@@ -42,12 +51,13 @@ sanitizer build.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import pathlib
 import platform
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -61,6 +71,11 @@ LOOP = re.compile(r"^\s*for\s*\(")
 REPORT = re.compile(
     r"^(.*?):(\d+):\d+: optimized: loop vectorized(?: using (\d+) byte)?")
 X86_64 = platform.machine().lower() in ("x86_64", "amd64")
+# objdump -d -C: a function's first line, and an instruction line.
+FUNCTION = re.compile(r"^[0-9a-f]+ <(.*)>:$")
+INSN = re.compile(r"^\s*[0-9a-f]+:\s+(\S+)")
+AVX512_WRAPPER = re.compile(r"KernelWrappers<&?(.*?)>::avx512\b")
+FMA = re.compile(r"^vfn?m(?:add|sub)")
 
 
 def loop_end(lines: list[str], start: int) -> int:
@@ -117,18 +132,55 @@ def required_widths(entry: dict) -> set[int]:
     if not X86_64:
         return set()
     if any(arg.startswith("-march=") for arg in compile_args(entry)):
-        return {32}
-    return {16, 32}
+        return {32, 64}
+    return {16, 32, 64}
 
 
-def vectorized_lines(
-        entry: dict) -> tuple[dict[int, set[int]], set[int], str]:
-    """Line -> vector widths (bytes; 0 if GCC names none) of the loops GCC
-    reports vectorized in entry's file, and the lines of the file's data
-    references that are not affine in their loop's index."""
+def avx512_wrappers(obj: pathlib.Path) -> tuple[dict[str, set[str]], str]:
+    """Kernel body -> the FMA mnemonics in its AVX-512 wrappers (empty
+    when none), from `obj`'s disassembly; or an error."""
+    objdump = shutil.which("objdump")
+    if objdump is None:
+        return {}, "objdump not found (binutils): cannot check for FMA"
+    done = subprocess.run([objdump, "-d", "-C", "--no-show-raw-insn",
+                           str(obj)], capture_output=True, text=True,
+                          check=False)
+    if done.returncode != 0:
+        return {}, done.stderr
+    wrappers: dict[str, set[str]] = {}
+    current = None
+    for line in done.stdout.splitlines():
+        function = FUNCTION.match(line)
+        if function:
+            wrapper = AVX512_WRAPPER.search(function.group(1))
+            current = wrapper.group(1) if wrapper else None
+            if current is not None:
+                wrappers.setdefault(current, set())
+            continue
+        insn = INSN.match(line)
+        if current is not None and insn and FMA.match(insn.group(1)):
+            wrappers[current].add(insn.group(1))
+    return wrappers, ""
+
+
+@dataclasses.dataclass
+class Compiled:
+    """What one recompile of a tagged file reports."""
+    # Line -> vector widths (bytes; 0 if GCC names none) of the loops GCC
+    # reports vectorized.
+    lines: dict[int, set[int]] = dataclasses.field(default_factory=dict)
+    # Lines of data references not affine in their loop's index.
+    not_affine: set[int] = dataclasses.field(default_factory=set)
+    # Kernel body -> FMA mnemonics in its AVX-512 wrapper (x86-64 only).
+    avx512: dict[str, set[str]] = dataclasses.field(default_factory=dict)
+    error: str = ""
+
+
+def recompile(entry: dict) -> Compiled:
+    """Recompiles entry's file with the vectorizer reports on and reads
+    them, and on x86-64 the object's AVX-512 wrappers."""
+    result = Compiled()
     args = compile_args(entry)
-    if "-o" in args:
-        args[args.index("-o") + 1] = os.devnull
     target = pathlib.Path(entry["directory"], entry["file"]).resolve()
 
     def in_target(name: str) -> bool:
@@ -136,24 +188,31 @@ def vectorized_lines(
 
     with tempfile.TemporaryDirectory() as tmp:
         dump = pathlib.Path(tmp, "vect.txt")
+        obj = pathlib.Path(tmp, "kernel.o")
+        if "-o" in args:
+            args[args.index("-o") + 1] = str(obj)
+        else:
+            args += ["-o", str(obj)]
         args += ["-fno-lto", "-fopt-info-vec-optimized",
                  "--param=vect-epilogues-nomask=0",
                  f"-fdump-tree-vect-details={dump}"]
         done = subprocess.run(args, cwd=entry["directory"],
                               capture_output=True, text=True, check=False)
         if done.returncode != 0:
-            return {}, set(), done.stderr
+            result.error = done.stderr
+            return result
         details = dump.read_text(errors="replace") if dump.is_file() else ""
-    lines: dict[int, set[int]] = {}
+        if X86_64:
+            result.avx512, result.error = avx512_wrappers(obj)
     for line in done.stderr.splitlines():
         match = REPORT.match(line)
         if match and in_target(match.group(1)):
-            lines.setdefault(int(match.group(2)), set()).add(
+            result.lines.setdefault(int(match.group(2)), set()).add(
                 int(match.group(3) or 0))
-    not_affine = {int(match.group(2))
-                  for match in NOT_AFFINE.finditer(details)
-                  if in_target(match.group(1))}
-    return lines, not_affine, ""
+    result.not_affine = {int(match.group(2))
+                         for match in NOT_AFFINE.finditer(details)
+                         if in_target(match.group(1))}
+    return result
 
 
 def main() -> int:
@@ -186,10 +245,29 @@ def main() -> int:
         if entry is None:
             failures.append(f"{path}: no compile command in the build")
             continue
-        lines, not_affine, error = vectorized_lines(entry)
-        if error:
-            failures.append(f"{path}: recompiling failed:\n{error}")
+        compiled = recompile(entry)
+        if compiled.error:
+            failures.append(f"{path}: recompiling failed:\n{compiled.error}")
             continue
+        lines, not_affine = compiled.lines, compiled.not_affine
+        if X86_64 and not compiled.avx512:
+            failures.append(
+                f"{path}: no AVX-512 kernel wrapper in the object (each "
+                "tagged kernel runs through util::dispatch_kernel, see "
+                "src/util/isa.h)")
+        for body, fused in sorted(compiled.avx512.items()):
+            if fused:
+                failures.append(
+                    f"{path}: the AVX-512 wrapper of {body} has fused "
+                    "multiply-adds (" + ", ".join(sorted(fused)) + "), so "
+                    "it no longer matches the other tiers bit for bit: FP "
+                    "contraction must be off (-ffp-contract=off on "
+                    "cpm_util, src/util/CMakeLists.txt)")
+        clean = sorted(body for body, fused in compiled.avx512.items()
+                       if not fused)
+        if clean:
+            print(f"no FMA in the AVX-512 wrappers of {path.name}: "
+                  + ", ".join(clean))
         widths = required_widths(entry)
         for tag, line, last in loops:
             checked += 1
@@ -210,8 +288,8 @@ def main() -> int:
                 failures.append(
                     f"{path}:{line}: loop '{tag}' is not vectorized with "
                     + " or ".join(f"{w}-byte" for w in missing)
-                    + " vectors (each tagged kernel needs a baseline and an "
-                    "AVX2 wrapper, see src/util/isa.h)")
+                    + " vectors (each tagged kernel needs a baseline, an "
+                    "AVX2 and an AVX-512 wrapper, see src/util/isa.h)")
             else:
                 found = ", ".join(f"{w}-byte" for w in sorted(lines[line]))
                 print(f"vectorized: {tag} ({path.name}:{line}; {found})")

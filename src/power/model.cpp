@@ -58,26 +58,6 @@ CPM_ALWAYS_INLINE void power_sweep_columns(
   }
 }
 
-void power_sweep_baseline(std::size_t n, const kernels::PowerSweepArgs& args,
-                          const double* u, const double* ab, const double* ai,
-                          const double* cs, const double* v, const double* f,
-                          const double* lm, const double* t, double* out,
-                          double* leak_out) noexcept {
-  power_sweep_columns(n, args, u, ab, ai, cs, v, f, lm, t, out, leak_out);
-}
-
-#if CPM_HAVE_AVX2_KERNELS
-CPM_TARGET_AVX2 void power_sweep_avx2(std::size_t n,
-                                      const kernels::PowerSweepArgs& args,
-                                      const double* u, const double* ab,
-                                      const double* ai, const double* cs,
-                                      const double* v, const double* f,
-                                      const double* lm, const double* t,
-                                      double* out, double* leak_out) noexcept {
-  power_sweep_columns(n, args, u, ab, ai, cs, v, f, lm, t, out, leak_out);
-}
-#endif
-
 }  // namespace
 
 namespace kernels {
@@ -88,18 +68,9 @@ void power_sweep(util::Isa isa, std::size_t n, const PowerSweepArgs& args,
                  const double* voltage, const double* freq_ghz,
                  const double* leak_mult, const double* temps_c,
                  double* out_total_w, double* out_leak_w) noexcept {
-#if CPM_HAVE_AVX2_KERNELS
-  if (isa == util::Isa::kAvx2) {
-    power_sweep_avx2(n, args, utilization, activity_busy, activity_idle,
-                     ceff_scale, voltage, freq_ghz, leak_mult, temps_c,
-                     out_total_w, out_leak_w);
-    return;
-  }
-#endif
-  (void)isa;
-  power_sweep_baseline(n, args, utilization, activity_busy, activity_idle,
-                       ceff_scale, voltage, freq_ghz, leak_mult, temps_c,
-                       out_total_w, out_leak_w);
+  util::dispatch_kernel<&power_sweep_columns>(
+      isa, n, args, utilization, activity_busy, activity_idle, ceff_scale,
+      voltage, freq_ghz, leak_mult, temps_c, out_total_w, out_leak_w);
 }
 
 }  // namespace kernels

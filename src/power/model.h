@@ -25,8 +25,8 @@ struct PowerSweepArgs {
   double ref_c;
 };
 
-/// chip_power_batch's sweep over `n` cores at `isa` (both ISAs give the same
-/// bits): each core's dynamic + leakage power into out_total_w, and its
+/// chip_power_batch's sweep over `n` cores at `isa` (every ISA gives the
+/// same bits): each core's dynamic + leakage power into out_total_w, and its
 /// leakage into out_leak_w unless that is null. The outputs must not
 /// overlap the inputs or each other.
 void power_sweep(util::Isa isa, std::size_t n, const PowerSweepArgs& args,

@@ -42,28 +42,6 @@ CPM_ALWAYS_INLINE void micro_model_body(
   }
 }
 
-void micro_model_baseline(std::size_t cores, double cong_term,
-                          double instr_scale, const double* cpi,
-                          const double* mem, const double* dbw,
-                          const double* invf, const double* run,
-                          double* instr, double* bips, double* util,
-                          double* bw) noexcept {
-  micro_model_body(cores, cong_term, instr_scale, cpi, mem, dbw, invf, run,
-                   instr, bips, util, bw);
-}
-
-#if CPM_HAVE_AVX2_KERNELS
-CPM_TARGET_AVX2 void micro_model_avx2(std::size_t cores, double cong_term,
-                                      double instr_scale, const double* cpi,
-                                      const double* mem, const double* dbw,
-                                      const double* invf, const double* run,
-                                      double* instr, double* bips,
-                                      double* util, double* bw) noexcept {
-  micro_model_body(cores, cong_term, instr_scale, cpi, mem, dbw, invf, run,
-                   instr, bips, util, bw);
-}
-#endif
-
 }  // namespace
 
 namespace kernels {
@@ -73,16 +51,9 @@ void micro_model_sweep(util::Isa isa, std::size_t cores, double cong_term,
                        const double* mem, const double* dbw,
                        const double* invf, const double* run, double* instr,
                        double* bips, double* util, double* bw) noexcept {
-#if CPM_HAVE_AVX2_KERNELS
-  if (isa == util::Isa::kAvx2) {
-    micro_model_avx2(cores, cong_term, instr_scale, cpi, mem, dbw, invf, run,
-                     instr, bips, util, bw);
-    return;
-  }
-#endif
-  (void)isa;
-  micro_model_baseline(cores, cong_term, instr_scale, cpi, mem, dbw, invf,
-                       run, instr, bips, util, bw);
+  util::dispatch_kernel<&micro_model_body>(isa, cores, cong_term, instr_scale,
+                                           cpi, mem, dbw, invf, run, instr,
+                                           bips, util, bw);
 }
 
 }  // namespace kernels

@@ -68,7 +68,7 @@ struct ChipSoa {
 namespace kernels {
 
 /// Pass 2 of the tick, the core micro-model, over `cores` flat columns at
-/// `isa` (both ISAs give the same bits). `cong_term` is
+/// `isa` (every ISA gives the same bits). `cong_term` is
 /// 1 + gamma * max(0, congestion) and `instr_scale` is 1e9 * dt, hoisted as
 /// CoreModel::step computes them. The outputs must not overlap the inputs.
 void micro_model_sweep(util::Isa isa, std::size_t cores, double cong_term,

@@ -25,19 +25,6 @@ CPM_ALWAYS_INLINE bool hotspot_body(std::size_t n,
   return hot_seen != 0;
 }
 
-bool hotspot_baseline(std::size_t n, const double* temps, double threshold,
-                      double dt_seconds, double* core_hot) noexcept {
-  return hotspot_body(n, temps, threshold, dt_seconds, core_hot);
-}
-
-#if CPM_HAVE_AVX2_KERNELS
-CPM_TARGET_AVX2 bool hotspot_avx2(std::size_t n, const double* temps,
-                                  double threshold, double dt_seconds,
-                                  double* core_hot) noexcept {
-  return hotspot_body(n, temps, threshold, dt_seconds, core_hot);
-}
-#endif
-
 }  // namespace
 
 namespace kernels {
@@ -45,13 +32,8 @@ namespace kernels {
 bool hotspot_accumulate(util::Isa isa, std::size_t n, const double* temps_c,
                         double threshold_c, double dt_seconds,
                         double* core_hot_s) noexcept {
-#if CPM_HAVE_AVX2_KERNELS
-  if (isa == util::Isa::kAvx2) {
-    return hotspot_avx2(n, temps_c, threshold_c, dt_seconds, core_hot_s);
-  }
-#endif
-  (void)isa;
-  return hotspot_baseline(n, temps_c, threshold_c, dt_seconds, core_hot_s);
+  return util::dispatch_kernel<&hotspot_body>(isa, n, temps_c, threshold_c,
+                                              dt_seconds, core_hot_s);
 }
 
 }  // namespace kernels

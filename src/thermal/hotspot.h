@@ -13,7 +13,7 @@ namespace cpm::thermal {
 
 namespace kernels {
 
-/// HotspotDetector::record's sweep over `n` cores at `isa` (both ISAs give
+/// HotspotDetector::record's sweep over `n` cores at `isa` (every ISA gives
 /// the same bits): adds dt_seconds to core_hot_s[i] for every core hotter
 /// than threshold_c, and returns whether any was. core_hot_s must not
 /// overlap temps_c.

@@ -47,22 +47,6 @@ CPM_ALWAYS_INLINE void rc_step_body(
   }
 }
 
-void rc_step_baseline(std::size_t n, std::size_t cols,
-                      const kernels::RcStepArgs& args, const double* temps,
-                      const double* power, const double* edge,
-                      double* next) noexcept {
-  rc_step_body(n, cols, args, temps, power, edge, next);
-}
-
-#if CPM_HAVE_AVX2_KERNELS
-CPM_TARGET_AVX2 void rc_step_avx2(std::size_t n, std::size_t cols,
-                                  const kernels::RcStepArgs& args,
-                                  const double* temps, const double* power,
-                                  const double* edge, double* next) noexcept {
-  rc_step_body(n, cols, args, temps, power, edge, next);
-}
-#endif
-
 }  // namespace
 
 namespace kernels {
@@ -71,14 +55,8 @@ void rc_step(util::Isa isa, std::size_t n, std::size_t cols,
              const RcStepArgs& args, const double* temps,
              const double* power_w, const double* edge,
              double* next) noexcept {
-#if CPM_HAVE_AVX2_KERNELS
-  if (isa == util::Isa::kAvx2) {
-    rc_step_avx2(n, cols, args, temps, power_w, edge, next);
-    return;
-  }
-#endif
-  (void)isa;
-  rc_step_baseline(n, cols, args, temps, power_w, edge, next);
+  util::dispatch_kernel<&rc_step_body>(isa, n, cols, args, temps, power_w,
+                                       edge, next);
 }
 
 }  // namespace kernels

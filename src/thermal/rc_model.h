@@ -41,7 +41,7 @@ struct RcStepArgs {
 };
 
 /// One explicit-Euler substep over `n` cores of a grid `cols` wide, at `isa`
-/// (both ISAs give the same bits): next[i] = T + h * flow * inv_c with
+/// (every ISA gives the same bits): next[i] = T + h * flow * inv_c with
 /// flow = P - G_v (T - below) - G_l (T - T_j) over each neighbour j that
 /// core i has. `temps` points at core 0 of a padded buffer readable from
 /// temps[-cols] to temps[n + cols - 1]. `edge` holds four n-long columns,

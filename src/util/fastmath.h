@@ -11,8 +11,8 @@
 //
 // Deterministic and bit-portable across IEEE-754 platforms: the reduction
 // and polynomial use only +, *, and bit operations in a fixed order (no
-// libm, no FMA contraction under the project's -ffp-contract=off SIMD
-// build), so results are identical across builds of the same source.
+// libm, and no FMA contraction: every build pins -ffp-contract=off), so
+// results are identical across builds and kernel tiers of the same source.
 #pragma once
 
 #include <bit>

@@ -22,7 +22,7 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
 
 /// util::Xoshiro256pp's private irwin_hall21 on one 21-bit field, without
 /// an integer->double conversion (SSE2 and AVX2 have none for 64-bit
-/// lanes): 2s - 381 lies in [-381, 381], and 2s in [0, 762] ORed into the
+/// lanes, and every tier runs the same body): 2s - 381 lies in [-381, 381], and 2s in [0, 762] ORed into the
 /// mantissa of 2^52 gives the double 2^52 + 2s exactly, so subtracting
 /// 2^52 + 381 yields 2s - 381 exactly, +0.0 included.
 CPM_ALWAYS_INLINE double irwin_hall21(std::uint64_t field) noexcept {
@@ -136,18 +136,6 @@ CPM_ALWAYS_INLINE void demand_sweep_rows(std::size_t n, const DemandRows& rows,
       out.cpi, out.mem_stall_ns, out.activity, out.bandwidth_demand);
 }
 
-void demand_sweep_baseline(std::size_t n, const DemandRows& rows,
-                           const DemandOutputs& out) noexcept {
-  demand_sweep_rows(n, rows, out);
-}
-
-#if CPM_HAVE_AVX2_KERNELS
-CPM_TARGET_AVX2 void demand_sweep_avx2(std::size_t n, const DemandRows& rows,
-                                       const DemandOutputs& out) noexcept {
-  demand_sweep_rows(n, rows, out);
-}
-#endif
-
 // The clock pass: WorkloadInstance::advance_clock on every row, and whether
 // any clock ran past its phase. The roll flag is a 64-bit OR of a selected
 // double's bits: SSE2 can select doubles on the double compare and OR the
@@ -167,43 +155,19 @@ CPM_ALWAYS_INLINE bool demand_clock_body(std::size_t n, double dt_ms,
   return rolled != 0;
 }
 
-bool demand_clock_baseline(std::size_t n, double dt_ms, double* time,
-                           const double* len) noexcept {
-  return demand_clock_body(n, dt_ms, time, len);
-}
-
-#if CPM_HAVE_AVX2_KERNELS
-CPM_TARGET_AVX2 bool demand_clock_avx2(std::size_t n, double dt_ms,
-                                       double* time,
-                                       const double* len) noexcept {
-  return demand_clock_body(n, dt_ms, time, len);
-}
-#endif
-
 }  // namespace
 
 namespace kernels {
 
 bool demand_clock(util::Isa isa, std::size_t n, units::Milliseconds dt,
                   double* time, const double* len) noexcept {
-  const double dt_ms = dt.value();
-#if CPM_HAVE_AVX2_KERNELS
-  if (isa == util::Isa::kAvx2) return demand_clock_avx2(n, dt_ms, time, len);
-#endif
-  (void)isa;
-  return demand_clock_baseline(n, dt_ms, time, len);
+  return util::dispatch_kernel<&demand_clock_body>(isa, n, dt.value(), time,
+                                                   len);
 }
 
 void demand_sweep(util::Isa isa, std::size_t n, const DemandRows& rows,
                   const DemandOutputs& out) noexcept {
-#if CPM_HAVE_AVX2_KERNELS
-  if (isa == util::Isa::kAvx2) {
-    demand_sweep_avx2(n, rows, out);
-    return;
-  }
-#endif
-  (void)isa;
-  demand_sweep_baseline(n, rows, out);
+  util::dispatch_kernel<&demand_sweep_rows>(isa, n, rows, out);
 }
 
 }  // namespace kernels

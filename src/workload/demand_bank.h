@@ -90,14 +90,14 @@ struct DemandOutputs {
 
 namespace kernels {
 
-/// The clock pass (pass 1 above) over `n` rows at `isa` (both ISAs give the
+/// The clock pass (pass 1 above) over `n` rows at `isa` (every ISA gives the
 /// same bits): adds dt to every time[r] and returns whether any reached its
 /// len[r]. `time` must not overlap `len`.
 bool demand_clock(util::Isa isa, std::size_t n, units::Milliseconds dt,
                   double* time, const double* len) noexcept;
 
 /// The demand sweep (pass 3 above) over the first `n` rows of `rows` at
-/// `isa`, writing each row's demand to `out`. Both ISAs give the same bits.
+/// `isa`, writing each row's demand to `out`. Every ISA gives the same bits.
 void demand_sweep(util::Isa isa, std::size_t n, const DemandRows& rows,
                   const DemandOutputs& out) noexcept;
 

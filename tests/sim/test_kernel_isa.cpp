@@ -1,8 +1,11 @@
-// ISA differential for the plant tick's kernels: each kernel's baseline and
-// AVX2 wrappers (util/isa.h) must produce the same bits on the same inputs,
-// at every length from 1 to 67 (vector bodies, remainders and lengths
-// shorter than one vector), with NaN, infinities, -0.0 and values on each
-// clamp bound mixed into the inputs.
+// ISA differential for the plant tick's kernels: each kernel's wider
+// wrappers (AVX2, AVX-512; util/isa.h) must produce the same bits as its
+// baseline wrapper on the same inputs, at every length from 1 to 67 (vector
+// bodies, remainders and lengths shorter than one vector, for 2, 4 and 8
+// lanes), with NaN, infinities, -0.0 and values on each clamp bound mixed
+// into the inputs. Every tier the host runs is compared; a tier it does not
+// run is named in the test's output, and the test is skipped only when the
+// host runs no wide tier at all.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -11,8 +14,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <span>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "power/model.h"
@@ -93,14 +98,28 @@ std::string bit_diff(const std::vector<T>& a, const std::vector<T>& b) {
   return "";
 }
 
+/// Compares each wide tier the host runs (util::host_isas()) with the
+/// baseline. The tiers it does not run are named on stdout, and a host that
+/// runs none skips the test.
 class KernelIsa : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (util::host_isa() != Isa::kAvx2) {
-      GTEST_SKIP() << "this host has no AVX2 (or the build has no AVX2 "
-                      "wrappers): only the baseline kernels run here";
+    std::string lacking;
+    for (const Isa isa :
+         std::span(util::kIsas).subspan(util::host_isas().size())) {
+      if (!lacking.empty()) lacking += ", ";
+      lacking += util::isa_name(isa);
     }
+    if (lacking.empty()) return;
+    const std::string message =
+        "not compared: " + lacking +
+        " (this CPU or build does not run those tiers)";
+    if (wide().empty()) GTEST_SKIP() << message;
+    std::printf("[   NOTE   ] %s\n", message.c_str());
   }
+
+  /// The wide tiers the host runs, narrowest first.
+  static std::span<const Isa> wide() { return util::host_isas().subspan(1); }
 };
 
 TEST_F(KernelIsa, DemandSweep) {
@@ -127,22 +146,31 @@ TEST_F(KernelIsa, DemandSweep) {
       word.insert(word.end(), column.begin(), column.end());
     }
 
-    std::array<std::vector<double>, 2> state_real{real, real};
-    std::array<std::vector<std::uint64_t>, 2> state_word{word, word};
-    std::array<std::array<std::vector<double>, 4>, 2> out;
-    const Isa isas[] = {Isa::kBaseline, Isa::kAvx2};
-    for (int w = 0; w < 2; ++w) {
-      for (auto& column : out[w]) column.assign(n, 0.0);
+    struct Result {
+      std::vector<double> real;
+      std::vector<std::uint64_t> word;
+      std::array<std::vector<double>, 4> out;
+    };
+    auto run = [&](Isa isa) {
+      Result r{real, word, {}};
+      for (auto& column : r.out) column.assign(n, 0.0);
       workload::kernels::demand_sweep(
-          isas[w], n, {state_real[w].data(), state_word[w].data(), n},
-          {out[w][0].data(), out[w][1].data(), out[w][2].data(),
-           out[w][3].data()});
-    }
-    EXPECT_EQ(bit_diff(state_real[0], state_real[1]), "") << "n " << n;
-    EXPECT_EQ(bit_diff(state_word[0], state_word[1]), "") << "n " << n;
-    for (int k = 0; k < 4; ++k) {
-      EXPECT_EQ(bit_diff(out[0][k], out[1][k]), "")
-          << "n " << n << " out " << k;
+          isa, n, {r.real.data(), r.word.data(), n},
+          {r.out[0].data(), r.out[1].data(), r.out[2].data(),
+           r.out[3].data()});
+      return r;
+    };
+    const Result base = run(Isa::kBaseline);
+    for (const Isa isa : wide()) {
+      const Result r = run(isa);
+      EXPECT_EQ(bit_diff(base.real, r.real), "")
+          << util::isa_name(isa) << " n " << n;
+      EXPECT_EQ(bit_diff(base.word, r.word), "")
+          << util::isa_name(isa) << " n " << n;
+      for (int k = 0; k < 4; ++k) {
+        EXPECT_EQ(bit_diff(base.out[k], r.out[k]), "")
+            << util::isa_name(isa) << " n " << n << " out " << k;
+      }
     }
   }
 }
@@ -154,19 +182,23 @@ TEST_F(KernelIsa, MicroModelSweep) {
     const auto mem = in.column(n, 0.0, 2.0);
     const auto dbw = in.column(n, 0.0, 1.0);
     const auto invf = in.column(n, 0.3, 1.0);
-    const auto run = in.column(n, 0.0, 1.0);
-    std::array<std::array<std::vector<double>, 4>, 2> out;
-    const Isa isas[] = {Isa::kBaseline, Isa::kAvx2};
-    for (int w = 0; w < 2; ++w) {
-      for (auto& column : out[w]) column.assign(n, 0.0);
+    const auto run_frac = in.column(n, 0.0, 1.0);
+    auto run = [&](Isa isa) {
+      std::array<std::vector<double>, 4> out;
+      for (auto& column : out) column.assign(n, 0.0);
       sim::kernels::micro_model_sweep(
-          isas[w], n, 1.3, 1e5, cpi.data(), mem.data(), dbw.data(),
-          invf.data(), run.data(), out[w][0].data(), out[w][1].data(),
-          out[w][2].data(), out[w][3].data());
-    }
-    for (int k = 0; k < 4; ++k) {
-      EXPECT_EQ(bit_diff(out[0][k], out[1][k]), "")
-          << "n " << n << " out " << k;
+          isa, n, 1.3, 1e5, cpi.data(), mem.data(), dbw.data(), invf.data(),
+          run_frac.data(), out[0].data(), out[1].data(), out[2].data(),
+          out[3].data());
+      return out;
+    };
+    const auto base = run(Isa::kBaseline);
+    for (const Isa isa : wide()) {
+      const auto out = run(isa);
+      for (int k = 0; k < 4; ++k) {
+        EXPECT_EQ(bit_diff(base[k], out[k]), "")
+            << util::isa_name(isa) << " n " << n << " out " << k;
+      }
     }
   }
 }
@@ -185,22 +217,25 @@ TEST_F(KernelIsa, PowerSweep) {
     const auto f = in.column(n, 1.0, 4.0);
     const auto lm = in.column(n, 0.8, 1.2);
     const auto t = in.column(n, -1e5, 1e5);
-    const Isa isas[] = {Isa::kBaseline, Isa::kAvx2};
     for (const bool with_leak : {false, true}) {
-      std::array<std::vector<double>, 2> total;
-      std::array<std::vector<double>, 2> leak;
-      for (int w = 0; w < 2; ++w) {
-        total[w].assign(n, 0.0);
-        leak[w].assign(n, 0.0);
+      // {total, leakage}
+      auto run = [&](Isa isa) {
+        std::array<std::vector<double>, 2> out{std::vector<double>(n, 0.0),
+                                               std::vector<double>(n, 0.0)};
         power::kernels::power_sweep(
-            isas[w], n, args, util.data(), ab.data(), ai.data(), cs.data(),
-            v.data(), f.data(), lm.data(), t.data(), total[w].data(),
-            with_leak ? leak[w].data() : nullptr);
+            isa, n, args, util.data(), ab.data(), ai.data(), cs.data(),
+            v.data(), f.data(), lm.data(), t.data(), out[0].data(),
+            with_leak ? out[1].data() : nullptr);
+        return out;
+      };
+      const auto base = run(Isa::kBaseline);
+      for (const Isa isa : wide()) {
+        const auto out = run(isa);
+        EXPECT_EQ(bit_diff(base[0], out[0]), "")
+            << util::isa_name(isa) << " n " << n << " leak " << with_leak;
+        EXPECT_EQ(bit_diff(base[1], out[1]), "")
+            << util::isa_name(isa) << " n " << n << " leak " << with_leak;
       }
-      EXPECT_EQ(bit_diff(total[0], total[1]), "")
-          << "n " << n << " leak " << with_leak;
-      EXPECT_EQ(bit_diff(leak[0], leak[1]), "")
-          << "n " << n << " leak " << with_leak;
     }
   }
 }
@@ -211,15 +246,19 @@ TEST_F(KernelIsa, HotspotAccumulate) {
     Inputs in(4000 + n);
     const auto temps = in.column(n, 60.0, 100.0);
     const auto hot0 = in.column(n, 0.0, 1.0);
-    std::array<std::vector<double>, 2> hot{hot0, hot0};
-    std::array<bool, 2> any{};
-    const Isa isas[] = {Isa::kBaseline, Isa::kAvx2};
-    for (int w = 0; w < 2; ++w) {
-      any[w] = thermal::kernels::hotspot_accumulate(
-          isas[w], n, temps.data(), kThreshold, 1e-4, hot[w].data());
+    auto run = [&](Isa isa) {
+      std::pair<bool, std::vector<double>> r{false, hot0};
+      r.first = thermal::kernels::hotspot_accumulate(
+          isa, n, temps.data(), kThreshold, 1e-4, r.second.data());
+      return r;
+    };
+    const auto base = run(Isa::kBaseline);
+    for (const Isa isa : wide()) {
+      const auto [any, hot] = run(isa);
+      EXPECT_EQ(base.first, any) << util::isa_name(isa) << " n " << n;
+      EXPECT_EQ(bit_diff(base.second, hot), "")
+          << util::isa_name(isa) << " n " << n;
     }
-    EXPECT_EQ(any[0], any[1]) << "n " << n;
-    EXPECT_EQ(bit_diff(hot[0], hot[1]), "") << "n " << n;
   }
 }
 
@@ -230,15 +269,19 @@ TEST_F(KernelIsa, DemandClock) {
     // land exactly on their length.
     const auto len = in.column(n, 0.0, 3.0);
     const auto time0 = in.column(n, 0.0, 3.0);
-    std::array<std::vector<double>, 2> time{time0, time0};
-    std::array<bool, 2> rolled{};
-    const Isa isas[] = {Isa::kBaseline, Isa::kAvx2};
-    for (int w = 0; w < 2; ++w) {
-      rolled[w] = workload::kernels::demand_clock(
-          isas[w], n, units::Milliseconds{0.1}, time[w].data(), len.data());
+    auto run = [&](Isa isa) {
+      std::pair<bool, std::vector<double>> r{false, time0};
+      r.first = workload::kernels::demand_clock(
+          isa, n, units::Milliseconds{0.1}, r.second.data(), len.data());
+      return r;
+    };
+    const auto base = run(Isa::kBaseline);
+    for (const Isa isa : wide()) {
+      const auto [rolled, time] = run(isa);
+      EXPECT_EQ(base.first, rolled) << util::isa_name(isa) << " n " << n;
+      EXPECT_EQ(bit_diff(base.second, time), "")
+          << util::isa_name(isa) << " n " << n;
     }
-    EXPECT_EQ(rolled[0], rolled[1]) << "n " << n;
-    EXPECT_EQ(bit_diff(time[0], time[1]), "") << "n " << n;
   }
 }
 
@@ -254,14 +297,17 @@ TEST_F(KernelIsa, RcStep) {
     std::vector<double> edge = in.column(4 * n, 0.0, 1.0);
     for (double& e : edge) e = e > 0.5 ? 1.0 : 0.0;
     const thermal::kernels::RcStepArgs args{52.0, 0.8, 2.0, 1e-4, 50.0};
-    std::array<std::vector<double>, 2> next;
-    const Isa isas[] = {Isa::kBaseline, Isa::kAvx2};
-    for (int w = 0; w < 2; ++w) {
-      next[w].assign(n, 0.0);
-      thermal::kernels::rc_step(isas[w], n, cols, args, padded.data() + cols,
-                                power.data(), edge.data(), next[w].data());
+    auto run = [&](Isa isa) {
+      std::vector<double> next(n, 0.0);
+      thermal::kernels::rc_step(isa, n, cols, args, padded.data() + cols,
+                                power.data(), edge.data(), next.data());
+      return next;
+    };
+    const auto base = run(Isa::kBaseline);
+    for (const Isa isa : wide()) {
+      EXPECT_EQ(bit_diff(base, run(isa)), "")
+          << util::isa_name(isa) << " n " << n;
     }
-    EXPECT_EQ(bit_diff(next[0], next[1]), "") << "n " << n;
   }
 }
 

@@ -306,7 +306,6 @@ TEST(RcStencil, KernelMatchesCsrOracleOnAnyTemperatures) {
   // value, NaN, +-inf and -0.0 among them. The halo rows hold NaN, which an
   // edge core's selected-out term must never let through.
   const double special[] = {kNaN, kInf, -kInf, -0.0, 0.0};
-  const util::Isa isas[] = {util::Isa::kBaseline, util::host_isa()};
   for (const auto& [rows, cols] : stencil_grids()) {
     const Floorplan fp(rows, cols);
     const std::size_t n = fp.num_cores();
@@ -338,7 +337,7 @@ TEST(RcStencil, KernelMatchesCsrOracleOnAnyTemperatures) {
       const double below = trial % 2 == 0 ? prm.ambient_c : 52.5;
       std::vector<double> expected(n);
       ref.substep(temps, power, below, expected.data());
-      for (const util::Isa isa : isas) {
+      for (const util::Isa isa : util::host_isas()) {
         std::vector<double> next(n, -1.0);
         kernels::rc_step(isa, n, cols,
                          {below, prm.vertical_conductance,

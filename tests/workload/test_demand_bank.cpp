@@ -92,15 +92,10 @@ class Twins {
   std::vector<double> cpi_, mem_, act_, bw_;
 };
 
-/// Every ISA this host runs: the bank must equal WorkloadInstance at each.
-std::vector<util::Isa> host_isas() {
-  std::vector<util::Isa> isas{util::Isa::kBaseline};
-  if (util::host_isa() == util::Isa::kAvx2) isas.push_back(util::Isa::kAvx2);
-  return isas;
-}
-
+// Each test that takes an ISA runs at every tier this host runs
+// (util::host_isas()): the bank must equal WorkloadInstance at each.
 TEST(DemandBank, MatchesWorkloadInstanceOverTwoCyclesOfEveryProfile) {
-  for (const util::Isa isa : host_isas()) {
+  for (const util::Isa isa : util::host_isas()) {
     Twins twins;
     double longest_ms = 0.0;
     std::uint64_t seed = 100;
@@ -120,7 +115,7 @@ TEST(DemandBank, MatchesWorkloadInstanceOverTwoCyclesOfEveryProfile) {
 }
 
 TEST(DemandBank, LongTickRollsSeveralPhasesAtOnce) {
-  for (const util::Isa isa : host_isas()) {
+  for (const util::Isa isa : util::host_isas()) {
     Twins twins;
     std::uint64_t seed = 7;
     for (const BenchmarkProfile* p : builtin_profiles()) twins.add(*p, ++seed);
@@ -133,7 +128,7 @@ TEST(DemandBank, LongTickRollsSeveralPhasesAtOnce) {
 }
 
 TEST(DemandBank, PhaseOffsetsMatch) {
-  for (const util::Isa isa : host_isas()) {
+  for (const util::Isa isa : util::host_isas()) {
     Twins twins;
     const BenchmarkProfile& canneal = find_profile("canneal");
     const BenchmarkProfile& bschls = find_profile("bschls");
@@ -166,7 +161,7 @@ TEST(DemandBank, CustomProfilesWithFewPhasesAndOddSigmas) {
       variants.push_back(p);
     }
   }
-  for (const util::Isa isa : host_isas()) {
+  for (const util::Isa isa : util::host_isas()) {
     Twins twins;
     std::uint64_t seed = 40;
     for (const BenchmarkProfile& p : variants) twins.add(p, ++seed, 0.3);

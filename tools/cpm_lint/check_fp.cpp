@@ -1,8 +1,10 @@
-// fp-repro: the tick kernels (src/power, src/sim, src/thermal) promise
-// bit-identical results across the default, SIMD (-march=x86-64-v3,
-// -ffp-contract=off) and sanitizer builds, and between the batched SoA and
-// scalar oracle paths. That only holds if kernel arithmetic sticks to +,-,*,/
-// and sqrt (IEEE-exact) plus the project's own bit-portable util::exp_fast:
+// fp-repro: the tick kernels (src/power, src/sim, src/thermal, src/workload)
+// promise bit-identical results across the default, SIMD (-march=x86-64-v3)
+// and sanitizer builds, across their baseline, AVX2 and AVX-512 wrappers
+// (util/isa.h; every build pins -ffp-contract=off), and against the test
+// tree's reference chip. That only holds if kernel arithmetic sticks to
+// +,-,*,/ and sqrt (IEEE-exact) plus the project's own bit-portable
+// util::exp_fast:
 //
 //  * libm transcendentals (std::exp/log/pow...) are correctly rounded but
 //    implementation-defined across libms and may differ between hosts;
@@ -32,7 +34,8 @@ const std::set<std::string> kFma = {"fma", "fmaf"};
 bool kernel_tu(const std::string& rel) {
   return path_has_prefix(rel, "src/power/") ||
          path_has_prefix(rel, "src/sim/") ||
-         path_has_prefix(rel, "src/thermal/");
+         path_has_prefix(rel, "src/thermal/") ||
+         path_has_prefix(rel, "src/workload/");
 }
 
 bool qualified_or_called(const TokenStream& toks, std::size_t i) {
