@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -84,6 +86,14 @@ ClusterResult ClusterPowerManager::run(double duration_s) {
     throw std::invalid_argument(
         "ClusterPowerManager::run: duration must be positive");
   }
+  // The rounded epoch count below is cast to std::size_t.
+  const double epoch_count = duration_s / config_.epoch_s + 0.5;
+  if (!(epoch_count <
+        static_cast<double>(std::numeric_limits<std::size_t>::max()))) {
+    throw std::invalid_argument(
+        "ClusterPowerManager::run: duration exceeds the representable epoch "
+        "count");
+  }
   const std::size_t k = chips_.size();
 
   // Per-chip sinks must outlive their runs.
@@ -99,11 +109,36 @@ ClusterResult ClusterPowerManager::run(double duration_s) {
     }
   }
 
-  std::vector<std::unique_ptr<SimulationRun>> runs;
-  runs.reserve(k);
+  // Each shard's chips run as lockstep batches: every maximal run of
+  // consecutive chips with one plant configuration shares a ChipPlant.
+  const util::ShardPlan plan{k, config_.shard_size};
+  std::vector<RunBatch> batches;
+  // Shard s owns batches [shard_batches[s], shard_batches[s + 1]).
+  std::vector<std::size_t> shard_batches{0};
+  std::vector<SimulationRun*> runs(k);
+  std::vector<Simulation*> sims;
+  std::vector<RecordSink*> sink_ptrs;
+  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
+    for (std::size_t c = plan.begin(s); c < plan.end(s);) {
+      std::size_t end = c + 1;
+      while (end < plan.end(s) &&
+             same_plant(chips_[end]->config(), chips_[c]->config())) {
+        ++end;
+      }
+      sims.clear();
+      sink_ptrs.clear();
+      for (std::size_t m = c; m < end; ++m) {
+        sims.push_back(chips_[m].get());
+        sink_ptrs.push_back(sinks[m].get());
+      }
+      RunBatch& batch = batches.emplace_back(sims, sink_ptrs);
+      for (std::size_t m = c; m < end; ++m) runs[m] = &batch.run(m - c);
+      c = end;
+    }
+    shard_batches.push_back(batches.size());
+  }
   std::vector<double> budgets(k);
   for (std::size_t c = 0; c < k; ++c) {
-    runs.push_back(chips_[c]->start(*sinks[c]));
     // Initial split: proportional to each chip's max power (its "size").
     budgets[c] = cluster_budget_w_ * chips_[c]->max_chip_power().value() /
                  total_max_power_w_;
@@ -117,7 +152,7 @@ ClusterResult ClusterPowerManager::run(double duration_s) {
   result.cluster_budget_w = cluster_budget_w_;
   result.chips_simulated = k;
   const std::size_t epochs = std::max<std::size_t>(
-      1, static_cast<std::size_t>(duration_s / config_.epoch_s + 0.5));
+      1, static_cast<std::size_t>(epoch_count));
   result.epochs = epochs;
 
   auto check = [&result](bool ok, const char* what) {
@@ -145,20 +180,24 @@ ClusterResult ClusterPowerManager::run(double duration_s) {
   // Epoch fast path: with the persistent thread pool a dispatch costs
   // condvar-wake time, so the remaining per-epoch overhead is allocation.
   // The shard plan, the per-chip observation slots and the provisioning
-  // weights are allocated once here and reused across all epochs.
-  const util::ShardPlan plan{k, config_.shard_size};
+  // weights are allocated once and reused across all epochs.
   std::vector<ChipObservation> obs(k);
   std::vector<double> weight(k);
   std::vector<double> raw;
   for (std::size_t e = 0; e < epochs; ++e) {
     CPM_TRACE_SCOPE1("cluster", "cluster.epoch", "epoch", e);
 
-    // Advance every chip by one epoch, a shard of chips per task; each chip
-    // writes only its own observation slot.
+    // Advance every chip by one epoch, a shard of chips per task, each
+    // batch of the shard in lockstep; each chip writes only its own
+    // observation slot.
     util::parallel_for_shards(
-        plan, config_.threads, [&runs, &obs, plan, this](std::size_t s) {
+        plan, config_.threads,
+        [&batches, &shard_batches, &runs, &obs, plan, this](std::size_t s) {
+          for (std::size_t b = shard_batches[s]; b < shard_batches[s + 1];
+               ++b) {
+            batches[b].advance(config_.epoch_s);
+          }
           for (std::size_t c = plan.begin(s); c < plan.end(s); ++c) {
-            runs[c]->advance(config_.epoch_s);
             obs[c] = ChipObservation{runs[c]->last_window_power().value(),
                                      runs[c]->last_window_bips()};
           }
@@ -290,33 +329,41 @@ std::vector<std::unique_ptr<Simulation>> make_cluster_chips(
   // Seeds and mixes are drawn serially, shard by shard from each shard's RNG
   // stream, so the fleet is a pure function of (base, num_chips, seed); only
   // the calibrations run in parallel.
-  std::vector<std::uint64_t> seeds(num_chips);
-  std::vector<workload::Mix> mixes(vary_mixes ? num_chips : 0);
+  std::vector<SimulationConfig> configs(num_chips, base);
   const util::ShardPlan plan{num_chips, util::kDefaultShardSize};
   for (std::size_t s = 0; s < plan.num_shards(); ++s) {
     util::Xoshiro256pp rng = util::shard_stream(seed, s);
     for (std::size_t c = plan.begin(s); c < plan.end(s); ++c) {
-      seeds[c] = rng();
+      configs[c].seed = rng();
       if (!vary_mixes) continue;
-      mixes[c].name = "cluster";
+      workload::Mix& mix = configs[c].mix;
+      mix = workload::Mix{};
+      mix.name = "cluster";
       for (std::size_t i = 0; i < islands; ++i) {
         workload::IslandAssignment island;
         for (std::size_t j = 0; j < cores; ++j) {
           island.push_back(pool[rng.uniform_int(pool.size())]);
         }
-        mixes[c].islands.push_back(std::move(island));
+        mix.islands.push_back(std::move(island));
       }
     }
   }
-  return util::parallel_map<std::unique_ptr<Simulation>>(
-      num_chips,
-      [&base, &seeds, &mixes](std::size_t c) {
-        SimulationConfig config = base;
-        config.seed = seeds[c];
-        if (!mixes.empty()) config.mix = std::move(mixes[c]);
-        return std::make_unique<Simulation>(config);
-      },
-      threads);
+  // Each shard's chips calibrate in lockstep (they share the base's plant
+  // configuration), the shards in parallel; each task writes only its own
+  // shard's chips.
+  std::vector<std::unique_ptr<Simulation>> chips(num_chips);
+  util::parallel_for_shards(
+      plan, threads, [&configs, &chips, plan](std::size_t s) {
+        const std::span<const SimulationConfig> shard(
+            configs.data() + plan.begin(s), plan.end(s) - plan.begin(s));
+        std::vector<ChipCalibration> calibrations = calibrate_chips(shard);
+        for (std::size_t c = plan.begin(s); c < plan.end(s); ++c) {
+          const ChipCalibration& cal = calibrations[c - plan.begin(s)];
+          chips[c] = std::make_unique<Simulation>(
+              std::move(configs[c]), cal.calibration, cal.max_chip_power);
+        }
+      });
+  return chips;
 }
 
 }  // namespace cpm::core

@@ -20,7 +20,11 @@
 // Scale: each epoch advances the chips in shards across threads
 // (util::parallel_for_shards), each chip writing only its own observation;
 // the epoch power is then summed in chip order on the calling thread, so a
-// 1000-chip run is bit-identical at any thread count and shard size.
+// 1000-chip run is bit-identical at any thread count and shard size. Within
+// a shard, consecutive chips with one plant configuration (same_plant) run
+// as one RunBatch: their ticks go through one batched ChipPlant in lockstep,
+// so each per-core kernel runs once over the batch instead of once per
+// small chip.
 // Memory: each chip streams its per-interval records through a
 // core/record_sink.h sink (bounded by default), and the cluster's own epoch
 // series is stride-decimated once it exceeds `epoch_capacity` -- the whole
@@ -77,8 +81,10 @@ struct ClusterConfig {
   /// Worker threads for the per-epoch chip advance (0 = hardware
   /// concurrency). Results are bit-identical at any value.
   std::size_t threads = 0;
-  /// Chips advanced by one parallel task per epoch (>= 1). Sets only how the
-  /// work is split across threads; results are bit-identical at any value.
+  /// Chips advanced by one parallel task per epoch (>= 1). Sets how the
+  /// work is split across threads, and the lockstep width: a shard's
+  /// consecutive chips of one plant configuration step through one batched
+  /// plant. Results are bit-identical at any value.
   std::size_t shard_size = 16;
   /// Keep each chip's full SimulationResult in ClusterResult::chip_results.
   /// Off by default: at cluster scale the per-chip stats are the product and
@@ -166,9 +172,11 @@ class ClusterPowerManager {
 /// (and, with `vary_mixes`, per-chip random island assignments over the
 /// PARSEC+SPEC profile pool) are drawn serially in chip order, the chips of
 /// shard s of util::ShardPlan{num_chips, util::kDefaultShardSize} from
-/// util::shard_stream(seed, s); the chips then calibrate in parallel across
-/// `threads`. Deterministic in (base, num_chips, seed) --
-/// the thread count never changes the fleet.
+/// util::shard_stream(seed, s); each shard's chips then calibrate in
+/// lockstep (calibrate_chips), the shards in parallel across `threads`.
+/// Deterministic in (base, num_chips, seed) -- the thread count never
+/// changes the fleet, and each chip's calibration is the one
+/// Simulation(chip->config()) computes.
 std::vector<std::unique_ptr<Simulation>> make_cluster_chips(
     const SimulationConfig& base, std::size_t num_chips, std::uint64_t seed,
     bool vary_mixes = true, std::size_t threads = 0);

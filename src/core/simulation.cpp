@@ -1,6 +1,7 @@
 #include "core/simulation.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -56,6 +57,67 @@ ThermalConstraints resolved_thermal_constraints(const SimulationConfig& config) 
   return cons;
 }
 
+namespace {
+
+/// Simulation's checks on a config, shared by the calibration (which runs
+/// before the Simulation exists when make_cluster_chips batches it).
+void validate_config(const SimulationConfig& config) {
+  if (config.mix.num_islands() != config.cmp.num_islands ||
+      config.mix.cores_per_island() != config.cmp.cores_per_island) {
+    throw std::invalid_argument("Simulation: mix does not match CMP topology");
+  }
+  if (!(config.budget_fraction > 0.0 && config.budget_fraction <= 1.0)) {
+    throw std::invalid_argument("Simulation: budget fraction out of (0,1]");
+  }
+  if (config.cmp.ticks_per_pic_interval == 0) {
+    throw std::invalid_argument("Simulation: ticks_per_pic_interval must be > 0");
+  }
+  if (config.cmp.pic_invocations_per_gpm() == 0) {
+    throw std::invalid_argument(
+        "Simulation: PIC interval must not exceed the GPM interval");
+  }
+  if (!config.island_leak_mults.empty() &&
+      config.island_leak_mults.size() != config.cmp.num_islands) {
+    throw std::invalid_argument(
+        "Simulation: leak multipliers must match island count");
+  }
+  // The calibration casts its tick count to std::size_t.
+  const double calibration_ticks =
+      config.calibration_seconds / config.cmp.tick_seconds();
+  if (!(config.calibration_seconds >= 0.0 &&
+        calibration_ticks <
+            static_cast<double>(std::numeric_limits<std::size_t>::max()))) {
+    throw std::invalid_argument(
+        "Simulation: calibration_seconds must be finite, >= 0 and a "
+        "representable tick count");
+  }
+  double prev_time = -1.0;
+  for (const auto& [time_s, fraction] : config.budget_schedule) {
+    if (!(fraction > 0.0 && fraction <= 1.0)) {
+      throw std::invalid_argument(
+          "Simulation: scheduled budget fraction out of (0,1]");
+    }
+    if (time_s < prev_time) {
+      throw std::invalid_argument(
+          "Simulation: budget_schedule must be sorted by time");
+    }
+    prev_time = time_s;
+  }
+}
+
+/// Dynamic-power scale (V^2 f) of every DVFS level relative to the top one.
+std::vector<double> level_scales(const sim::DvfsTable& dvfs) {
+  const double top_scale = dvfs.level(dvfs.max_level()).dynamic_energy_scale();
+  std::vector<double> scales;
+  scales.reserve(dvfs.num_levels());
+  for (const sim::DvfsPoint& point : dvfs.levels()) {
+    scales.push_back(point.dynamic_energy_scale() / top_scale);
+  }
+  return scales;
+}
+
+}  // namespace
+
 Simulation::Simulation(SimulationConfig config)
     : Simulation(std::move(config), nullptr, units::Watts{0.0}) {}
 
@@ -68,51 +130,14 @@ Simulation::Simulation(SimulationConfig config,
                        const CalibrationResult* calibration,
                        units::Watts max_chip_power)
     : config_(std::move(config)),
-      power_model_(config_.cmp, config_.island_leak_mults) {
-  if (config_.mix.num_islands() != config_.cmp.num_islands ||
-      config_.mix.cores_per_island() != config_.cmp.cores_per_island) {
-    throw std::invalid_argument("Simulation: mix does not match CMP topology");
-  }
-  if (!(config_.budget_fraction > 0.0 && config_.budget_fraction <= 1.0)) {
-    throw std::invalid_argument("Simulation: budget fraction out of (0,1]");
-  }
-  if (config_.cmp.ticks_per_pic_interval == 0) {
-    throw std::invalid_argument("Simulation: ticks_per_pic_interval must be > 0");
-  }
-  if (config_.cmp.pic_invocations_per_gpm() == 0) {
-    throw std::invalid_argument(
-        "Simulation: PIC interval must not exceed the GPM interval");
-  }
-  // calibrate() casts the calibration's tick count to std::size_t.
-  const double calibration_ticks =
-      config_.calibration_seconds / config_.cmp.tick_seconds();
-  if (!(config_.calibration_seconds >= 0.0 &&
-        calibration_ticks <
-            static_cast<double>(std::numeric_limits<std::size_t>::max()))) {
-    throw std::invalid_argument(
-        "Simulation: calibration_seconds must be finite, >= 0 and a "
-        "representable tick count");
-  }
-  double prev_time = -1.0;
-  for (const auto& [time_s, fraction] : config_.budget_schedule) {
-    if (!(fraction > 0.0 && fraction <= 1.0)) {
-      throw std::invalid_argument(
-          "Simulation: scheduled budget fraction out of (0,1]");
-    }
-    if (time_s < prev_time) {
-      throw std::invalid_argument(
-          "Simulation: budget_schedule must be sorted by time");
-    }
-    prev_time = time_s;
-  }
-  const sim::DvfsTable& dvfs = config_.cmp.dvfs;
-  const double top_scale = dvfs.level(dvfs.max_level()).dynamic_energy_scale();
-  level_scale_.reserve(dvfs.num_levels());
-  for (const sim::DvfsPoint& point : dvfs.levels()) {
-    level_scale_.push_back(point.dynamic_energy_scale() / top_scale);
-  }
+      power_model_(config_.cmp, config_.island_leak_mults),
+      level_scale_(level_scales(config_.cmp.dvfs)) {
+  validate_config(config_);
   if (calibration == nullptr) {
-    calibrate();  // sets max_power_w_ (unmanaged peak) and budget_w_
+    ChipCalibration own =
+        std::move(calibrate_chips(std::span(&config_, 1)).front());
+    calibration_ = std::move(own.calibration);
+    max_power_w_ = own.max_chip_power.value();
   } else {
     // Reused calibration: the offline calibration run depends only on the
     // chip, mix, seed, leakage multipliers and thermal parameters -- not on
@@ -135,162 +160,263 @@ Simulation::Simulation(SimulationConfig config,
     }
     calibration_ = *calibration;
     max_power_w_ = max_chip_power.value();
-    budget_w_ = config_.budget_fraction * max_power_w_;
   }
+  budget_w_ = config_.budget_fraction * max_power_w_;
+}
+
+bool same_plant(const SimulationConfig& a, const SimulationConfig& b) {
+  return a.cmp == b.cmp && a.thermal_params == b.thermal_params;
 }
 
 ChipPlant::ChipPlant(const SimulationConfig& config,
                      const power::PowerModel& power)
+    : ChipPlant(std::array{&config}, power) {}
+
+namespace {
+
+/// The chips of a plant batch, checked to share one plant configuration.
+std::vector<sim::ChipSpec> chip_specs(
+    std::span<const SimulationConfig* const> chips) {
+  if (chips.empty()) throw std::invalid_argument("ChipPlant: no chips");
+  std::vector<sim::ChipSpec> specs;
+  specs.reserve(chips.size());
+  for (const SimulationConfig* config : chips) {
+    if (!same_plant(*config, *chips.front())) {
+      throw std::invalid_argument(
+          "ChipPlant: chips of one batch must share the plant configuration");
+    }
+    specs.push_back({&config->mix, config->seed});
+  }
+  return specs;
+}
+
+}  // namespace
+
+ChipPlant::ChipPlant(std::span<const SimulationConfig* const> chips,
+                     const power::PowerModel& power)
     : power_(&power),
-      chip_(config.cmp, config.mix, config.seed),
-      thermal_(make_floorplan(config.cmp.total_cores()),
-               config.thermal_params),
-      core_leak_mult_(config.cmp.total_cores()),
-      island_power_w_(config.cmp.num_islands, 0.0) {
+      chip_(chips.empty() ? sim::CmpConfig{} : chips.front()->cmp,
+            chip_specs(chips)),
+      thermal_(make_floorplan(chips.front()->cmp.total_cores()),
+               chips.front()->thermal_params, chips.size()),
+      islands_(chips.front()->cmp.num_islands),
+      core_leak_mult_(chip_.num_cores()),
+      island_power_w_(chip_.num_islands(), 0.0),
+      chip_power_w_(chips.size(), 0.0) {
   // Per-core tick detail is consumed from the chip's SoA arrays; the
   // IslandTick record mirrors are never read on this path.
   chip_.set_record_cores(false);
   for (std::size_t i = 0; i < chip_.num_islands(); ++i) {
+    // power::PowerModel::island_leak_mult of the island's own chip.
+    const std::vector<double>& mults = chips[i / islands_]->island_leak_mults;
+    const double lm = mults.empty() ? 1.0 : mults[i % islands_];
     const std::size_t g0 = chip_.island_offset(i);
-    const double lm = power.island_leak_mult(i);
     for (std::size_t c = 0; c < chip_.island_size(i); ++c) {
       core_leak_mult_[g0 + c] = lm;
     }
   }
 }
 
-const sim::ChipTick& ChipPlant::step(double dt,
-                                     std::span<double> core_leak_w) {
-  const sim::ChipTick& tick = chip_.step(dt);
+void ChipPlant::step(double dt, std::span<double> core_leak_w) {
+  chip_.step(dt);
   const sim::ChipSoa& soa = chip_.soa();
-  // One flat whole-chip power sweep (voltage / frequency / leak multiplier
-  // are per-core SoA columns), at the temperatures before this tick's RC
-  // step; island totals are partial sums over the same buffer.
+  // One flat power sweep over every core of the batch (voltage / frequency
+  // / leak multiplier are per-core SoA columns), at the temperatures before
+  // this tick's RC step; island and chip totals are partial sums over the
+  // same buffer.
   power_->chip_power_batch(soa.utilization, soa.demand_activity,
                            soa.activity_idle, soa.ceff_scale, soa.voltage,
                            soa.freq_ghz, core_leak_mult_,
                            thermal_.temperatures(), chip_.core_power_w(),
                            core_leak_w);
   const std::span<const double> core_power = chip_.core_power_w();
-  chip_power_w_ = 0.0;
-  for (std::size_t i = 0; i < island_power_w_.size(); ++i) {
-    const std::size_t g0 = chip_.island_offset(i);
-    const std::size_t sz = chip_.island_size(i);
-    double island_power = 0.0;
-    for (std::size_t c = 0; c < sz; ++c) island_power += core_power[g0 + c];
-    island_power_w_[i] = island_power;
-    chip_power_w_ += island_power;
+  for (std::size_t k = 0; k < chip_power_w_.size(); ++k) {
+    double chip_power = 0.0;
+    for (std::size_t i = k * islands_; i < (k + 1) * islands_; ++i) {
+      const std::size_t g0 = chip_.island_offset(i);
+      const std::size_t sz = chip_.island_size(i);
+      double island_power = 0.0;
+      for (std::size_t c = 0; c < sz; ++c) island_power += core_power[g0 + c];
+      island_power_w_[i] = island_power;
+      chip_power += island_power;
+    }
+    chip_power_w_[k] = chip_power;
   }
   thermal_.step(core_power, dt);
-  return tick;
 }
 
-void Simulation::calibrate() {
-  CPM_TRACE_SCOPE1("sim", "Simulation::calibrate", "islands",
-                   config_.cmp.num_islands);
-  const auto& cmp = config_.cmp;
-  ChipPlant plant(config_, power_model_);
-  sim::Chip& chip = plant.chip();
-  util::Xoshiro256pp rng(config_.seed ^ 0xCA11B7A7E5EEDULL);
+namespace {
 
-  const double dt = cmp.tick_seconds();
-  const std::size_t total_ticks = std::max<std::size_t>(
-      cmp.ticks_per_pic_interval * 16,
-      static_cast<std::size_t>(config_.calibration_seconds / dt));
-  // Phase A (first half): all islands held at fmax -- measures the chip's
-  // unmanaged peak power, which defines the budget percentage scale ("max
-  // chip power"). Phase B (second half): white-noise DVFS excitation for
-  // transducer fitting and plant-gain identification (Fig. 5 methodology).
-  const std::size_t phase_a_ticks = total_ticks / 2;
-  const std::size_t n = cmp.num_islands;
-
-  std::vector<std::vector<double>> utils(n), powers_ref(n), powers_raw(n),
-      freqs(n);
-  std::vector<SimulationRun::Accum> accum(n);
+/// One chip's side of a lockstep calibration: its phase lengths, its
+/// excitation stream and the samples it collects.
+struct CalibrationState {
+  struct Accum {
+    double utilization = 0.0, power_w = 0.0;
+    std::size_t ticks = 0;
+  };
+  std::size_t total_ticks = 0;
+  std::size_t phase_a_ticks = 0;
+  util::Xoshiro256pp rng{0};
+  std::vector<std::vector<double>> utils, powers_ref, powers_raw, freqs;
+  std::vector<Accum> accum;
   double peak_chip_power = 0.0;
-  std::vector<double> island_peak(n, 0.0);
-  std::vector<util::RunningStats> island_fmax_bips(n);
-  std::vector<util::RunningStats> island_fmax_leak(n);
-  std::vector<double> core_leak(cmp.total_cores(), 0.0);
+  std::vector<double> island_peak;
+  std::vector<util::RunningStats> island_fmax_bips, island_fmax_leak;
+};
 
-  for (std::size_t t = 0; t < total_ticks; ++t) {
-    const bool phase_a = t < phase_a_ticks;
-    const sim::ChipTick& tick =
-        plant.step(dt, phase_a ? std::span<double>(core_leak)
-                               : std::span<double>());
-    const std::span<const double> island_power = plant.island_power_w();
-    for (std::size_t i = 0; i < n; ++i) {
-      accum[i].add(tick.islands[i].utilization, tick.islands[i].bips,
-                   tick.islands[i].instructions, island_power[i]);
-      if (phase_a) {
-        island_peak[i] = std::max(island_peak[i], island_power[i]);
-        island_fmax_bips[i].add(tick.islands[i].bips);
-        const std::size_t g0 = chip.island_offset(i);
-        double leakage = 0.0;
-        for (std::size_t c = 0; c < chip.island_size(i); ++c) {
-          leakage += core_leak[g0 + c];
-        }
-        island_fmax_leak[i].add(leakage);
-      }
-    }
-    if (phase_a) {
-      peak_chip_power = std::max(peak_chip_power, plant.chip_power_w());
-    }
+/// Calibrates `configs`, which must be same_plant, in lockstep through one
+/// plant: the body of calibrate_chips for one batch.
+void calibrate_lockstep(std::span<const SimulationConfig* const> configs,
+                        std::span<ChipCalibration> out) {
+  const SimulationConfig& first = *configs.front();
+  CPM_TRACE_SCOPE1("sim", "Simulation::calibrate", "chips", configs.size());
+  const auto& cmp = first.cmp;
+  const power::PowerModel power(cmp, first.island_leak_mults);
+  ChipPlant plant(configs, power);
+  sim::Chip& chip = plant.chip();
+  const std::vector<double> level_scale = level_scales(cmp.dvfs);
+  const std::size_t n = cmp.num_islands;
+  const double dt = cmp.tick_seconds();
 
-    if ((t + 1) % cmp.ticks_per_pic_interval == 0) {
+  std::vector<CalibrationState> states(configs.size());
+  std::size_t batch_ticks = 0;
+  std::size_t batch_phase_a_ticks = 0;
+  for (std::size_t k = 0; k < configs.size(); ++k) {
+    CalibrationState& st = states[k];
+    st.total_ticks = std::max<std::size_t>(
+        cmp.ticks_per_pic_interval * 16,
+        static_cast<std::size_t>(configs[k]->calibration_seconds / dt));
+    // Phase A (first half): all islands held at fmax -- measures the
+    // chip's unmanaged peak power, which defines the budget percentage
+    // scale ("max chip power"). Phase B (second half): white-noise DVFS
+    // excitation for transducer fitting and plant-gain identification
+    // (Fig. 5 methodology).
+    st.phase_a_ticks = st.total_ticks / 2;
+    st.rng = util::Xoshiro256pp(configs[k]->seed ^ 0xCA11B7A7E5EEDULL);
+    st.utils.resize(n);
+    st.powers_ref.resize(n);
+    st.powers_raw.resize(n);
+    st.freqs.resize(n);
+    st.accum.resize(n);
+    st.island_peak.assign(n, 0.0);
+    st.island_fmax_bips.resize(n);
+    st.island_fmax_leak.resize(n);
+    batch_ticks = std::max(batch_ticks, st.total_ticks);
+    batch_phase_a_ticks = std::max(batch_phase_a_ticks, st.phase_a_ticks);
+  }
+  std::vector<double> core_leak(chip.num_cores(), 0.0);
+
+  // A chip whose calibration is shorter than the batch's keeps stepping
+  // with the others and records nothing more.
+  for (std::size_t t = 0; t < batch_ticks; ++t) {
+    plant.step(dt, t < batch_phase_a_ticks ? std::span<double>(core_leak)
+                                           : std::span<double>());
+    for (std::size_t k = 0; k < states.size(); ++k) {
+      CalibrationState& st = states[k];
+      if (t >= st.total_ticks) continue;
+      const bool phase_a = t < st.phase_a_ticks;
+      const sim::ChipTick& tick = chip.tick(k);
+      const std::span<const double> island_power = plant.island_power_w(k);
       for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t level = chip.actuator(i).current_level();
-        utils[i].push_back(accum[i].mean_util());
-        // Normalize power samples to the reference (top) level so a single
-        // linear u->P line covers the whole DVFS range.
-        powers_ref[i].push_back(accum[i].mean_power() / level_scale(level));
-        powers_raw[i].push_back(accum[i].mean_power());
-        freqs[i].push_back(chip.actuator(i).operating_point().freq_ghz);
-        accum[i].reset();
-        if (!phase_a) {
-          // White-noise DVFS excitation (paper Fig. 5 methodology): jump to
-          // a uniformly random level each local interval.
-          chip.actuator(i).set_level(rng.uniform_int(cmp.dvfs.num_levels()));
+        st.accum[i].utilization += tick.islands[i].utilization;
+        st.accum[i].power_w += island_power[i];
+        ++st.accum[i].ticks;
+        if (phase_a) {
+          st.island_peak[i] = std::max(st.island_peak[i], island_power[i]);
+          st.island_fmax_bips[i].add(tick.islands[i].bips);
+          const std::size_t g0 = chip.island_offset(k * n + i);
+          double leakage = 0.0;
+          for (std::size_t c = 0; c < chip.island_size(k * n + i); ++c) {
+            leakage += core_leak[g0 + c];
+          }
+          st.island_fmax_leak[i].add(leakage);
+        }
+      }
+      if (phase_a) {
+        st.peak_chip_power =
+            std::max(st.peak_chip_power, plant.chip_power_w(k));
+      }
+
+      if ((t + 1) % cmp.ticks_per_pic_interval == 0) {
+        for (std::size_t i = 0; i < n; ++i) {
+          sim::DvfsActuator& actuator = chip.actuator(k * n + i);
+          CalibrationState::Accum& acc = st.accum[i];
+          const double ticks = static_cast<double>(acc.ticks);
+          const double mean_util = acc.utilization / ticks;
+          const double mean_power = acc.power_w / ticks;
+          st.utils[i].push_back(mean_util);
+          // Normalize power samples to the reference (top) level so a
+          // single linear u->P line covers the whole DVFS range.
+          st.powers_ref[i].push_back(mean_power /
+                                     level_scale[actuator.current_level()]);
+          st.powers_raw[i].push_back(mean_power);
+          st.freqs[i].push_back(actuator.operating_point().freq_ghz);
+          acc = CalibrationState::Accum{};
+          if (!phase_a) {
+            // White-noise DVFS excitation (paper Fig. 5 methodology): jump
+            // to a uniformly random level each local interval.
+            actuator.set_level(st.rng.uniform_int(cmp.dvfs.num_levels()));
+          }
         }
       }
     }
   }
 
-  util::MetricsRegistry::global().add("chip.ticks", total_ticks);
-  max_power_w_ = peak_chip_power;
-  budget_w_ = config_.budget_fraction * max_power_w_;
-
-  calibration_.transducers.clear();
-  calibration_.plant_gains.clear();
-  calibration_.plant_gain_r2.clear();
-  calibration_.island_peak_power_w = island_peak;
-  calibration_.island_fmax_bips.clear();
-  calibration_.island_fmax_leakage_w.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    calibration_.island_fmax_bips.push_back(island_fmax_bips[i].mean());
-    calibration_.island_fmax_leakage_w.push_back(island_fmax_leak[i].mean());
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    calibration_.transducers.push_back(
-        power::calibrate_transducer(utils[i], powers_ref[i]));
-    // Plant gain a_i: delta (power, % of chip max) per delta (freq, GHz),
-    // from phase-B samples where frequency actually moved.
-    std::vector<double> df, dp_pct;
-    for (std::size_t k = 1; k < freqs[i].size(); ++k) {
-      if (freqs[i][k] == freqs[i][k - 1]) continue;
-      df.push_back(freqs[i][k] - freqs[i][k - 1]);
-      dp_pct.push_back(
-          (powers_raw[i][k] - powers_raw[i][k - 1]) / max_power_w_ * 100.0);
+  for (std::size_t k = 0; k < states.size(); ++k) {
+    CalibrationState& st = states[k];
+    util::MetricsRegistry::global().add("chip.ticks", st.total_ticks);
+    const double max_power_w = st.peak_chip_power;
+    CalibrationResult& cal = out[k].calibration;
+    out[k].max_chip_power = units::Watts{max_power_w};
+    cal.island_peak_power_w = st.island_peak;
+    for (std::size_t i = 0; i < n; ++i) {
+      cal.island_fmax_bips.push_back(st.island_fmax_bips[i].mean());
+      cal.island_fmax_leakage_w.push_back(st.island_fmax_leak[i].mean());
     }
-    const control::GainEstimate est = control::estimate_plant_gain(df, dp_pct);
-    calibration_.plant_gains.push_back(std::max(0.05, est.gain.value()));
-    calibration_.plant_gain_r2.push_back(est.r_squared);
-    util::log_info() << "calibration island " << i << ": transducer k1="
-                     << calibration_.transducers[i].k1
-                     << " k0=" << calibration_.transducers[i].k0
-                     << " R2=" << calibration_.transducers[i].r_squared
-                     << " plant a=" << calibration_.plant_gains[i];
+    for (std::size_t i = 0; i < n; ++i) {
+      cal.transducers.push_back(
+          power::calibrate_transducer(st.utils[i], st.powers_ref[i]));
+      // Plant gain a_i: delta (power, % of chip max) per delta (freq,
+      // GHz), from phase-B samples where frequency actually moved.
+      std::vector<double> df, dp_pct;
+      const std::vector<double>& freqs = st.freqs[i];
+      const std::vector<double>& powers = st.powers_raw[i];
+      for (std::size_t s = 1; s < freqs.size(); ++s) {
+        if (freqs[s] == freqs[s - 1]) continue;
+        df.push_back(freqs[s] - freqs[s - 1]);
+        dp_pct.push_back((powers[s] - powers[s - 1]) / max_power_w * 100.0);
+      }
+      const control::GainEstimate est =
+          control::estimate_plant_gain(df, dp_pct);
+      cal.plant_gains.push_back(std::max(0.05, est.gain.value()));
+      cal.plant_gain_r2.push_back(est.r_squared);
+      util::log_info() << "calibration island " << i << ": transducer k1="
+                       << cal.transducers[i].k1
+                       << " k0=" << cal.transducers[i].k0
+                       << " R2=" << cal.transducers[i].r_squared
+                       << " plant a=" << cal.plant_gains[i];
+    }
   }
+}
+
+}  // namespace
+
+std::vector<ChipCalibration> calibrate_chips(
+    std::span<const SimulationConfig> configs) {
+  for (const SimulationConfig& config : configs) validate_config(config);
+  std::vector<ChipCalibration> out(configs.size());
+  std::vector<const SimulationConfig*> batch;
+  for (std::size_t begin = 0; begin < configs.size();) {
+    std::size_t end = begin + 1;
+    while (end < configs.size() && same_plant(configs[end], configs[begin])) {
+      ++end;
+    }
+    batch.clear();
+    for (std::size_t c = begin; c < end; ++c) batch.push_back(&configs[c]);
+    calibrate_lockstep(batch, std::span(out).subspan(begin, end - begin));
+    begin = end;
+  }
+  return out;
 }
 
 SimulationResult Simulation::run(double duration_s) {
@@ -306,11 +432,13 @@ SimulationResult Simulation::run(double duration_s, RecordSink& sink) {
 }
 
 std::unique_ptr<SimulationRun> Simulation::start() {
-  return std::unique_ptr<SimulationRun>(new SimulationRun(*this, nullptr));
+  return std::unique_ptr<SimulationRun>(
+      new SimulationRun(*this, nullptr, nullptr, 0));
 }
 
 std::unique_ptr<SimulationRun> Simulation::start(RecordSink& sink) {
-  return std::unique_ptr<SimulationRun>(new SimulationRun(*this, &sink));
+  return std::unique_ptr<SimulationRun>(
+      new SimulationRun(*this, &sink, nullptr, 0));
 }
 
 // ---------------------------------------------------------------------------
@@ -319,9 +447,16 @@ std::unique_ptr<SimulationRun> Simulation::start(RecordSink& sink) {
 
 SimulationRun::~SimulationRun() = default;
 
-SimulationRun::SimulationRun(Simulation& owner, RecordSink* sink)
+SimulationRun::SimulationRun(Simulation& owner, RecordSink* sink,
+                             ChipPlant* plant, std::size_t slot)
     : owner_(&owner),
-      plant_(owner.config_, owner.power_model_),
+      owned_plant_(plant ? nullptr
+                         : std::make_unique<ChipPlant>(owner.config_,
+                                                       owner.power_model_)),
+      plant_(plant ? plant : owned_plant_.get()),
+      slot_(slot),
+      island0_(slot * owner.config_.cmp.num_islands),
+      core0_(slot * owner.config_.cmp.total_cores()),
       hotspots_(owner.config_.cmp.total_cores(),
                 owner.config_.hotspot_threshold_c),
       sensor_rng_(owner.config_.seed ^ 0x5E4504ULL),
@@ -338,7 +473,6 @@ SimulationRun::SimulationRun(Simulation& owner, RecordSink* sink)
   const SimulationConfig& config = owner.config_;
   const auto& cmp = config.cmp;
   const CalibrationResult& calibration = owner.calibration_;
-  sim::Chip& chip = plant_.chip();
 
   // ---- build the manager -------------------------------------------------
   if (config.manager == ManagerKind::kCpm) {
@@ -399,8 +533,8 @@ SimulationRun::SimulationRun(Simulation& owner, RecordSink* sink)
              owner.level_scale(init_level) > config.budget_fraction) {
         --init_level;
       }
-      chip.actuator(i).set_level(init_level);
-      chip.actuator(i).consume_stall(1.0);  // no startup stall
+      actuator(i).set_level(init_level);
+      actuator(i).consume_stall(1.0);  // no startup stall
       pics_.emplace_back(pc, calibration.transducers[i],
                          units::GigaHertz{cmp.dvfs.level(init_level).freq_ghz});
       pics_.back().set_target(
@@ -478,14 +612,13 @@ void SimulationRun::set_budget(units::Watts budget) {
   pending_budget_w_ = watts;
 }
 
-void SimulationRun::advance(double seconds) {
+std::uint64_t SimulationRun::take_ticks(double seconds) {
   if (finished_) {
     throw std::logic_error("SimulationRun::advance: run already finished");
   }
   if (!(seconds > 0.0) || !std::isfinite(seconds)) {
     throw std::invalid_argument("SimulationRun::advance: duration must be positive");
   }
-  CPM_TRACE_SCOPE1("sim", "SimulationRun::advance", "seconds", seconds);
   // Round to whole ticks but carry the fractional remainder to the next
   // call: each invocation alone rounding `seconds / dt_` would silently lose
   // (or double-count) time under repeated sub-interval stepping.
@@ -500,28 +633,58 @@ void SimulationRun::advance(double seconds) {
   const std::uint64_t ticks =
       frac_ticks <= 0.0 ? 0 : static_cast<std::uint64_t>(frac_ticks + 0.5);
   tick_carry_ = frac_ticks - static_cast<double>(ticks);
-  for (std::uint64_t t = 0; t < ticks; ++t) tick_once();
+  return ticks;
 }
 
-void SimulationRun::tick_once() {
+void SimulationRun::advance(double seconds) {
+  if (plant_->num_chips() != 1) {
+    throw std::logic_error(
+        "SimulationRun::advance: a batched run advances through its RunBatch");
+  }
+  SimulationRun* const self = this;
+  advance_lockstep(*plant_, std::span(&self, 1), seconds);
+}
+
+void SimulationRun::advance_lockstep(ChipPlant& plant,
+                                     std::span<SimulationRun* const> runs,
+                                     double seconds) {
+  // Every run of a batch has advanced by the same amounts with the same
+  // tick, so they owe the same tick count; a run that cannot advance stops
+  // the batch before any of them moves.
+  for (SimulationRun* run : runs) {
+    if (run->finished_) {
+      throw std::logic_error("SimulationRun::advance: run already finished");
+    }
+  }
+  std::uint64_t ticks = 0;
+  for (SimulationRun* run : runs) ticks = run->take_ticks(seconds);
+  CPM_TRACE_SCOPE1("sim", "SimulationRun::advance", "seconds", seconds);
+  const double dt = runs.front()->dt_;
+  for (std::uint64_t t = 0; t < ticks; ++t) {
+    plant.step(dt);
+    for (SimulationRun* run : runs) run->observe_tick();
+  }
+}
+
+void SimulationRun::observe_tick() {
   const SimulationConfig& config = owner_->config_;
   const double now = static_cast<double>(tick_ + 1) * dt_;
-  const sim::ChipTick& tick = plant_.step(dt_);
-  const sim::Chip& chip = plant_.chip();
+  const sim::Chip& chip = plant_->chip();
+  const sim::ChipTick& tick = chip.tick(slot_);
   const sim::ChipSoa& soa = chip.soa();
-  const std::span<const double> island_power = plant_.island_power_w();
+  const std::span<const double> island_power = plant_->island_power_w(slot_);
 
   if (config.enable_migration) {
     // Frequency-normalized utilization (u_ref = u f / (u f + fmax (1-u)))
     // makes cores on islands at different frequencies comparable for the
     // migration advisor.
     for (std::size_t i = 0; i < n_; ++i) {
-      const std::size_t g0 = chip.island_offset(i);
+      const std::size_t g0 = chip.island_offset(island0_ + i);
       const double f = soa.freq_ghz[g0];
-      for (std::size_t c = 0; c < chip.island_size(i); ++c) {
+      for (std::size_t c = 0; c < chip.island_size(island0_ + i); ++c) {
         const double u = soa.utilization[g0 + c];
         const double denom = u * f + fmax_ * (1.0 - u);
-        core_util_sum_[g0 + c] += denom > 0.0 ? u * f / denom : 0.0;
+        core_util_sum_[g0 - core0_ + c] += denom > 0.0 ? u * f / denom : 0.0;
       }
     }
     ++core_util_ticks_;
@@ -536,8 +699,8 @@ void SimulationRun::tick_once() {
     result_.island_energy_j[i] += island_power[i] * dt_;
     result_.island_avg_bips[i] += it.bips;
   }
-  hotspots_.record(plant_.thermal().temperatures(), dt_);
-  chip_power_mean_.add(plant_.chip_power_w());
+  hotspots_.record(plant_->thermal().chip_temperatures(slot_), dt_);
+  chip_power_mean_.add(plant_->chip_power_w(slot_));
   chip_bips_mean_.add(tick.total_bips);
   result_.total_instructions += tick.total_instructions;
   ++tick_;
@@ -571,8 +734,8 @@ void SimulationRun::pic_boundary(double now) {
     rec.actual_w = pic_accum_[i].mean_power();
     rec.utilization = u;
     rec.bips = pic_accum_[i].mean_bips();
-    rec.freq_ghz = plant_.chip().actuator(i).operating_point().freq_ghz;
-    rec.dvfs_level = plant_.chip().actuator(i).current_level();
+    rec.freq_ghz = actuator(i).operating_point().freq_ghz;
+    rec.dvfs_level = actuator(i).current_level();
 
     if (config.manager == ManagerKind::kCpm) {
       const double scale = owner_->level_scale(rec.dvfs_level);
@@ -587,7 +750,7 @@ void SimulationRun::pic_boundary(double now) {
       gpm_sensed_energy_[i] += rec.sensed_w * cmp.pic_interval_s;
       const units::GigaHertz freq_req = pics_[i].invoke(u, scale);
       pic_abs_error_stats_.add(units::abs(pics_[i].last_error()).value());
-      plant_.chip().actuator(i).request_frequency(freq_req);
+      actuator(i).request_frequency(freq_req);
     } else {
       rec.target_w = live_budget_w_ / static_cast<double>(n_);
       rec.sensed_w = rec.actual_w;
@@ -629,7 +792,7 @@ void SimulationRun::gpm_boundary(double now) {
   GpmIntervalRecord& rec = gpm_rec_;
   rec.time_s = now;
   rec.chip_budget_w = live_budget_w_;
-  rec.max_temp_c = plant_.thermal().max_temperature();
+  rec.max_temp_c = plant_->thermal().max_temperature(slot_);
   rec.chip_actual_w = 0.0;
   rec.chip_bips = 0.0;
   rec.island_actual_w.resize(n_);
@@ -642,7 +805,7 @@ void SimulationRun::gpm_boundary(double now) {
     obs[i].energy_j = gpm_sensed_energy_[i];
     obs[i].power_w = gpm_sensed_energy_[i] / cmp.gpm_interval_s;
     observed_w += obs[i].power_w;
-    obs[i].dvfs_level = plant_.chip().actuator(i).current_level();
+    obs[i].dvfs_level = actuator(i).current_level();
 
     rec.island_actual_w[i] = gpm_accum_[i].mean_power();
     rec.island_bips[i] = obs[i].bips;
@@ -665,7 +828,7 @@ void SimulationRun::gpm_boundary(double now) {
                                : std::span<const IslandObservation>(
                                      maxbips_static_));
     for (std::size_t i = 0; i < n_; ++i) {
-      plant_.chip().actuator(i).set_level(levels[i]);
+      actuator(i).set_level(levels[i]);
     }
     rec.island_alloc_w.assign(n_, live_budget_w_ / static_cast<double>(n_));
   } else {
@@ -691,9 +854,10 @@ void SimulationRun::gpm_boundary(double now) {
       const auto proposal =
           migration_advisor_.propose(means, n_, cmp.cores_per_island);
       if (proposal) {
-        plant_.chip().migrate(proposal->island_a, proposal->core_a,
-                              proposal->island_b, proposal->core_b,
-                              config.migration.migration_stall_s);
+        plant_->chip().migrate(island0_ + proposal->island_a,
+                               proposal->core_a, island0_ + proposal->island_b,
+                               proposal->core_b,
+                               config.migration.migration_stall_s);
         ++result_.migrations;
         migration_cooldown_ = config.migration.cooldown_windows;
         // The moved threads invalidate both islands' utilization->power
@@ -730,7 +894,7 @@ SimulationResult SimulationRun::finish() {
     result_.island_avg_bips[i] /=
         static_cast<double>(std::max<std::uint64_t>(1, tick_));
     result_.dvfs_transitions += static_cast<double>(
-        plant_.chip().actuator(i).transition_count());
+        actuator(i).transition_count());
   }
   util::MetricsRegistry& registry = util::MetricsRegistry::global();
   registry.add("chip.ticks", tick_);
@@ -741,6 +905,33 @@ SimulationResult SimulationRun::finish() {
   registry.merge("gpm.observed_power_w", gpm_observed_power_stats_);
   sink_->finish(result_);
   return std::move(result_);
+}
+
+// ---------------------------------------------------------------------------
+// RunBatch
+// ---------------------------------------------------------------------------
+
+RunBatch::RunBatch(std::span<Simulation* const> sims,
+                   std::span<RecordSink* const> sinks) {
+  if (sims.empty() || sims.size() != sinks.size()) {
+    throw std::invalid_argument(
+        "RunBatch: needs one sink per simulation, and at least one");
+  }
+  std::vector<const SimulationConfig*> configs;
+  configs.reserve(sims.size());
+  for (const Simulation* sim : sims) configs.push_back(&sim->config_);
+  plant_ = std::make_unique<ChipPlant>(configs, sims.front()->power_model_);
+  runs_.reserve(sims.size());
+  handles_.reserve(sims.size());
+  for (std::size_t k = 0; k < sims.size(); ++k) {
+    runs_.push_back(std::unique_ptr<SimulationRun>(
+        new SimulationRun(*sims[k], sinks[k], plant_.get(), k)));
+    handles_.push_back(runs_.back().get());
+  }
+}
+
+void RunBatch::advance(double seconds) {
+  SimulationRun::advance_lockstep(*plant_, handles_, seconds);
 }
 
 }  // namespace cpm::core

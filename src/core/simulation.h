@@ -158,46 +158,86 @@ std::vector<std::pair<std::size_t, std::size_t>> island_adjacency(
 /// simulation wiring and the invariant checker so both see the same limits.
 ThermalConstraints resolved_thermal_constraints(const SimulationConfig& config);
 
-/// The controlled plant: the chip, its per-core power sweep and the RC
-/// thermal model, stepped one tick at a time. `step()` is the only place a
-/// plant tick is computed, so the offline calibration that fits the
+/// Whether chips of `a` and `b` can share one ChipPlant: the same CMP
+/// config and thermal parameters, which hold every value the plant's
+/// kernels read as a scalar. Seeds, mixes, leakage multipliers, managers,
+/// policies and budgets may differ.
+bool same_plant(const SimulationConfig& a, const SimulationConfig& b);
+
+/// The controlled plant of a batch of chips that share one plant
+/// configuration (same_plant): the chips, their per-core power sweep and
+/// the RC thermal model, stepped one tick at a time in lockstep, with every
+/// per-core sweep run once over the whole batch. `step()` is the only place
+/// a plant tick is computed, so the offline calibration that fits the
 /// transducers and plant gains (paper Figs. 5-6) and the live run that the
-/// PICs then control step the same model.
+/// PICs then control step the same model; a solo run is a batch of one.
+/// Chip k owns flat islands [k * I, (k + 1) * I) and cores [k * C, (k + 1)
+/// * C) of chip() and thermal() (I islands, C cores per chip), and steps
+/// bit for bit as it would alone.
 class ChipPlant {
  public:
-  /// Builds the chip (per-core record mirrors off) and the RC thermal model
-  /// from `config`. `power` is borrowed and must outlive the plant.
+  /// Builds one chip per config (per-core record mirrors off) and the RC
+  /// thermal model of them all; every config must be same_plant with the
+  /// first, else std::invalid_argument. `power` (the first config's model:
+  /// only its scalar constants are read, each chip's leakage multipliers
+  /// come from its own config) is borrowed and must outlive the plant.
+  ChipPlant(std::span<const SimulationConfig* const> chips,
+            const power::PowerModel& power);
+  /// A batch of one.
   ChipPlant(const SimulationConfig& config, const power::PowerModel& power);
 
-  /// Advances one tick: Chip::step, then the flat chip_power_batch sweep at
-  /// the pre-step core temperatures, then the island sums in flat core
-  /// order, then the RC thermal step. A non-empty `core_leak_w` (one slot per
-  /// core) also receives each core's leakage. The returned record is
-  /// overwritten by the next step().
-  const sim::ChipTick& step(double dt, std::span<double> core_leak_w = {});
+  /// Advances every chip one tick: Chip::step, then the flat
+  /// chip_power_batch sweep at the pre-step core temperatures, then the
+  /// island sums in flat core order, then the RC thermal step. A non-empty
+  /// `core_leak_w` (one slot per core of the batch) also receives each
+  /// core's leakage. Each chip's record is chip().tick(k), overwritten by
+  /// the next step().
+  void step(double dt, std::span<double> core_leak_w = {});
 
+  std::size_t num_chips() const noexcept { return chip_power_w_.size(); }
   sim::Chip& chip() noexcept { return chip_; }
   const thermal::RcThermalModel& thermal() const noexcept { return thermal_; }
-  /// Per-island power of the last step.
-  std::span<const double> island_power_w() const noexcept {
-    return island_power_w_;
+  /// Chip `chip`'s per-island power of the last step.
+  std::span<const double> island_power_w(std::size_t chip = 0) const noexcept {
+    return std::span<const double>(island_power_w_)
+        .subspan(chip * islands_, islands_);
   }
-  /// Chip power of the last step (the sum of the island powers).
-  double chip_power_w() const noexcept { return chip_power_w_; }
+  /// Chip `chip`'s power of the last step (the sum of its island powers).
+  double chip_power_w(std::size_t chip = 0) const noexcept {
+    return chip_power_w_[chip];
+  }
 
  private:
   const power::PowerModel* power_;
   sim::Chip chip_;
   thermal::RcThermalModel thermal_;
+  std::size_t islands_;  // per chip
   /// Per-core island leakage multiplier in flat island-major order (process
   /// variation stays with the island, so migration does not move it).
   std::vector<double> core_leak_mult_;
-  std::vector<double> island_power_w_;
-  double chip_power_w_ = 0.0;
+  std::vector<double> island_power_w_;  // flat over the batch's islands
+  std::vector<double> chip_power_w_;    // one per chip
 };
+
+/// What the offline calibration run of one chip yields: the calibration a
+/// Simulation reuses, and the unmanaged peak chip power it measured.
+struct ChipCalibration {
+  CalibrationResult calibration;
+  units::Watts max_chip_power;
+};
+
+/// Runs the offline calibration of every config (transducer and plant-gain
+/// identification, paper Figs. 5-6), stepping each maximal run of
+/// consecutive same_plant configs in lockstep through one ChipPlant. Chip k's
+/// result is bit for bit what Simulation(configs[k]) computes (that
+/// constructor calls this with one config). Each config is validated as
+/// Simulation's constructor validates it (std::invalid_argument).
+std::vector<ChipCalibration> calibrate_chips(
+    std::span<const SimulationConfig> configs);
 
 class Simulation;
 class RecordSink;
+class RunBatch;
 
 /// A live, resumable simulation: the state `Simulation::run` would hold on
 /// its stack, promoted to an object so a supervising layer (e.g. a rack
@@ -205,7 +245,8 @@ class RecordSink;
 /// `advance()` calls with budget updates. Obtain one from
 /// `Simulation::start()`; `advance()` any number of times; `finish()` once.
 /// The owning Simulation must outlive its runs (the run borrows the
-/// calibration and power model).
+/// calibration and power model). A run started by a RunBatch shares the
+/// batch's plant and advances only through RunBatch::advance.
 class SimulationRun {
  public:
   ~SimulationRun();
@@ -213,7 +254,9 @@ class SimulationRun {
   /// Advances the live system by `seconds`. Whole ticks are executed
   /// immediately; a fractional tick remainder is carried over to the next
   /// call, so repeated sub-interval stepping (e.g. a supervisor advancing by
-  /// 0.4 of a tick) neither loses nor double-counts time.
+  /// 0.4 of a tick) neither loses nor double-counts time. A run of a
+  /// RunBatch of two or more throws std::logic_error (its plant steps the
+  /// batch's other chips too).
   void advance(double seconds);
 
   /// Finalizes aggregates, publishes the run's counts (chip ticks, PIC/GPM
@@ -245,15 +288,37 @@ class SimulationRun {
 
  private:
   friend class Simulation;
-  SimulationRun(Simulation& owner, RecordSink* sink);
+  friend class RunBatch;
+  /// A run of chip `slot` of `plant`, or with a plant of its own when
+  /// `plant` is null.
+  SimulationRun(Simulation& owner, RecordSink* sink, ChipPlant* plant,
+                std::size_t slot);
 
-  void tick_once();
+  /// Validates an advance() by `seconds` and returns its whole tick count,
+  /// carrying the fractional remainder.
+  std::uint64_t take_ticks(double seconds);
+  /// Advances `runs`, which are every chip of `plant`, by `seconds` in
+  /// lockstep: each tick steps the plant once, then each run records it.
+  static void advance_lockstep(ChipPlant& plant,
+                               std::span<SimulationRun* const> runs,
+                               double seconds);
+  /// Records the tick the plant just stepped, and runs the PIC/GPM
+  /// boundaries it ends.
+  void observe_tick();
   void pic_boundary(double now);
   void gpm_boundary(double now);
+  sim::DvfsActuator& actuator(std::size_t island) noexcept {
+    return plant_->chip().actuator(island0_ + island);
+  }
 
   Simulation* owner_;
-  // Substrate.
-  ChipPlant plant_;
+  // Substrate: the plant (owned by a solo run, else by its RunBatch) and
+  // this run's chip in it.
+  std::unique_ptr<ChipPlant> owned_plant_;
+  ChipPlant* plant_;
+  std::size_t slot_;
+  std::size_t island0_;  // the chip's first flat island
+  std::size_t core0_;    // the chip's first flat core
   thermal::HotspotDetector hotspots_;
   util::Xoshiro256pp sensor_rng_;
   // Managers.
@@ -337,6 +402,31 @@ class SimulationRun {
   bool finished_ = false;
 };
 
+/// Live runs of chips that share one plant configuration (same_plant),
+/// stepped in lockstep through one ChipPlant: each tick steps the plant
+/// once, then every run records it and runs its own PIC/GPM boundaries,
+/// sink, budget and observables. Bit for bit, each run is what
+/// Simulation::start would give. The Simulations must outlive the batch.
+class RunBatch {
+ public:
+  /// Starts a run of each simulation, routing run k's records to sinks[k]
+  /// (borrowed; must outlive the batch). The spans must have equal, nonzero
+  /// length and the simulations must be same_plant, else
+  /// std::invalid_argument.
+  RunBatch(std::span<Simulation* const> sims,
+           std::span<RecordSink* const> sinks);
+
+  /// Advances every run by `seconds` (see SimulationRun::advance).
+  void advance(double seconds);
+  std::size_t size() const noexcept { return runs_.size(); }
+  SimulationRun& run(std::size_t k) noexcept { return *runs_[k]; }
+
+ private:
+  std::unique_ptr<ChipPlant> plant_;
+  std::vector<std::unique_ptr<SimulationRun>> runs_;
+  std::vector<SimulationRun*> handles_;  // runs_ as advance_lockstep takes them
+};
+
 class Simulation {
  public:
   explicit Simulation(SimulationConfig config);
@@ -381,9 +471,9 @@ class Simulation {
 
  private:
   friend class SimulationRun;
+  friend class RunBatch;
   Simulation(SimulationConfig config, const CalibrationResult* calibration,
              units::Watts max_chip_power);
-  void calibrate();
 
   SimulationConfig config_;
   power::PowerModel power_model_;

@@ -1,6 +1,7 @@
 #include "sim/chip.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "util/rng.h"
@@ -79,39 +80,50 @@ void ChipSoa::resize(std::size_t cores) {
 
 Chip::Chip(const CmpConfig& config, const workload::Mix& mix,
            std::uint64_t seed)
-    : config_(config), memory_(config.memory_bandwidth_capacity) {
-  if (mix.num_islands() != config.num_islands) {
-    throw std::invalid_argument("Chip: mix island count != config");
-  }
-  // Island sizes may differ from config.cores_per_island (heterogeneous
-  // islands), but the chip-wide core count must agree with the config the
-  // power/thermal models were sized from.
-  if (mix.total_cores() != config.total_cores()) {
-    throw std::invalid_argument("Chip: mix cores/island != config");
-  }
-  util::Xoshiro256pp master(seed);
-  actuators_.reserve(mix.islands.size());
-  offsets_.reserve(mix.islands.size() + 1);
+    : Chip(config, std::array{ChipSpec{&mix, seed}}) {}
+
+Chip::Chip(const CmpConfig& config, std::span<const ChipSpec> chips)
+    : config_(config) {
+  if (chips.empty()) throw std::invalid_argument("Chip: no chips");
+  const std::size_t islands = config.num_islands;
+  actuators_.reserve(chips.size() * islands);
+  offsets_.reserve(chips.size() * islands + 1);
   offsets_.push_back(0);
-  for (const auto& assignment : mix.islands) {
-    if (assignment.empty()) {
-      throw std::invalid_argument("Chip: mix island with zero cores");
+  for (const ChipSpec& spec : chips) {
+    const workload::Mix& mix = *spec.mix;
+    if (mix.num_islands() != islands) {
+      throw std::invalid_argument("Chip: mix island count != config");
     }
-    for (const auto* profile : assignment) {
-      // Distinct seed and phase offset per core so replicated benchmarks
-      // (Mix-3) do not run in lockstep.
-      const units::Milliseconds offset{
-          1.7 * static_cast<double>(demand_.size())};
-      demand_.add(*profile, master(), offset);
+    // Island sizes may differ from config.cores_per_island (heterogeneous
+    // islands), but the chip-wide core count must agree with the config the
+    // power/thermal models were sized from.
+    if (mix.total_cores() != config.total_cores()) {
+      throw std::invalid_argument("Chip: mix cores/island != config");
     }
-    actuators_.emplace_back(config_.dvfs, config_.dvfs.max_level(),
-                            config_.dvfs_overhead_fraction,
-                            config_.pic_interval_s);
-    offsets_.push_back(demand_.size());
+    util::Xoshiro256pp master(spec.seed);
+    const std::size_t first_core = demand_.size();
+    for (const auto& assignment : mix.islands) {
+      if (assignment.empty()) {
+        throw std::invalid_argument("Chip: mix island with zero cores");
+      }
+      for (const auto* profile : assignment) {
+        // Distinct seed and phase offset per core so replicated benchmarks
+        // (Mix-3) do not run in lockstep.
+        const units::Milliseconds offset{
+            1.7 * static_cast<double>(demand_.size() - first_core)};
+        demand_.add(*profile, master(), offset);
+      }
+      actuators_.emplace_back(config_.dvfs, config_.dvfs.max_level(),
+                              config_.dvfs_overhead_fraction,
+                              config_.pic_interval_s);
+      offsets_.push_back(demand_.size());
+    }
+    memory_.emplace_back(config.memory_bandwidth_capacity);
   }
   soa_.resize(demand_.size());
   broadcast_.resize(actuators_.size());
-  tick_.islands.resize(actuators_.size());
+  ticks_.resize(chips.size());
+  for (ChipTick& tick : ticks_) tick.islands.resize(islands);
   for (std::size_t g = 0; g < demand_.size(); ++g) sync_profile_constants(g);
 }
 
@@ -134,6 +146,9 @@ void Chip::migrate(std::size_t island_a, std::size_t core_a,
   if (island_a == island_b) {
     throw std::invalid_argument("Chip::migrate: both cores on one island");
   }
+  if (island_a / config_.num_islands != island_b / config_.num_islands) {
+    throw std::invalid_argument("Chip::migrate: islands of different chips");
+  }
   const std::size_t ga = offsets_[island_a] + core_a;
   const std::size_t gb = offsets_[island_b] + core_b;
   demand_.swap_rows(ga, gb);
@@ -148,11 +163,8 @@ void Chip::migrate(std::size_t island_a, std::size_t core_a,
 }
 
 const ChipTick& Chip::step(double dt_seconds) {
-  const std::size_t cores = num_cores();
-  const double congestion = memory_.congestion();
-  tick_.congestion = congestion;
-  tick_.total_bips = 0.0;
-  tick_.total_instructions = 0.0;
+  const std::size_t islands = config_.num_islands;
+  const std::size_t cores = config_.total_cores();
 
   // ---- pass 1: workload demand (the bank's flat passes), then the
   // per-island operating-point broadcast.
@@ -198,68 +210,82 @@ const ChipTick& Chip::step(double dt_seconds) {
     }
   }
 
-  // ---- pass 2 (flat, vectorized): the core micro-model.
-  kernels::micro_model_sweep(
-      isa, cores, 1.0 + config_.contention_gamma * std::max(0.0, congestion),
-      1e9 * dt_seconds, soa_.demand_cpi.data(), soa_.demand_mem_ns.data(),
-      soa_.demand_bandwidth.data(), soa_.inv_freq.data(),
-      soa_.run_fraction.data(), soa_.instructions.data(), soa_.bips.data(),
-      soa_.utilization.data(), soa_.bandwidth_demand.data());
+  // ---- pass 2 (flat, vectorized): the core micro-model, one call per
+  // chip, since each chip has its own congestion.
+  for (std::size_t k = 0; k < ticks_.size(); ++k) {
+    const std::size_t c0 = k * cores;
+    const double congestion = memory_[k].congestion();
+    ticks_[k].congestion = congestion;
+    kernels::micro_model_sweep(
+        isa, cores, 1.0 + config_.contention_gamma * std::max(0.0, congestion),
+        1e9 * dt_seconds, soa_.demand_cpi.data() + c0,
+        soa_.demand_mem_ns.data() + c0, soa_.demand_bandwidth.data() + c0,
+        soa_.inv_freq.data() + c0, soa_.run_fraction.data() + c0,
+        soa_.instructions.data() + c0, soa_.bips.data() + c0,
+        soa_.utilization.data() + c0, soa_.bandwidth_demand.data() + c0);
+  }
+
   const double* instr = soa_.instructions.data();
   const double* bips = soa_.bips.data();
   const double* util = soa_.utilization.data();
   const double* bw = soa_.bandwidth_demand.data();
-
-  // ---- pass 3: island/chip reductions, per-core bookkeeping, views.
-  double total_demand = 0.0;
-  double chip_util = 0.0;
-  for (std::size_t i = 0; i < actuators_.size(); ++i) {
-    const std::size_t g0 = offsets_[i];
-    const std::size_t size = island_size(i);
-    IslandTick& it = tick_.islands[i];
-    // The sums run in locals: `it` may alias the SoA columns as far as the
-    // compiler knows, so summing into its fields would store and reload
-    // every partial sum.
-    double isl_bips = 0.0;
-    double isl_util = 0.0;
-    double isl_instr = 0.0;
-    double isl_bw = 0.0;
-    for (std::size_t c = 0; c < size; ++c) {
-      const std::size_t g = g0 + c;
-      isl_bips += bips[g];
-      isl_util += util[g];
-      isl_instr += instr[g];
-      isl_bw += bw[g];
-    }
-    chip_util += isl_util;
-    it.bips = isl_bips;
-    it.utilization = isl_util / static_cast<double>(size);
-    it.instructions = isl_instr;
-    it.bandwidth_demand = isl_bw;
-    if (record_cores_) {
-      it.cores.resize(size);
+  for (std::size_t k = 0; k < ticks_.size(); ++k) {
+    ChipTick& tick = ticks_[k];
+    // ---- pass 3: island/chip reductions, per-core bookkeeping, views.
+    double total_bips = 0.0;
+    double total_instr = 0.0;
+    double total_demand = 0.0;
+    double chip_util = 0.0;
+    for (std::size_t i = 0; i < islands; ++i) {
+      const std::size_t g0 = offsets_[k * islands + i];
+      const std::size_t size = offsets_[k * islands + i + 1] - g0;
+      IslandTick& it = tick.islands[i];
+      // The sums run in locals: `it` and `tick` may alias the SoA columns as
+      // far as the compiler knows, so summing into their fields would store
+      // and reload every partial sum.
+      double isl_bips = 0.0;
+      double isl_util = 0.0;
+      double isl_instr = 0.0;
+      double isl_bw = 0.0;
       for (std::size_t c = 0; c < size; ++c) {
         const std::size_t g = g0 + c;
-        CoreTick& ct = it.cores[c];
-        ct.instructions = instr[g];
-        ct.bips = bips[g];
-        ct.utilization = util[g];
-        ct.activity = soa_.demand_activity[g];
-        ct.activity_idle = soa_.activity_idle[g];
-        ct.ceff_scale = soa_.ceff_scale[g];
-        ct.bandwidth_demand = bw[g];
-        ct.stall_fraction = soa_.stall_fraction[g];
+        isl_bips += bips[g];
+        isl_util += util[g];
+        isl_instr += instr[g];
+        isl_bw += bw[g];
       }
-    } else {
-      it.cores.clear();
+      chip_util += isl_util;
+      it.bips = isl_bips;
+      it.utilization = isl_util / static_cast<double>(size);
+      it.instructions = isl_instr;
+      it.bandwidth_demand = isl_bw;
+      if (record_cores_) {
+        it.cores.resize(size);
+        for (std::size_t c = 0; c < size; ++c) {
+          const std::size_t g = g0 + c;
+          CoreTick& ct = it.cores[c];
+          ct.instructions = instr[g];
+          ct.bips = bips[g];
+          ct.utilization = util[g];
+          ct.activity = soa_.demand_activity[g];
+          ct.activity_idle = soa_.activity_idle[g];
+          ct.ceff_scale = soa_.ceff_scale[g];
+          ct.bandwidth_demand = bw[g];
+          ct.stall_fraction = soa_.stall_fraction[g];
+        }
+      } else {
+        it.cores.clear();
+      }
+      total_bips += isl_bips;
+      total_instr += isl_instr;
+      total_demand += isl_bw;
     }
-    tick_.total_bips += it.bips;
-    tick_.total_instructions += it.instructions;
-    total_demand += it.bandwidth_demand;
+    tick.total_bips = total_bips;
+    tick.total_instructions = total_instr;
+    tick.utilization = chip_util / static_cast<double>(cores);
+    memory_[k].update(total_demand);
   }
-  tick_.utilization = chip_util / static_cast<double>(cores);
-  memory_.update(total_demand);
-  return tick_;
+  return ticks_.front();
 }
 
 }  // namespace cpm::sim

@@ -3,6 +3,15 @@
 // Chip::step advances every core one tick and threads the shared-memory
 // congestion coupling between them.
 //
+// A Chip object holds a batch of one or more chips that share one CmpConfig
+// (each with its own mix and seed), stepped in lockstep: core::ChipPlant
+// steps a cluster shard's chips this way, and a solo simulation is a batch
+// of one. Islands and cores are numbered flat across the batch: chip k owns
+// islands [k * I, (k + 1) * I) and cores [k * C, (k + 1) * C), with I and C
+// the config's island and core counts, so every per-core and per-island
+// sweep runs once over the whole batch. Each chip keeps its own memory
+// system (congestion), actuators and tick record; nothing couples two chips.
+//
 // Tick-state layout: the chip owns all per-core per-tick state as
 // structure-of-arrays in island-major flat core order: the workload demand
 // state in a workload::DemandBank, the rest in ChipSoa. Each core's state
@@ -32,8 +41,9 @@
 
 namespace cpm::sim {
 
-/// Contiguous per-core tick state, island-major (island i owns flat core
-/// indices [island_offset(i), island_offset(i+1))). Inputs are refreshed by
+/// Contiguous per-core tick state of every chip of the batch, island-major
+/// (flat island i owns flat core indices [island_offset(i),
+/// island_offset(i+1))). Inputs are refreshed by
 /// the per-core workload pass, constants on construction/migration, outputs
 /// by the flat micro-model kernel. `power_w` is written by the power-model
 /// layer (core::ChipPlant) so power lives in the same flat layout;
@@ -100,32 +110,51 @@ struct ChipTick {
   double congestion = 0.0;  // congestion experienced by this tick
 };
 
+/// One chip of a batch: its application mix (borrowed for the
+/// constructor's duration) and the seed all its randomness derives from.
+struct ChipSpec {
+  const workload::Mix* mix;
+  std::uint64_t seed;
+};
+
 class Chip {
  public:
-  /// Builds cores from `mix`; the mix topology must match `config`
-  /// (same island count and total core count -- island sizes may differ
-  /// from config.cores_per_island as long as the totals agree), or
-  /// std::invalid_argument is thrown. All randomness derives from `seed`.
+  /// Builds a batch of one chip from `mix` and `seed` (see below).
   Chip(const CmpConfig& config, const workload::Mix& mix, std::uint64_t seed);
+  /// Builds one chip per spec, in order, all under `config`. Each mix's
+  /// topology must match `config` (same island count and total core count
+  /// -- island sizes may differ from config.cores_per_island as long as the
+  /// totals agree), and `chips` must not be empty, or std::invalid_argument
+  /// is thrown. Chip k's randomness derives from chips[k].seed alone, so it
+  /// steps exactly as it would in a batch of its own.
+  Chip(const CmpConfig& config, std::span<const ChipSpec> chips);
   // Each actuator points at this chip's own DVFS table, so a copy or a move
   // would leave the new chip's actuators reading the old one's.
   Chip(const Chip&) = delete;
   Chip& operator=(const Chip&) = delete;
 
-  /// Advances every core one tick. Returns a reference to an internal
-  /// record that is overwritten by the next step() call; copy it to retain.
+  /// Advances every core of every chip one tick. Returns the first chip's
+  /// record (see tick()).
   const ChipTick& step(double dt_seconds);
+  /// Chip `chip`'s record of the last step(), overwritten by the next one;
+  /// copy it to retain.
+  const ChipTick& tick(std::size_t chip) const noexcept {
+    return ticks_[chip];
+  }
 
+  std::size_t num_chips() const noexcept { return ticks_.size(); }
+  /// Islands of every chip together (config().num_islands per chip).
   std::size_t num_islands() const noexcept { return actuators_.size(); }
-  /// Island `idx`'s DVFS knob, shared by all its cores.
+  /// Flat island `idx`'s DVFS knob, shared by all its cores.
   DvfsActuator& actuator(std::size_t idx) noexcept { return actuators_[idx]; }
   const DvfsActuator& actuator(std::size_t idx) const noexcept {
     return actuators_[idx];
   }
 
+  /// Cores of every chip together (config().total_cores() per chip).
   std::size_t num_cores() const noexcept { return offsets_.back(); }
-  /// First flat core index of island `idx`; offsets_[num_islands()] is the
-  /// total core count, so [offset(i), offset(i+1)) is island i's range.
+  /// First flat core index of flat island `idx`; offsets_[num_islands()] is
+  /// the total core count, so [offset(i), offset(i+1)) is island i's range.
   std::size_t island_offset(std::size_t idx) const noexcept {
     return offsets_[idx];
   }
@@ -150,11 +179,12 @@ class Chip {
 
   const CmpConfig& config() const noexcept { return config_; }
 
-  /// Migrates (swaps) the threads on two cores of different islands, with
-  /// their workload state, and charges `stall_seconds` of pipeline drain +
-  /// cache warmup to both islands. An island or core index out of range,
-  /// or two cores of one island, throws std::invalid_argument and leaves
-  /// the chip unchanged.
+  /// Migrates (swaps) the threads on two cores of different islands of one
+  /// chip (flat island indices), with their workload state, and charges
+  /// `stall_seconds` of pipeline drain + cache warmup to both islands. An
+  /// island or core index out of range, two cores of one island or two
+  /// islands of different chips throws std::invalid_argument and leaves the
+  /// chip unchanged.
   void migrate(std::size_t island_a, std::size_t core_a, std::size_t island_b,
                std::size_t core_b, double stall_seconds = 0.0);
 
@@ -163,7 +193,7 @@ class Chip {
 
   CmpConfig config_;
   std::vector<DvfsActuator> actuators_;  // one per island
-  MemorySystem memory_;
+  std::vector<MemorySystem> memory_;     // one per chip
   bool record_cores_ = true;
 
   /// What an island's broadcast columns in soa_ were last written from (pass
@@ -177,7 +207,8 @@ class Chip {
   workload::DemandBank demand_;       // every core's workload state
   std::vector<IslandBroadcast> broadcast_;
   ChipSoa soa_;
-  ChipTick tick_;  // reused across step() calls (no per-tick allocation)
+  // One per chip, reused across step() calls (no per-tick allocation).
+  std::vector<ChipTick> ticks_;
 };
 
 }  // namespace cpm::sim

@@ -16,6 +16,8 @@ struct CacheConfig {
   std::size_t ways = 2;
   std::size_t block_bytes = 64;
   std::size_t access_cycles = 1;
+
+  bool operator==(const CacheConfig&) const = default;
 };
 
 /// Table I: core, memory, CMP configuration. The cache structure feeds the
@@ -102,6 +104,8 @@ struct CmpConfig {
   static CmpConfig scale_64core();
   /// Thermal-study config (Fig. 18): 8 islands x 1 core.
   static CmpConfig thermal_8x1();
+
+  bool operator==(const CmpConfig&) const = default;
 };
 
 }  // namespace cpm::sim

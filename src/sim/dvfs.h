@@ -23,6 +23,8 @@ struct DvfsPoint {
   double dynamic_energy_scale() const noexcept {
     return voltage * voltage * freq_ghz;
   }
+
+  bool operator==(const DvfsPoint&) const = default;
 };
 
 class DvfsTable {
@@ -49,6 +51,8 @@ class DvfsTable {
   std::size_t nearest_level(units::GigaHertz freq) const noexcept;
   /// Highest level with frequency <= freq; level 0 if none.
   std::size_t floor_level(units::GigaHertz freq) const noexcept;
+
+  bool operator==(const DvfsTable&) const = default;
 
  private:
   std::vector<DvfsPoint> points_;  // sorted ascending by frequency

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace cpm::thermal {
 
@@ -17,7 +19,8 @@ namespace {
 CPM_ALWAYS_INLINE void rc_step_body(
     std::size_t n, std::size_t cols, const kernels::RcStepArgs& args,
     const double* __restrict temps, const double* __restrict power,
-    const double* __restrict edge, double* __restrict next) noexcept {
+    const double* __restrict edge, std::size_t edge_stride,
+    double* __restrict next) noexcept {
   const double below = args.below;
   const double g_v = args.vertical_conductance;
   const double g_l = args.lateral_conductance;
@@ -28,9 +31,9 @@ CPM_ALWAYS_INLINE void rc_step_body(
   const double* __restrict left = temps - 1;
   const double* __restrict right = temps + 1;
   const double* __restrict has_up = edge;
-  const double* __restrict has_down = edge + n;
-  const double* __restrict has_left = edge + 2 * n;
-  const double* __restrict has_right = edge + 3 * n;
+  const double* __restrict has_down = edge + edge_stride;
+  const double* __restrict has_left = edge + 2 * edge_stride;
+  const double* __restrict has_right = edge + 3 * edge_stride;
   // vectorize: thermal.rc_step
   for (std::size_t i = 0; i < n; ++i) {
     const double t = temps[i];
@@ -47,6 +50,12 @@ CPM_ALWAYS_INLINE void rc_step_body(
   }
 }
 
+/// step()'s argument errors, thrown out of line so the checks cost the tick
+/// only their compares.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_step_error(const char* what) {
+  throw std::invalid_argument(std::string("RcThermalModel::step: ") + what);
+}
+
 }  // namespace
 
 namespace kernels {
@@ -54,31 +63,44 @@ namespace kernels {
 void rc_step(util::Isa isa, std::size_t n, std::size_t cols,
              const RcStepArgs& args, const double* temps,
              const double* power_w, const double* edge,
-             double* next) noexcept {
+             std::size_t edge_stride, double* next) noexcept {
   util::dispatch_kernel<&rc_step_body>(isa, n, cols, args, temps, power_w,
-                                       edge, next);
+                                       edge, edge_stride, next);
+}
+
+std::vector<double> stacked_edges(const Floorplan& floorplan,
+                                  std::size_t chips) {
+  const std::size_t rows = floorplan.rows();
+  const std::size_t cols = floorplan.cols();
+  const std::size_t n = floorplan.num_cores();
+  const std::size_t total = chips * n;
+  std::vector<double> edge(4 * total, 0.0);
+  for (std::size_t g = 0; g < total; ++g) {
+    const GridPosition pos = floorplan.position(g % n);
+    edge[g] = pos.row > 0 ? 1.0 : 0.0;
+    edge[total + g] = pos.row + 1 < rows ? 1.0 : 0.0;
+    edge[2 * total + g] = pos.col > 0 ? 1.0 : 0.0;
+    edge[3 * total + g] = pos.col + 1 < cols ? 1.0 : 0.0;
+  }
+  return edge;
 }
 
 }  // namespace kernels
 
-RcThermalModel::RcThermalModel(Floorplan floorplan, ThermalParams params)
-    : floorplan_(std::move(floorplan)), params_(params) {
+RcThermalModel::RcThermalModel(Floorplan floorplan, ThermalParams params,
+                               std::size_t chips)
+    : floorplan_(std::move(floorplan)), params_(params), chips_(chips) {
   if (params_.capacitance <= 0.0 || params_.vertical_conductance <= 0.0) {
     throw std::invalid_argument("RcThermalModel: non-physical parameters");
   }
-  const std::size_t rows = floorplan_.rows();
+  if (chips_ == 0) throw std::invalid_argument("RcThermalModel: 0 chips");
   const std::size_t cols = floorplan_.cols();
   const std::size_t n = floorplan_.num_cores();
-  padded_ = (rows + 2) * cols;
-  grid_.assign(2 * padded_ + 4 * n, 0.0);
-  double* edge = grid_.data() + 2 * padded_;
-  for (std::size_t i = 0; i < n; ++i) {
-    const GridPosition pos = floorplan_.position(i);
-    edge[i] = pos.row > 0 ? 1.0 : 0.0;
-    edge[n + i] = pos.row + 1 < rows ? 1.0 : 0.0;
-    edge[2 * n + i] = pos.col > 0 ? 1.0 : 0.0;
-    edge[3 * n + i] = pos.col + 1 < cols ? 1.0 : 0.0;
-  }
+  padded_ = (chips_ * floorplan_.rows() + 2) * cols;
+  const std::vector<double> edge = kernels::stacked_edges(floorplan_, chips_);
+  grid_.assign(2 * padded_, 0.0);
+  grid_.insert(grid_.end(), edge.begin(), edge.end());
+  spreader_temp_.resize(chips_);
   reset(params_.ambient_c);
   // Explicit Euler is stable for dt < 2C/G_total; use half of that.
   std::size_t max_degree = 0;
@@ -101,38 +123,57 @@ RcThermalModel::RcThermalModel(Floorplan floorplan, ThermalParams params)
 
 void RcThermalModel::step(std::span<const double> power_w, double dt_seconds) {
   const std::size_t n = floorplan_.num_cores();
-  if (power_w.size() != n) {
-    throw std::invalid_argument("RcThermalModel::step: power size mismatch");
+  const std::size_t total = chips_ * n;
+  if (power_w.size() != total) throw_step_error("power size mismatch");
+  // The substep split below is a size_t cast of dt / max_stable_dt_, and a
+  // negative dt would run the grid backwards in time.
+  if (!(dt_seconds > 0.0) || !std::isfinite(dt_seconds)) {
+    throw_step_error("dt must be finite and positive");
   }
   // Every caller steps with one fixed tick, so the substep split is derived
   // once per distinct dt rather than with two divisions and a ceil a tick.
   if (dt_seconds != step_dt_) {
-    substeps_ = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::ceil(dt_seconds / max_stable_dt_)));
+    const double substeps = std::ceil(dt_seconds / max_stable_dt_);
+    if (!(substeps <
+          static_cast<double>(std::numeric_limits<std::size_t>::max()))) {
+      throw_step_error("dt exceeds the representable substep count");
+    }
+    substeps_ = std::max<std::size_t>(1, static_cast<std::size_t>(substeps));
     h_ = dt_seconds / static_cast<double>(substeps_);
     step_dt_ = dt_seconds;
   }
   const util::Isa isa = util::host_isa();
   const double g_v = params_.vertical_conductance;
   const double* edge = grid_.data() + 2 * padded_;
+  const std::size_t cols = floorplan_.cols();
   for (std::size_t s = 0; s < substeps_; ++s) {
-    // In two-layer mode, cores sink vertically into the spreader; otherwise
-    // directly into ambient.
-    const double below = params_.two_layer ? spreader_temp_ : params_.ambient_c;
     const double* temps = interior(current_);
-    kernels::rc_step(isa, n, floorplan_.cols(),
-                     {below, g_v, params_.lateral_conductance, h_, inv_c_},
-                     temps, power_w.data(), edge, interior(current_ ^ 1));
-    if (params_.two_layer) {
-      // The spreader's inflow, summed in core order.
-      double into_spreader = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        into_spreader += g_v * (temps[i] - below);
+    double* next = interior(current_ ^ 1);
+    if (!params_.two_layer) {
+      // Every chip sinks directly into ambient: one call over the stack.
+      kernels::rc_step(isa, total, cols,
+                       {params_.ambient_c, g_v, params_.lateral_conductance,
+                        h_, inv_c_},
+                       temps, power_w.data(), edge, total, next);
+    } else {
+      // Cores sink vertically into their own chip's spreader.
+      for (std::size_t k = 0; k < chips_; ++k) {
+        const std::size_t g0 = k * n;
+        const double below = spreader_temp_[k];
+        kernels::rc_step(isa, n, cols,
+                         {below, g_v, params_.lateral_conductance, h_, inv_c_},
+                         temps + g0, power_w.data() + g0, edge + g0, total,
+                         next + g0);
+        // The spreader's inflow, summed in core order.
+        double into_spreader = 0.0;
+        for (std::size_t i = g0; i < g0 + n; ++i) {
+          into_spreader += g_v * (temps[i] - below);
+        }
+        const double out = params_.spreader_to_ambient_conductance *
+                           (spreader_temp_[k] - params_.ambient_c);
+        spreader_temp_[k] +=
+            h_ * (into_spreader - out) / params_.spreader_capacitance;
       }
-      const double out = params_.spreader_to_ambient_conductance *
-                         (spreader_temp_ - params_.ambient_c);
-      spreader_temp_ +=
-          h_ * (into_spreader - out) / params_.spreader_capacitance;
     }
     current_ ^= 1;
   }
@@ -195,14 +236,15 @@ std::vector<double> RcThermalModel::steady_state(
   return temps;
 }
 
-double RcThermalModel::max_temperature() const noexcept {
-  const std::span<const double> temps = temperatures();
+double RcThermalModel::max_temperature(std::size_t chip) const noexcept {
+  const std::span<const double> temps = chip_temperatures(chip);
   return *std::max_element(temps.begin(), temps.end());
 }
 
 void RcThermalModel::reset(double temp_c) {
-  std::fill_n(interior(current_), floorplan_.num_cores(), temp_c);
-  spreader_temp_ = params_.two_layer ? temp_c : params_.ambient_c;
+  std::fill_n(interior(current_), chips_ * floorplan_.num_cores(), temp_c);
+  std::fill(spreader_temp_.begin(), spreader_temp_.end(),
+            params_.two_layer ? temp_c : params_.ambient_c);
 }
 
 }  // namespace cpm::thermal

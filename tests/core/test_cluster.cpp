@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -208,6 +211,93 @@ TEST(Cluster, ShardSizeInvariant) {
   }
 }
 
+TEST(Cluster, RunRejectsUnrepresentableDuration) {
+  // 1e300 / epoch_s epochs do not fit the run's size_t epoch count.
+  ClusterPowerManager cluster(ClusterConfig{}, make_chips(2));
+  EXPECT_THROW(cluster.run(1e300), std::invalid_argument);
+  EXPECT_THROW(cluster.run(std::numeric_limits<double>::max()),
+               std::invalid_argument);
+  // The manager is still usable after the rejected run.
+  EXPECT_EQ(cluster.run(0.05).epochs, 2u);
+}
+
+TEST(Cluster, MixedPlantShardMatchesShardSizeOne) {
+  // A shard whose chips differ in plant configuration (two topologies, two
+  // thermal parameter sets, interleaved so consecutive runs are short) is
+  // split into lockstep batches of equal plant configuration; every batch
+  // width must give the bits shard size 1 (batches of one) gives.
+  std::vector<SimulationConfig> configs;
+  for (std::size_t c = 0; c < 9; ++c) {
+    SimulationConfig cfg = default_config(1.0, 40 + c);
+    cfg.calibration_seconds = 40.0 * cfg.cmp.pic_interval_s;
+    if (c % 3 == 2) {
+      cfg.cmp.num_islands = 2;
+      cfg.cmp.cores_per_island = 2;
+      cfg.mix = workload::mix1_regrouped(2);
+      cfg.mix.islands.resize(2);
+    }
+    if (c == 4 || c == 5) cfg.thermal_params.two_layer = true;
+    if (c == 6) cfg.thermal_params.ambient_c = 40.0;
+    if (c % 4 == 1) {
+      for (std::size_t i = 0; i < cfg.cmp.num_islands; ++i) {
+        cfg.island_leak_mults.push_back(0.9 + 0.2 * static_cast<double>(i));
+      }
+    }
+    if (c == 0) cfg.manager = ManagerKind::kMaxBips;
+    if (c == 8) cfg.enable_migration = true;
+    configs.push_back(std::move(cfg));
+  }
+  const std::vector<ChipCalibration> calibrations = calibrate_chips(configs);
+  auto run_with = [&](std::size_t shard_size, std::size_t threads) {
+    std::vector<std::unique_ptr<Simulation>> chips;
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      chips.push_back(std::make_unique<Simulation>(
+          configs[c], calibrations[c].calibration,
+          calibrations[c].max_chip_power));
+    }
+    ClusterConfig cfg;
+    cfg.integral_gain = 0.1;
+    cfg.epoch_s = 2 * configs.front().cmp.gpm_interval_s;
+    cfg.shard_size = shard_size;
+    cfg.threads = threads;
+    cfg.keep_chip_results = true;
+    cfg.sink_factory = [](std::size_t) {
+      return std::make_unique<InMemorySink>();
+    };
+    ClusterPowerManager cluster(cfg, std::move(chips));
+    return cluster.run(0.06);
+  };
+  const ClusterResult reference = run_with(1, 1);
+  EXPECT_GT(reference.total_instructions, 0.0);
+  for (const std::size_t shard_size : {2, 4, 9}) {
+    for (const std::size_t threads : {1, 3}) {
+      SCOPED_TRACE("shard_size " + std::to_string(shard_size) + ", threads " +
+                   std::to_string(threads));
+      const ClusterResult batched = run_with(shard_size, threads);
+      expect_identical(reference, batched);
+      ASSERT_EQ(batched.chip_results.size(), configs.size());
+      for (std::size_t c = 0; c < configs.size(); ++c) {
+        const SimulationResult& a = reference.chip_results[c];
+        const SimulationResult& b = batched.chip_results[c];
+        ASSERT_EQ(a.pic_records.size(), b.pic_records.size()) << "chip " << c;
+        for (std::size_t r = 0; r < a.pic_records.size(); ++r) {
+          EXPECT_EQ(a.pic_records[r].actual_w, b.pic_records[r].actual_w);
+          EXPECT_EQ(a.pic_records[r].freq_ghz, b.pic_records[r].freq_ghz);
+        }
+        ASSERT_EQ(a.gpm_records.size(), b.gpm_records.size()) << "chip " << c;
+        for (std::size_t r = 0; r < a.gpm_records.size(); ++r) {
+          EXPECT_EQ(a.gpm_records[r].max_temp_c, b.gpm_records[r].max_temp_c);
+          EXPECT_EQ(a.gpm_records[r].island_alloc_w,
+                    b.gpm_records[r].island_alloc_w);
+        }
+        EXPECT_EQ(a.hotspot_fraction, b.hotspot_fraction) << "chip " << c;
+        EXPECT_EQ(a.migrations, b.migrations) << "chip " << c;
+        EXPECT_EQ(a.island_energy_j, b.island_energy_j) << "chip " << c;
+      }
+    }
+  }
+}
+
 TEST(Cluster, MatchesRackContract) {
   // With the efficiency objective, no trim, and serial execution, the
   // cluster tier converges to its budget just like the rack tier does.
@@ -371,6 +461,48 @@ TEST(MakeClusterChips, DeterministicAtAnyThreadCount) {
   }
   // Distinct chips drew distinct seeds.
   EXPECT_NE(serial[0]->config().seed, serial[1]->config().seed);
+}
+
+TEST(MakeClusterChips, CalibrationMatchesSoloSimulation) {
+  // A fleet chip is calibrated in lockstep with its shard; its calibration
+  // and max chip power must be, field by field and bit for bit, what a solo
+  // Simulation of its config computes. 19 chips: a full default shard and
+  // a short one.
+  SimulationConfig base = default_config(0.8, 7);
+  base.cmp.num_islands = 2;
+  base.cmp.cores_per_island = 2;
+  base.mix = workload::mix1_regrouped(2);
+  base.mix.islands.resize(2);
+  base.calibration_seconds = 30.0 * base.cmp.pic_interval_s;
+  base.island_leak_mults = {1.2, 0.9};
+  const auto fleet = make_cluster_chips(base, util::kDefaultShardSize + 3,
+                                        /*seed=*/5, true, 2);
+  const auto bits = [](const std::vector<double>& v) {
+    std::vector<std::uint64_t> out;
+    for (const double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+    return out;
+  };
+  for (std::size_t c = 0; c < fleet.size(); ++c) {
+    SCOPED_TRACE("chip " + std::to_string(c));
+    const Simulation solo(fleet[c]->config());
+    const CalibrationResult& a = fleet[c]->calibration();
+    const CalibrationResult& b = solo.calibration();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(fleet[c]->max_chip_power().value()),
+              std::bit_cast<std::uint64_t>(solo.max_chip_power().value()));
+    EXPECT_EQ(bits(a.plant_gains), bits(b.plant_gains));
+    EXPECT_EQ(bits(a.plant_gain_r2), bits(b.plant_gain_r2));
+    EXPECT_EQ(bits(a.island_peak_power_w), bits(b.island_peak_power_w));
+    EXPECT_EQ(bits(a.island_fmax_bips), bits(b.island_fmax_bips));
+    EXPECT_EQ(bits(a.island_fmax_leakage_w), bits(b.island_fmax_leakage_w));
+    ASSERT_EQ(a.transducers.size(), b.transducers.size());
+    for (std::size_t i = 0; i < a.transducers.size(); ++i) {
+      EXPECT_EQ(bits({a.transducers[i].k1, a.transducers[i].k0,
+                      a.transducers[i].r_squared}),
+                bits({b.transducers[i].k1, b.transducers[i].k0,
+                      b.transducers[i].r_squared}))
+          << "island " << i;
+    }
+  }
 }
 
 TEST(MakeClusterChips, ShardStreamsMatchManualDerivation) {

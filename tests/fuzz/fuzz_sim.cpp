@@ -15,21 +15,25 @@
 //   3. time-slicing -- advance(T) is equivalent to any partition
 //                      advance(t1)..advance(tk) with sum(ti) = T (the
 //                      fractional-tick carry contract);
-//   4. chip-vs-reference -- sim::Chip, stepped in lockstep with the test
-//                      tree's object-walking reference chip
-//                      (tests/support/reference_chip.h) on the scenario's
-//                      chip, under a seeded stream of every actuator call
-//                      SimulationRun and calibration make (start-up levels,
-//                      PIC requests, MaxBIPS and calibration set_level,
-//                      migrations with short and long stalls), agrees with
-//                      it bit for bit at every tick: the tick record, the
-//                      per-core SoA columns and every actuator's state;
+//   4. chip-vs-reference / batch-vs-reference -- sim::Chip, stepped in
+//                      lockstep with the test tree's object-walking
+//                      reference chip (tests/support/reference_chip.h) on
+//                      the scenario's chip, and then as a batch of 2-4
+//                      chips each against its own reference chip, under a
+//                      seeded stream of every actuator call SimulationRun
+//                      and calibration make (start-up levels, PIC requests,
+//                      MaxBIPS and calibration set_level, migrations with
+//                      short and long stalls), agrees with it bit for bit
+//                      at every tick: the tick record, the per-core SoA
+//                      columns and every actuator's state;
 //   5. cluster-threads / cluster-shards -- a ClusterPowerManager run over
-//                      a small random fleet (randomized objective, share
-//                      floor, integral trim) produces bit-identical results
-//                      at 1 thread and at N threads, and again at N threads
-//                      with a different shard size, with every chip under an
-//                      InvariantChecker in every run.
+//                      a random fleet of 2-7 chips (randomized objective,
+//                      share floor, integral trim) produces bit-identical
+//                      results at 1 thread and at N threads with a drawn
+//                      shard size of 2 or more (the lockstep width: a
+//                      shard's chips step through one batched plant), and
+//                      again at N threads with shard size 1, with every
+//                      chip under an InvariantChecker in every run.
 //
 // Every failure prints the master seed and a --replay command that reruns
 // just the offending scenario.
@@ -419,11 +423,13 @@ bool FuzzRun::run_scenario(std::size_t index) {
 
   // Differential: sim::Chip vs the reference chip, in lockstep over as
   // many ticks as a variant's calibration and run together, under a random
-  // stream of actuator calls and migrations. The stream has its own seed,
-  // so the scenario's other draws are unchanged. SimulationRun is a
-  // deterministic function of the per-tick outputs compared here and of
-  // those calls, so any drift of the chip's tick shows here as the first
-  // divergent tick.
+  // stream of actuator calls and migrations, first on the scenario's chip
+  // alone and then in a batch of 2-4 chips (the scenario's and others with
+  // their own seeds and mixes), each against its own reference chip. The
+  // streams and the batch's chips have their own seeds, so the scenario's
+  // other draws are unchanged. SimulationRun is a deterministic function of
+  // the per-tick outputs compared here and of those calls, so any drift of
+  // the chip's tick shows here as the first divergent tick.
   try {
     const std::size_t ticks =
         static_cast<std::size_t>(duration / base.cmp.tick_seconds() + 0.5) +
@@ -434,6 +440,24 @@ bool FuzzRun::run_scenario(std::size_t index) {
     if (!lockstep.divergence.empty()) {
       fail(index, "chip", "chip-vs-reference",
            "first divergence: " + lockstep.divergence);
+    }
+    util::Xoshiro256pp batch_rng(base.seed ^ 0xBA7C4ED5ULL);
+    const std::size_t chips = 2 + batch_rng.uniform_int(3);
+    std::vector<workload::Mix> mixes{base.mix};
+    std::vector<sim::ChipSpec> specs{{nullptr, base.seed}};
+    for (std::size_t k = 1; k < chips; ++k) {
+      mixes.push_back(random_mix(batch_rng, base.cmp.num_islands,
+                                 base.cmp.cores_per_island));
+      specs.push_back({nullptr, batch_rng()});
+    }
+    for (std::size_t k = 0; k < chips; ++k) specs[k].mix = &mixes[k];
+    const reference::LockstepReport batch = reference::run_random_lockstep(
+        base.cmp, specs, batch_rng(), ticks);
+    lockstep_ticks_ += batch.ticks * chips;
+    if (!batch.divergence.empty()) {
+      fail(index, "chip", "batch-vs-reference",
+           std::to_string(chips) + " chips, first divergence: " +
+               batch.divergence);
     }
   } catch (const std::exception& e) {
     fail(index, "chip", "lockstep-exception", e.what());
@@ -446,7 +470,7 @@ bool FuzzRun::run_scenario(std::size_t index) {
   // configs are identical), so the whole pipeline from provisioning to
   // per-chip traces must match bit-exactly.
   try {
-    const std::size_t fleet_size = 2 + index % 3;  // 2..4 chips
+    const std::size_t fleet_size = 2 + index % 6;  // 2..7 chips
     std::vector<core::SimulationConfig> chip_cfgs;
     for (std::size_t c = 0; c < fleet_size; ++c) {
       core::SimulationConfig cfg = base;
@@ -472,6 +496,9 @@ bool FuzzRun::run_scenario(std::size_t index) {
     if (rng.bernoulli(0.5)) cluster_cfg.integral_gain = rng.uniform(0.05, 0.3);
     cluster_cfg.keep_chip_results = true;
     const std::size_t n_threads = 2 + rng.uniform_int(3);  // 2..4
+    // A shard's chips share the scenario's plant configuration, so this is
+    // also the lockstep width.
+    const std::size_t width = 2 + rng.uniform_int(fleet_size - 1);
 
     std::vector<core::CalibrationResult> calibrations;
     std::vector<double> max_powers;
@@ -516,17 +543,17 @@ bool FuzzRun::run_scenario(std::size_t index) {
       }
       return result;
     };
-    const std::size_t shard_size = 1 + index % 2;
-    const core::ClusterResult one = run_fleet(1, shard_size);
-    const std::string diff = diff_cluster(one, run_fleet(n_threads, shard_size));
+    const core::ClusterResult one = run_fleet(1, width);
+    const std::string diff = diff_cluster(one, run_fleet(n_threads, width));
     if (!diff.empty()) {
       fail(index, "cluster", "cluster-threads", "first divergence: " + diff);
     }
     const std::string reshard_diff =
-        diff_cluster(one, run_fleet(n_threads, 3 - shard_size));
+        diff_cluster(one, run_fleet(n_threads, 1));
     if (!reshard_diff.empty()) {
       fail(index, "cluster", "cluster-shards",
-           "first divergence: " + reshard_diff);
+           "width " + std::to_string(width) +
+               " vs 1, first divergence: " + reshard_diff);
     }
   } catch (const std::exception& e) {
     fail(index, "cluster", "cluster-exception", e.what());

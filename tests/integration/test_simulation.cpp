@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
 #include <numeric>
 
 #include "core/experiment.h"
+#include "core/record_sink.h"
+#include "workload/mixes.h"
 #include "util/units.h"
 
 namespace cpm::core {
@@ -209,6 +214,150 @@ TEST(SimulationRun, AdvanceRejectsTickCountThatDoesNotFit) {
   EXPECT_EQ(live->elapsed_s(), 0.0);
   live->advance(0.01);
   EXPECT_DOUBLE_EQ(live->elapsed_s(), 0.01);
+}
+
+/// Configs that share one plant configuration but differ in everything a
+/// batch allows to differ: seed, mix, manager, policy, budget and its
+/// schedule, leakage multipliers, sensing and migration.
+std::vector<SimulationConfig> batch_configs() {
+  std::vector<SimulationConfig> configs;
+  for (std::size_t k = 0; k < 4; ++k) {
+    SimulationConfig cfg = default_config(0.6 + 0.1 * static_cast<double>(k),
+                                          70 + k);
+    cfg.calibration_seconds = 0.02;
+    configs.push_back(std::move(cfg));
+  }
+  configs[1].mix = workload::mix2();
+  configs[1].manager = ManagerKind::kMaxBips;
+  configs[1].island_leak_mults = {1.4, 0.9, 1.0, 1.2};
+  configs[2].policy = PolicyKind::kThermal;
+  configs[2].enable_migration = true;
+  configs[2].sensor_noise_sigma = 0.02;
+  configs[2].budget_schedule = {{0.02, 0.5}};
+  configs[3].manager = ManagerKind::kNoDvfs;
+  return configs;
+}
+
+TEST(RunBatch, MatchesSoloRunsBitExact) {
+  // Runs stepped in lockstep through one batched plant are, record for
+  // record, the runs each simulation gives alone, under uneven advances
+  // and a mid-run supervisor budget change.
+  std::vector<std::unique_ptr<Simulation>> sims;
+  for (const SimulationConfig& cfg : batch_configs()) {
+    sims.push_back(std::make_unique<Simulation>(cfg));
+  }
+  const double slices[] = {0.013, 0.0004, 0.021, 0.016};
+  // Chip 3's supervisor halves its budget before the third advance.
+  const auto drive = [&slices](auto&& advance, SimulationRun* run3) {
+    for (std::size_t s = 0; s < std::size(slices); ++s) {
+      if (s == 2 && run3 != nullptr) {
+        run3->set_budget(units::Watts{0.5 * run3->budget().value()});
+      }
+      advance(slices[s]);
+    }
+  };
+  std::vector<SimulationResult> solo;
+  for (std::size_t k = 0; k < sims.size(); ++k) {
+    auto run = sims[k]->start();
+    drive([&run](double t) { run->advance(t); }, k == 3 ? run.get() : nullptr);
+    solo.push_back(run->finish());
+  }
+  std::vector<InMemorySink> sinks(sims.size());
+  std::vector<Simulation*> sim_ptrs;
+  std::vector<RecordSink*> sink_ptrs;
+  for (std::size_t k = 0; k < sims.size(); ++k) {
+    sim_ptrs.push_back(sims[k].get());
+    sink_ptrs.push_back(&sinks[k]);
+  }
+  RunBatch batch(sim_ptrs, sink_ptrs);
+  ASSERT_EQ(batch.size(), sims.size());
+  drive([&batch](double t) { batch.advance(t); }, &batch.run(3));
+  for (std::size_t k = 0; k < sims.size(); ++k) {
+    SCOPED_TRACE("chip " + std::to_string(k));
+    const SimulationResult b = batch.run(k).finish();
+    const SimulationResult& a = solo[k];
+    EXPECT_EQ(a.total_instructions, b.total_instructions);
+    EXPECT_EQ(a.avg_chip_power_w, b.avg_chip_power_w);
+    EXPECT_EQ(a.avg_chip_bips, b.avg_chip_bips);
+    EXPECT_EQ(a.hotspot_fraction, b.hotspot_fraction);
+    EXPECT_EQ(a.dvfs_transitions, b.dvfs_transitions);
+    EXPECT_EQ(a.migrations, b.migrations);
+    EXPECT_EQ(a.island_energy_j, b.island_energy_j);
+    ASSERT_EQ(a.pic_records.size(), b.pic_records.size());
+    for (std::size_t i = 0; i < a.pic_records.size(); ++i) {
+      ASSERT_EQ(a.pic_records[i].actual_w, b.pic_records[i].actual_w) << i;
+      ASSERT_EQ(a.pic_records[i].sensed_w, b.pic_records[i].sensed_w) << i;
+      ASSERT_EQ(a.pic_records[i].dvfs_level, b.pic_records[i].dvfs_level);
+    }
+    ASSERT_EQ(a.gpm_records.size(), b.gpm_records.size());
+    for (std::size_t i = 0; i < a.gpm_records.size(); ++i) {
+      ASSERT_EQ(a.gpm_records[i].chip_actual_w, b.gpm_records[i].chip_actual_w);
+      ASSERT_EQ(a.gpm_records[i].max_temp_c, b.gpm_records[i].max_temp_c);
+      ASSERT_EQ(a.gpm_records[i].island_alloc_w,
+                b.gpm_records[i].island_alloc_w);
+    }
+  }
+  EXPECT_GT(solo[2].migrations, 0u);
+}
+
+TEST(CalibrateChips, MatchesSoloAcrossLengthsAndPlants) {
+  // Consecutive same-plant configs calibrate in lockstep even when their
+  // calibration lengths differ (a shorter one keeps stepping and records
+  // nothing more); a config with other thermal parameters starts a batch of
+  // its own. Each result is the one a solo Simulation computes.
+  std::vector<SimulationConfig> configs = batch_configs();
+  configs[1].calibration_seconds = 0.035;
+  configs[2].thermal_params.two_layer = true;
+  configs[3].calibration_seconds = 0.0;  // the 16-interval minimum
+  const std::vector<ChipCalibration> batched = calibrate_chips(configs);
+  ASSERT_EQ(batched.size(), configs.size());
+  for (std::size_t k = 0; k < configs.size(); ++k) {
+    SCOPED_TRACE("chip " + std::to_string(k));
+    const Simulation solo(configs[k]);
+    const CalibrationResult& a = batched[k].calibration;
+    const CalibrationResult& b = solo.calibration();
+    EXPECT_EQ(batched[k].max_chip_power.value(), solo.max_chip_power().value());
+    EXPECT_EQ(a.plant_gains, b.plant_gains);
+    EXPECT_EQ(a.plant_gain_r2, b.plant_gain_r2);
+    EXPECT_EQ(a.island_peak_power_w, b.island_peak_power_w);
+    EXPECT_EQ(a.island_fmax_bips, b.island_fmax_bips);
+    EXPECT_EQ(a.island_fmax_leakage_w, b.island_fmax_leakage_w);
+    ASSERT_EQ(a.transducers.size(), b.transducers.size());
+    for (std::size_t i = 0; i < a.transducers.size(); ++i) {
+      EXPECT_EQ(a.transducers[i].k1, b.transducers[i].k1);
+      EXPECT_EQ(a.transducers[i].k0, b.transducers[i].k0);
+    }
+  }
+  configs[0].budget_fraction = 0.0;
+  EXPECT_THROW(calibrate_chips(configs), std::invalid_argument);
+}
+
+TEST(RunBatch, Guards) {
+  const std::vector<SimulationConfig> configs = batch_configs();
+  Simulation a(configs[0]);
+  Simulation b(configs[1]);
+  SimulationConfig other_cfg = configs[2];
+  other_cfg.thermal_params.ambient_c = 40.0;
+  Simulation other(other_cfg);
+  InMemorySink sink_a, sink_b;
+  std::vector<RecordSink*> two_sinks{&sink_a, &sink_b};
+  std::vector<Simulation*> one{&a};
+  std::vector<Simulation*> mixed{&a, &other};
+  EXPECT_THROW(RunBatch({}, {}), std::invalid_argument);
+  EXPECT_THROW(RunBatch(one, two_sinks), std::invalid_argument);
+  EXPECT_THROW(RunBatch(mixed, two_sinks), std::invalid_argument);
+
+  std::vector<Simulation*> pair{&a, &b};
+  RunBatch batch(pair, two_sinks);
+  // A batched run's plant steps its neighbour too.
+  EXPECT_THROW(batch.run(0).advance(0.01), std::logic_error);
+  EXPECT_THROW(batch.advance(-1.0), std::invalid_argument);
+  batch.advance(0.01);
+  EXPECT_DOUBLE_EQ(batch.run(1).elapsed_s(), 0.01);
+  batch.run(1).finish();
+  EXPECT_THROW(batch.advance(0.01), std::logic_error);
+  // The refused advance moved neither run.
+  EXPECT_DOUBLE_EQ(batch.run(0).elapsed_s(), 0.01);
 }
 
 TEST(SimulationRun, MidRunBudgetChangeApplies) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <type_traits>
 
 #include "support/reference_chip.h"
@@ -190,6 +193,50 @@ TEST(Chip, KernelsAgreeBitExactAcrossMigrations) {
     EXPECT_GT(report.migrations, 2u);
     EXPECT_GT(report.stalled_ticks, 50u);
   }
+}
+
+TEST(Chip, BatchChipsAgreeWithTheirOwnReferencesAcrossMigrations) {
+  // A batch of chips with different mixes and seeds, congestion in play,
+  // each held bit for bit to a reference chip of its own while every
+  // chip's islands change level and migrate threads independently.
+  CmpConfig cfg = CmpConfig::default_8core();
+  cfg.memory_bandwidth_capacity = 24.0;
+  const workload::Mix mixes[] = {workload::mix1(), workload::mix2(),
+                                 workload::mix1()};
+  const ChipSpec specs[] = {{&mixes[0], 5}, {&mixes[1], 6}, {&mixes[2], 7}};
+  for (std::uint64_t stream = 1; stream <= 2; ++stream) {
+    const reference::LockstepReport report =
+        reference::run_random_lockstep(cfg, specs, stream, 600);
+    ASSERT_EQ(report.divergence, "") << "stream " << stream;
+    EXPECT_EQ(report.ticks, 600u);
+    EXPECT_GT(report.migrations, 4u);
+    EXPECT_GT(report.stalled_ticks, 50u);
+  }
+}
+
+TEST(Chip, BatchNumbersIslandsAndCoresFlat) {
+  const CmpConfig cfg = CmpConfig::default_8core();
+  const workload::Mix mix1 = workload::mix1();
+  const workload::Mix mix2 = workload::mix2();
+  const ChipSpec specs[] = {{&mix1, 1}, {&mix2, 2}};
+  Chip batch(cfg, specs);
+  EXPECT_EQ(batch.num_chips(), 2u);
+  EXPECT_EQ(batch.num_islands(), 8u);
+  EXPECT_EQ(batch.num_cores(), 16u);
+  EXPECT_EQ(batch.island_offset(4), 8u);
+  EXPECT_EQ(&batch.core_profile(8), mix2.islands[0][0]);
+  // Chip 1 runs exactly as a chip of its own.
+  Chip alone(cfg, mix2, 2);
+  for (int t = 0; t < 50; ++t) {
+    batch.step(1e-4);
+    const ChipTick& a = alone.step(1e-4);
+    ASSERT_EQ(batch.tick(1).total_bips, a.total_bips) << "tick " << t;
+    ASSERT_EQ(batch.tick(1).congestion, a.congestion) << "tick " << t;
+  }
+  // A migration stays within one chip.
+  EXPECT_THROW(batch.migrate(3, 0, 4, 0), std::invalid_argument);
+  EXPECT_NO_THROW(batch.migrate(4, 0, 7, 1));
+  EXPECT_THROW(Chip(cfg, std::span<const ChipSpec>{}), std::invalid_argument);
 }
 
 TEST(CmpConfig, DerivedQuantities) {

@@ -23,6 +23,7 @@
 #include "power/model.h"
 #include "sim/chip.h"
 #include "thermal/hotspot.h"
+#include "thermal/floorplan.h"
 #include "thermal/rc_model.h"
 #include "util/isa.h"
 #include "util/rng.h"
@@ -300,13 +301,62 @@ TEST_F(KernelIsa, RcStep) {
     auto run = [&](Isa isa) {
       std::vector<double> next(n, 0.0);
       thermal::kernels::rc_step(isa, n, cols, args, padded.data() + cols,
-                                power.data(), edge.data(), next.data());
+                                power.data(), edge.data(), n, next.data());
       return next;
     };
     const auto base = run(Isa::kBaseline);
     for (const Isa isa : wide()) {
       EXPECT_EQ(bit_diff(base, run(isa)), "")
           << util::isa_name(isa) << " n " << n;
+    }
+  }
+}
+
+TEST_F(KernelIsa, RcStepStackedChips) {
+  // The stencil over K stacked chip grids, as a ChipPlant batch runs it:
+  // the edge flags of thermal::kernels::stacked_edges, the four columns
+  // K * n apart. Every tier must match the baseline over the whole stack,
+  // and each chip's slice must match that chip stepped alone (its own n
+  // cores and edge columns n apart), so no term crosses a chip boundary.
+  const thermal::kernels::RcStepArgs args{52.0, 0.8, 2.0, 1e-4, 50.0};
+  for (const auto& [rows, cols] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {1, 1}, {1, 3}, {2, 2}, {2, 4}, {3, 5}, {8, 8}}) {
+    const thermal::Floorplan fp(rows, cols);
+    const std::size_t n = fp.num_cores();
+    for (const std::size_t chips : {2, 3, 16}) {
+      const std::size_t total = chips * n;
+      Inputs in(7000 + total + cols);
+      const auto padded = in.column(total + 2 * cols, 20.0, 120.0);
+      const auto power = in.column(total, 0.0, 15.0);
+      const std::vector<double> edge =
+          thermal::kernels::stacked_edges(fp, chips);
+      auto run = [&](Isa isa) {
+        std::vector<double> next(total, 0.0);
+        thermal::kernels::rc_step(isa, total, cols, args, padded.data() + cols,
+                                  power.data(), edge.data(), total,
+                                  next.data());
+        return next;
+      };
+      const auto base = run(Isa::kBaseline);
+      for (const Isa isa : wide()) {
+        EXPECT_EQ(bit_diff(base, run(isa)), "")
+            << util::isa_name(isa) << " " << rows << "x" << cols << " chips "
+            << chips;
+      }
+      const std::vector<double> solo_edge = thermal::kernels::stacked_edges(fp, 1);
+      for (std::size_t k = 0; k < chips; ++k) {
+        std::vector<double> alone(n, 0.0);
+        thermal::kernels::rc_step(Isa::kBaseline, n, cols, args,
+                                  padded.data() + cols + k * n,
+                                  power.data() + k * n, solo_edge.data(), n,
+                                  alone.data());
+        const std::vector<double> slice(
+            base.begin() + static_cast<std::ptrdiff_t>(k * n),
+            base.begin() + static_cast<std::ptrdiff_t>((k + 1) * n));
+        EXPECT_EQ(bit_diff(slice, alone), "")
+            << rows << "x" << cols << " chips " << chips << " chip " << k;
+      }
     }
   }
 }

@@ -1,5 +1,6 @@
 #include "support/reference_chip.h"
 
+#include <array>
 #include <bit>
 #include <sstream>
 #include <stdexcept>
@@ -173,7 +174,10 @@ std::string diff_tick(const sim::ChipTick& a, const sim::ChipTick& b,
   return {};
 }
 
-std::string diff_soa(const sim::ChipSoa& a, const sim::ChipSoa& b) {
+/// Compares the reference's columns `b` with chip columns `a` from flat
+/// core `g0` on.
+std::string diff_soa(const sim::ChipSoa& a, std::size_t g0,
+                     const sim::ChipSoa& b) {
   const std::pair<const char*, std::vector<double> sim::ChipSoa::*>
       columns[] = {
           {"demand_activity", &sim::ChipSoa::demand_activity},
@@ -192,11 +196,11 @@ std::string diff_soa(const sim::ChipSoa& a, const sim::ChipSoa& b) {
   for (const auto& [name, column] : columns) {
     const std::vector<double>& x = a.*column;
     const std::vector<double>& y = b.*column;
-    if (x.size() != y.size()) return std::string("soa.") + name + " size";
-    for (std::size_t g = 0; g < x.size(); ++g) {
-      if (!same(x[g], y[g])) {
-        return mismatch("core " + std::to_string(g) + " soa." + name, x[g],
-                        y[g]);
+    if (x.size() < g0 + y.size()) return std::string("soa.") + name + " size";
+    for (std::size_t g = 0; g < y.size(); ++g) {
+      if (!same(x[g0 + g], y[g])) {
+        return mismatch("core " + std::to_string(g) + " soa." + name,
+                        x[g0 + g], y[g]);
       }
     }
   }
@@ -216,29 +220,51 @@ std::string diff_actuator(const sim::DvfsActuator& a,
 }  // namespace
 
 ChipLockstep::ChipLockstep(const sim::CmpConfig& config,
+                           std::span<const sim::ChipSpec> chips,
+                           bool record_cores)
+    : islands_(config.num_islands),
+      cores_(config.total_cores()),
+      chip_(config, chips) {
+  chip_.set_record_cores(record_cores);
+  for (const sim::ChipSpec& spec : chips) {
+    references_.push_back(
+        std::make_unique<ReferenceChip>(config, *spec.mix, spec.seed));
+  }
+}
+
+ChipLockstep::ChipLockstep(const sim::CmpConfig& config,
                            const workload::Mix& mix, std::uint64_t seed,
                            bool record_cores)
-    : chip_(config, mix, seed), reference_(config, mix, seed) {
-  chip_.set_record_cores(record_cores);
-}
+    : ChipLockstep(config, std::array{sim::ChipSpec{&mix, seed}},
+                   record_cores) {}
 
 void ChipLockstep::migrate(std::size_t island_a, std::size_t core_a,
                            std::size_t island_b, std::size_t core_b,
                            double stall_seconds) {
   chip_.migrate(island_a, core_a, island_b, core_b, stall_seconds);
-  reference_.migrate(island_a, core_a, island_b, core_b, stall_seconds);
+  references_[island_a / islands_]->migrate(island_a % islands_, core_a,
+                                            island_b % islands_, core_b,
+                                            stall_seconds);
 }
 
 std::string ChipLockstep::step(double dt_seconds) {
-  const sim::ChipTick& a = chip_.step(dt_seconds);
-  const sim::ChipTick& b = reference_.step(dt_seconds);
-  std::string diff = diff_tick(a, b, chip_.record_cores());
-  if (diff.empty()) diff = diff_soa(chip_.soa(), reference_.soa());
-  for (std::size_t i = 0; diff.empty() && i < chip_.num_islands(); ++i) {
-    diff = diff_actuator(chip_.actuator(i), reference_.actuator(i));
-    if (!diff.empty()) diff = "island " + std::to_string(i) + " " + diff;
+  chip_.step(dt_seconds);
+  for (std::size_t k = 0; k < references_.size(); ++k) {
+    ReferenceChip& reference = *references_[k];
+    const sim::ChipTick& b = reference.step(dt_seconds);
+    std::string diff = diff_tick(chip_.tick(k), b, chip_.record_cores());
+    if (diff.empty()) diff = diff_soa(chip_.soa(), k * cores_, reference.soa());
+    for (std::size_t i = 0; diff.empty() && i < islands_; ++i) {
+      diff = diff_actuator(chip_.actuator(k * islands_ + i),
+                           reference.actuator(i));
+      if (!diff.empty()) diff = "island " + std::to_string(i) + " " + diff;
+    }
+    if (!diff.empty()) {
+      return references_.size() == 1 ? diff
+                                     : "chip " + std::to_string(k) + " " + diff;
+    }
   }
-  return diff;
+  return {};
 }
 
 LockstepReport run_random_lockstep(const sim::CmpConfig& config,
@@ -246,10 +272,19 @@ LockstepReport run_random_lockstep(const sim::CmpConfig& config,
                                    std::uint64_t chip_seed,
                                    std::uint64_t stream_seed,
                                    std::size_t ticks) {
+  return run_random_lockstep(config, std::array{sim::ChipSpec{&mix, chip_seed}},
+                             stream_seed, ticks);
+}
+
+LockstepReport run_random_lockstep(const sim::CmpConfig& config,
+                                   std::span<const sim::ChipSpec> chips,
+                                   std::uint64_t stream_seed,
+                                   std::size_t ticks) {
   util::Xoshiro256pp rng(stream_seed);
-  ChipLockstep lock(config, mix, chip_seed, rng.bernoulli(0.5));
+  ChipLockstep lock(config, chips, rng.bernoulli(0.5));
   const sim::Chip& chip = lock.chip();
   const std::size_t n = chip.num_islands();
+  const std::size_t per_chip = config.num_islands;
   const std::size_t levels = config.dvfs.num_levels();
   const double dt = config.tick_seconds();
   const double f_lo = 0.8 * config.dvfs.min_freq().value();
@@ -307,9 +342,11 @@ LockstepReport run_random_lockstep(const sim::CmpConfig& config,
                                         : rng.uniform_int(levels));
       }
     }
-    if (n > 1 && rng.bernoulli(0.5)) {
-      const std::size_t a = rng.uniform_int(n);
-      const std::size_t b = (a + 1 + rng.uniform_int(n - 1)) % n;
+    for (std::size_t first = 0; first < n && per_chip > 1; first += per_chip) {
+      if (!rng.bernoulli(0.5)) continue;
+      const std::size_t a = first + rng.uniform_int(per_chip);
+      const std::size_t b =
+          first + (a - first + 1 + rng.uniform_int(per_chip - 1)) % per_chip;
       const std::size_t core_a = rng.uniform_int(chip.island_size(a));
       const std::size_t core_b = rng.uniform_int(chip.island_size(b));
       const double stall_ticks[] = {0.0, rng.uniform(0.1, 0.9),

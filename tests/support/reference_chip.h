@@ -9,17 +9,20 @@
 // chip's structure-of-arrays code: the demand bank, the operating-point
 // broadcast and the micro-model sweep are all checked against it.
 //
-// ChipLockstep steps a sim::Chip and a ReferenceChip built from the same
-// inputs side by side, applies every actuator call and migration to both,
-// and compares them bit for bit after each tick: the ChipTick, the ChipSoa
-// columns the reference produces (a superset of those core::ChipPlant and
-// core::SimulationRun read), and each island's DVFS level, pending stall
-// and transition count. run_random_lockstep drives one over a seeded stream
-// of the actuator calls core::SimulationRun and its calibration make.
+// ChipLockstep steps a sim::Chip batch and one ReferenceChip per chip of it,
+// each built from the same inputs, side by side, applies every actuator
+// call and migration to both, and compares them bit for bit after each
+// tick: each chip's ChipTick, its slice of the ChipSoa columns the reference
+// produces (a superset of those core::ChipPlant and core::SimulationRun
+// read), and each island's DVFS level, pending stall and transition count.
+// run_random_lockstep drives one over a seeded stream of the actuator calls
+// core::SimulationRun and its calibration make.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,29 +75,36 @@ class ReferenceChip {
 
 class ChipLockstep {
  public:
-  /// Both chips from the same inputs; `record_cores` is passed to
-  /// sim::Chip::set_record_cores (the per-core detail is compared when on).
+  /// A sim::Chip batch of `chips` and a reference chip for each, from the
+  /// same inputs; `record_cores` is passed to sim::Chip::set_record_cores
+  /// (the per-core detail is compared when on).
+  ChipLockstep(const sim::CmpConfig& config,
+               std::span<const sim::ChipSpec> chips, bool record_cores);
+  /// A batch of one.
   ChipLockstep(const sim::CmpConfig& config, const workload::Mix& mix,
                std::uint64_t seed, bool record_cores);
 
   sim::Chip& chip() noexcept { return chip_; }
 
-  /// Applies `call` to island `island`'s actuator on both chips.
+  /// Applies `call` to flat island `island`'s actuator on both sides.
   template <class Call>
   void on_actuator(std::size_t island, Call&& call) {
     call(chip_.actuator(island));
-    call(reference_.actuator(island));
+    call(references_[island / islands_]->actuator(island % islands_));
   }
+  /// Migrates between two flat islands of one chip on both sides.
   void migrate(std::size_t island_a, std::size_t core_a, std::size_t island_b,
                std::size_t core_b, double stall_seconds);
 
-  /// Steps both chips one tick; returns the first difference, or an empty
+  /// Steps both sides one tick; returns the first difference, or an empty
   /// string when they agree bit for bit.
   std::string step(double dt_seconds);
 
  private:
+  std::size_t islands_;  // per chip
+  std::size_t cores_;    // per chip
   sim::Chip chip_;
-  ReferenceChip reference_;
+  std::vector<std::unique_ptr<ReferenceChip>> references_;
 };
 
 /// What one run_random_lockstep covered, and its first difference.
@@ -106,18 +116,24 @@ struct LockstepReport {
   std::size_t stalled_ticks = 0;  // island-ticks that began with a stall
 };
 
-/// Runs a ChipLockstep for up to `ticks` ticks of config.tick_seconds(),
-/// stopping at the first difference. The calls come from a xoshiro256++
-/// stream seeded with `stream_seed`, at the cadence of core::SimulationRun
-/// and its calibration:
+/// Runs a ChipLockstep over `chips` for up to `ticks` ticks of
+/// config.tick_seconds(), stopping at the first difference. The calls come
+/// from a xoshiro256++ stream seeded with `stream_seed`, at the cadence of
+/// core::SimulationRun and its calibration:
 ///   - start-up (or not): every island set_level plus consume_stall(1.0);
 ///   - each PIC boundary, per island: a PIC request_frequency (in and out
 ///     of the table's range), a calibration set_level to a random level or
 ///     to the level already set, or nothing;
 ///   - each GPM boundary, each half the time: MaxBIPS set_level on every
-///     island (random or the level already set), then a migration between
-///     two islands with no stall, one shorter than a tick or one longer.
+///     island (random or the level already set), then, for each chip, a
+///     migration between two of its islands with no stall, one shorter
+///     than a tick or one longer.
 /// The record-cores setting is drawn from the same stream.
+LockstepReport run_random_lockstep(const sim::CmpConfig& config,
+                                   std::span<const sim::ChipSpec> chips,
+                                   std::uint64_t stream_seed,
+                                   std::size_t ticks);
+/// The same over a batch of one.
 LockstepReport run_random_lockstep(const sim::CmpConfig& config,
                                    const workload::Mix& mix,
                                    std::uint64_t chip_seed,

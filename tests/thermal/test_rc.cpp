@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -117,6 +118,68 @@ TEST(RcModel, SizeMismatchThrows) {
   RcThermalModel m(Floorplan(2, 2), params());
   EXPECT_THROW(m.step(std::vector<double>{1.0}, 1e-3), std::invalid_argument);
   EXPECT_THROW(m.steady_state(std::vector<double>{1.0, 2.0}), std::invalid_argument);
+}
+
+TEST(RcModel, RejectsNonFiniteOrNonPositiveDt) {
+  // The substep count is a size_t cast of dt over the stability bound: NaN
+  // and +inf do not fit, and a negative dt would step the grid backwards.
+  RcThermalModel m(Floorplan(2, 2), params());
+  const std::vector<double> p(4, 5.0);
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(), -1e-4, 0.0,
+                        1e300};
+  for (const double dt : bad) {
+    EXPECT_THROW(m.step(p, dt), std::invalid_argument) << dt;
+    for (const double t : m.temperatures()) EXPECT_EQ(t, 45.0) << dt;
+  }
+  // A good dt after the rejected ones, and after a cached one.
+  m.step(p, 1e-4);
+  EXPECT_THROW(m.step(p, -1e-4), std::invalid_argument);
+  EXPECT_GT(m.temperature(0), 45.0);
+}
+
+TEST(RcModel, StackedChipsStepEachAsAlone) {
+  // A batch of chips shares one stacked grid; the edge flags make every
+  // chip boundary an edge, so each chip steps bit for bit as a model of its
+  // own, one- and two-layer (one spreader per chip).
+  for (const auto& [rows, cols] :
+       std::vector<std::pair<std::size_t, std::size_t>>{{1, 1}, {1, 4}, {2, 2},
+                                                        {3, 5}}) {
+    for (const bool two_layer : {false, true}) {
+      ThermalParams prm = params();
+      prm.two_layer = two_layer;
+      const Floorplan fp(rows, cols);
+      const std::size_t n = fp.num_cores();
+      const std::size_t chips = 3;
+      RcThermalModel batch(fp, prm, chips);
+      ASSERT_EQ(batch.num_chips(), chips);
+      std::vector<RcThermalModel> solo(chips, RcThermalModel(fp, prm));
+      util::Xoshiro256pp rng(rows * 10 + cols + (two_layer ? 5 : 0));
+      std::vector<double> power(chips * n);
+      for (int t = 0; t < 200; ++t) {
+        // Chips far apart in power, so a leak across a boundary shows.
+        for (std::size_t g = 0; g < power.size(); ++g) {
+          power[g] = rng.uniform(0.0, 4.0) + 8.0 * static_cast<double>(g / n);
+        }
+        const double dt = t < 150 ? 1e-4 : 5e-3;
+        batch.step(power, dt);
+        for (std::size_t k = 0; k < chips; ++k) {
+          solo[k].step(std::span(power).subspan(k * n, n), dt);
+          const auto temps = batch.chip_temperatures(k);
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(temps[i]),
+                      std::bit_cast<std::uint64_t>(solo[k].temperature(i)))
+                << rows << "x" << cols << (two_layer ? " two-layer" : "")
+                << " tick " << t << " chip " << k << " core " << i;
+          }
+          ASSERT_EQ(
+              std::bit_cast<std::uint64_t>(batch.spreader_temperature(k)),
+              std::bit_cast<std::uint64_t>(solo[k].spreader_temperature()));
+          ASSERT_EQ(batch.max_temperature(k), solo[k].max_temperature());
+        }
+      }
+    }
+  }
 }
 
 TEST(RcModel, MaxTemperature) {
@@ -343,7 +406,7 @@ TEST(RcStencil, KernelMatchesCsrOracleOnAnyTemperatures) {
                          {below, prm.vertical_conductance,
                           prm.lateral_conductance, ref.h,
                           1.0 / prm.capacitance},
-                         temps, power.data(), edge.data(), next.data());
+                         temps, power.data(), edge.data(), n, next.data());
         for (std::size_t i = 0; i < n; ++i) {
           ASSERT_TRUE(same_bits(next[i], expected[i]))
               << rows << "x" << cols << " " << util::isa_name(isa)
