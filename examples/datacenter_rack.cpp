@@ -8,8 +8,8 @@
 // Default: the classic four-node rack (two Mix-1 nodes, one Mix-2, one
 // memory-bound analytics node) with full in-memory traces. With --chips N
 // it scales to an N-node fleet built by make_cluster_chips (per-shard RNG
-// streams, parallel calibration) with bounded per-chip sinks -- results are
-// bit-identical at any --threads value.
+// streams, shards calibrated in lockstep and in parallel) with bounded
+// per-chip sinks -- results are bit-identical at any --threads value.
 //
 // Exercises: ClusterPowerManager, resumable SimulationRun, heterogeneous
 // nodes, sharded parallel epochs.

@@ -3,7 +3,7 @@
 // simulation's per-tick, per-PIC or per-GPM path writes here: each run keeps
 // its own counts and stats and publishes them once, when it finishes --
 // SimulationRun::finish() (chip ticks, PIC/GPM invocations and their
-// histograms), Simulation::calibrate() (calibration ticks) and the
+// histograms), core::calibrate_chips() (calibration ticks) and the
 // invariant-checking sink (records checked, violations). The thread pool
 // counts its dispatches. `cpm_sim_cli --metrics-out FILE` /
 // MetricsRegistry::write_json dump a sorted JSON snapshot. See
