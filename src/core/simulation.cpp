@@ -261,7 +261,7 @@ struct CalibrationState {
   std::vector<Accum> accum;
   double peak_chip_power = 0.0;
   std::vector<double> island_peak;
-  std::vector<util::RunningStats> island_fmax_bips, island_fmax_leak;
+  std::vector<util::RunningMean> island_fmax_bips, island_fmax_leak;
 };
 
 /// Calibrates `configs`, which must be same_plant, in lockstep through one
@@ -305,6 +305,8 @@ void calibrate_lockstep(std::span<const SimulationConfig* const> configs,
     batch_phase_a_ticks = std::max(batch_phase_a_ticks, st.phase_a_ticks);
   }
   std::vector<double> core_leak(chip.num_cores(), 0.0);
+  const sim::ReductionSoa& reductions = chip.reductions();
+  const std::span<const double> island_power = plant.island_power_w();
 
   // A chip whose calibration is shorter than the batch's keeps stepping
   // with the others and records nothing more.
@@ -315,26 +317,25 @@ void calibrate_lockstep(std::span<const SimulationConfig* const> configs,
       CalibrationState& st = states[k];
       if (t >= st.total_ticks) continue;
       const bool phase_a = t < st.phase_a_ticks;
-      const sim::ChipTick& tick = chip.tick(k);
-      const std::span<const double> island_power = plant.island_power_w(k);
       for (std::size_t i = 0; i < n; ++i) {
-        st.accum[i].utilization += tick.islands[i].utilization;
-        st.accum[i].power_w += island_power[i];
+        const std::size_t j = k * n + i;
+        st.accum[i].utilization += reductions.island_utilization[j];
+        st.accum[i].power_w += island_power[j];
         ++st.accum[i].ticks;
         if (phase_a) {
-          st.island_peak[i] = std::max(st.island_peak[i], island_power[i]);
-          st.island_fmax_bips[i].add(tick.islands[i].bips);
-          const std::size_t g0 = chip.island_offset(k * n + i);
+          st.island_peak[i] = std::max(st.island_peak[i], island_power[j]);
+          st.island_fmax_bips[i].add(reductions.island_bips[j]);
           double leakage = 0.0;
-          for (std::size_t c = 0; c < chip.island_size(k * n + i); ++c) {
-            leakage += core_leak[g0 + c];
+          for (std::size_t g = chip.island_offset(j);
+               g < chip.island_offset(j + 1); ++g) {
+            leakage += core_leak[g];
           }
           st.island_fmax_leak[i].add(leakage);
         }
       }
       if (phase_a) {
         st.peak_chip_power =
-            std::max(st.peak_chip_power, plant.chip_power_w(k));
+            std::max(st.peak_chip_power, plant.chip_power_w()[k]);
       }
 
       if ((t + 1) % cmp.ticks_per_pic_interval == 0) {
@@ -433,12 +434,12 @@ SimulationResult Simulation::run(double duration_s, RecordSink& sink) {
 
 std::unique_ptr<SimulationRun> Simulation::start() {
   return std::unique_ptr<SimulationRun>(
-      new SimulationRun(*this, nullptr, nullptr, 0));
+      new SimulationRun(*this, nullptr, nullptr, nullptr, 0));
 }
 
 std::unique_ptr<SimulationRun> Simulation::start(RecordSink& sink) {
   return std::unique_ptr<SimulationRun>(
-      new SimulationRun(*this, &sink, nullptr, 0));
+      new SimulationRun(*this, &sink, nullptr, nullptr, 0));
 }
 
 // ---------------------------------------------------------------------------
@@ -448,23 +449,29 @@ std::unique_ptr<SimulationRun> Simulation::start(RecordSink& sink) {
 SimulationRun::~SimulationRun() = default;
 
 SimulationRun::SimulationRun(Simulation& owner, RecordSink* sink,
-                             ChipPlant* plant, std::size_t slot)
+                             ChipPlant* plant, TickLedger* ledger,
+                             std::size_t slot)
     : owner_(&owner),
       owned_plant_(plant ? nullptr
                          : std::make_unique<ChipPlant>(owner.config_,
                                                        owner.power_model_)),
+      owned_ledger_(plant ? nullptr
+                          : std::make_unique<TickLedger>(
+                                *owned_plant_,
+                                std::span(&owner.config_.hotspot_threshold_c,
+                                          1),
+                                owner.config_.cmp.ticks_per_pic_interval,
+                                owner.config_.cmp.pic_invocations_per_gpm())),
       plant_(plant ? plant : owned_plant_.get()),
+      ledger_(plant ? ledger : owned_ledger_.get()),
       slot_(slot),
       island0_(slot * owner.config_.cmp.num_islands),
       core0_(slot * owner.config_.cmp.total_cores()),
-      hotspots_(owner.config_.cmp.total_cores(),
-                owner.config_.hotspot_threshold_c),
       sensor_rng_(owner.config_.seed ^ 0x5E4504ULL),
       migration_advisor_(owner.config_.migration),
       dt_(owner.config_.cmp.tick_seconds()),
       n_(owner.config_.cmp.num_islands),
       ticks_per_pic_(owner.config_.cmp.ticks_per_pic_interval),
-      ticks_to_pic_(ticks_per_pic_),
       pics_per_gpm_(owner.config_.cmp.pic_invocations_per_gpm()),
       fmax_(owner.config_.cmp.dvfs.max_freq().value()),
       live_budget_w_(owner.budget_w_),
@@ -567,27 +574,22 @@ SimulationRun::SimulationRun(Simulation& owner, RecordSink* sink,
   result_.max_chip_power_w = owner.max_power_w_;
   result_.budget_w = owner.budget_w_;
   result_.calibration = calibration;
-  result_.island_instructions.assign(n_, 0.0);
-  result_.island_energy_j.assign(n_, 0.0);
-  result_.island_avg_bips.assign(n_, 0.0);
   result_.island_level_residency.assign(
       n_, std::vector<double>(cmp.dvfs.num_levels(), 0.0));
-  pic_accum_.resize(n_);
-  gpm_accum_.resize(n_);
   gpm_sensed_energy_.assign(n_, 0.0);
   gpm_obs_.resize(n_);
   core_util_sum_.assign(cmp.total_cores(), 0.0);
 }
 
 double SimulationRun::elapsed_s() const noexcept {
-  return static_cast<double>(tick_) * dt_;
+  return static_cast<double>(ledger_->ticks()) * dt_;
 }
 
 double SimulationRun::instructions() const {
   if (finished_) {
     throw std::logic_error("SimulationRun: observables invalid after finish()");
   }
-  return result_.total_instructions;
+  return ledger_->instructions[slot_];
 }
 
 units::Watts SimulationRun::last_window_power() const {
@@ -642,10 +644,10 @@ void SimulationRun::advance(double seconds) {
         "SimulationRun::advance: a batched run advances through its RunBatch");
   }
   SimulationRun* const self = this;
-  advance_lockstep(*plant_, std::span(&self, 1), seconds);
+  advance_lockstep(*plant_, *ledger_, std::span(&self, 1), seconds);
 }
 
-void SimulationRun::advance_lockstep(ChipPlant& plant,
+void SimulationRun::advance_lockstep(ChipPlant& plant, TickLedger& ledger,
                                      std::span<SimulationRun* const> runs,
                                      double seconds) {
   // Every run of a batch has advanced by the same amounts with the same
@@ -657,72 +659,60 @@ void SimulationRun::advance_lockstep(ChipPlant& plant,
     }
   }
   std::uint64_t ticks = 0;
-  for (SimulationRun* run : runs) ticks = run->take_ticks(seconds);
+  bool migrating = false;
+  for (SimulationRun* run : runs) {
+    ticks = run->take_ticks(seconds);
+    migrating = migrating || run->owner_->config_.enable_migration;
+  }
   CPM_TRACE_SCOPE1("sim", "SimulationRun::advance", "seconds", seconds);
   const double dt = runs.front()->dt_;
   for (std::uint64_t t = 0; t < ticks; ++t) {
     plant.step(dt);
-    for (SimulationRun* run : runs) run->observe_tick();
+    const TickLedger::Closes closes = ledger.advance(plant, dt);
+    if (migrating) {
+      for (SimulationRun* run : runs) {
+        if (run->owner_->config_.enable_migration) {
+          run->sample_core_utilization();
+        }
+      }
+    }
+    if (closes == TickLedger::Closes::kNothing) continue;
+    const double now = static_cast<double>(ledger.ticks()) * dt;
+    for (SimulationRun* run : runs) {
+      run->pic_boundary(now);
+      if (closes == TickLedger::Closes::kGpmWindow) run->gpm_boundary(now);
+    }
   }
 }
 
-void SimulationRun::observe_tick() {
-  const SimulationConfig& config = owner_->config_;
-  const double now = static_cast<double>(tick_ + 1) * dt_;
+void SimulationRun::sample_core_utilization() {
+  // Frequency-normalized utilization (u_ref = u f / (u f + fmax (1-u)))
+  // makes cores on islands at different frequencies comparable for the
+  // migration advisor.
   const sim::Chip& chip = plant_->chip();
-  const sim::ChipTick& tick = chip.tick(slot_);
   const sim::ChipSoa& soa = chip.soa();
-  const std::span<const double> island_power = plant_->island_power_w(slot_);
-
-  if (config.enable_migration) {
-    // Frequency-normalized utilization (u_ref = u f / (u f + fmax (1-u)))
-    // makes cores on islands at different frequencies comparable for the
-    // migration advisor.
-    for (std::size_t i = 0; i < n_; ++i) {
-      const std::size_t g0 = chip.island_offset(island0_ + i);
-      const double f = soa.freq_ghz[g0];
-      for (std::size_t c = 0; c < chip.island_size(island0_ + i); ++c) {
-        const double u = soa.utilization[g0 + c];
-        const double denom = u * f + fmax_ * (1.0 - u);
-        core_util_sum_[g0 - core0_ + c] += denom > 0.0 ? u * f / denom : 0.0;
-      }
-    }
-    ++core_util_ticks_;
-  }
   for (std::size_t i = 0; i < n_; ++i) {
-    const sim::IslandTick& it = tick.islands[i];
-    // The GPM window is fed once per PIC boundary (pic_accum_ merges into
-    // gpm_accum_ before it resets), not per tick.
-    pic_accum_[i].add(it.utilization, it.bips, it.instructions,
-                      island_power[i]);
-    result_.island_instructions[i] += it.instructions;
-    result_.island_energy_j[i] += island_power[i] * dt_;
-    result_.island_avg_bips[i] += it.bips;
+    const std::size_t g0 = chip.island_offset(island0_ + i);
+    const double f = soa.freq_ghz[g0];
+    for (std::size_t c = 0; c < chip.island_size(island0_ + i); ++c) {
+      const double u = soa.utilization[g0 + c];
+      const double denom = u * f + fmax_ * (1.0 - u);
+      core_util_sum_[g0 - core0_ + c] += denom > 0.0 ? u * f / denom : 0.0;
+    }
   }
-  hotspots_.record(plant_->thermal().chip_temperatures(slot_), dt_);
-  chip_power_mean_.add(plant_->chip_power_w(slot_));
-  chip_bips_mean_.add(tick.total_bips);
-  result_.total_instructions += tick.total_instructions;
-  ++tick_;
-
-  if (--ticks_to_pic_ == 0) {
-    ticks_to_pic_ = ticks_per_pic_;
-    pic_boundary(now);
-    ++pic_count_in_window_;
-  }
-  if (pic_count_in_window_ == pics_per_gpm_) {
-    pic_count_in_window_ = 0;
-    gpm_boundary(now);
-  }
+  ++core_util_ticks_;
 }
 
 void SimulationRun::pic_boundary(double now) {
   CPM_TRACE_SCOPE1("sim", "SimulationRun::pic_boundary", "time_s", now);
   const SimulationConfig& config = owner_->config_;
   const auto& cmp = config.cmp;
+  const IslandSums& pic = ledger_->pic;
+  const double ticks = static_cast<double>(ticks_per_pic_);
   for (std::size_t i = 0; i < n_; ++i) {
     CPM_TRACE_SCOPE1("pic", "pic.update", "island", i);
-    double u = pic_accum_[i].mean_util();
+    const std::size_t j = island0_ + i;
+    double u = pic.utilization[j] / ticks;
     if (config.sensor_noise_sigma > 0.0) {
       u = std::clamp(
           u * (1.0 + config.sensor_noise_sigma * sensor_rng_.normal()), 0.0,
@@ -731,9 +721,9 @@ void SimulationRun::pic_boundary(double now) {
     PicIntervalRecord rec;
     rec.time_s = now;
     rec.island = i;
-    rec.actual_w = pic_accum_[i].mean_power();
+    rec.actual_w = pic.power_w[j] / ticks;
     rec.utilization = u;
-    rec.bips = pic_accum_[i].mean_bips();
+    rec.bips = pic.bips[j] / ticks;
     rec.freq_ghz = actuator(i).operating_point().freq_ghz;
     rec.dvfs_level = actuator(i).current_level();
 
@@ -758,8 +748,6 @@ void SimulationRun::pic_boundary(double now) {
     }
     sink_->record_pic(rec);
     result_.island_level_residency[i][rec.dvfs_level] += 1.0;
-    gpm_accum_[i].merge(pic_accum_[i]);
-    pic_accum_[i].reset();
   }
 }
 
@@ -797,21 +785,24 @@ void SimulationRun::gpm_boundary(double now) {
   rec.chip_bips = 0.0;
   rec.island_actual_w.resize(n_);
   rec.island_bips.resize(n_);
+  const IslandSums& gpm = ledger_->gpm;
+  const double ticks = static_cast<double>(ticks_per_pic_ * pics_per_gpm_);
   double observed_w = 0.0;
   for (std::size_t i = 0; i < n_; ++i) {
-    obs[i].bips = gpm_accum_[i].mean_bips();
-    obs[i].utilization = gpm_accum_[i].mean_util();
-    obs[i].instructions = gpm_accum_[i].instructions;
+    const std::size_t j = island0_ + i;
+    const double mean_power = gpm.power_w[j] / ticks;
+    obs[i].bips = gpm.bips[j] / ticks;
+    obs[i].utilization = gpm.utilization[j] / ticks;
+    obs[i].instructions = gpm.instructions[j];
     obs[i].energy_j = gpm_sensed_energy_[i];
     obs[i].power_w = gpm_sensed_energy_[i] / cmp.gpm_interval_s;
     observed_w += obs[i].power_w;
     obs[i].dvfs_level = actuator(i).current_level();
 
-    rec.island_actual_w[i] = gpm_accum_[i].mean_power();
+    rec.island_actual_w[i] = mean_power;
     rec.island_bips[i] = obs[i].bips;
-    rec.chip_actual_w += gpm_accum_[i].mean_power();
+    rec.chip_actual_w += mean_power;
     rec.chip_bips += obs[i].bips;
-    gpm_accum_[i].reset();
     gpm_sensed_energy_[i] = 0.0;
   }
 
@@ -887,17 +878,28 @@ SimulationResult SimulationRun::finish() {
       for (double& r : residency) r /= total;
     }
   }
-  result_.avg_chip_power_w = chip_power_mean_.mean();
-  result_.avg_chip_bips = chip_bips_mean_.mean();
-  result_.hotspot_fraction = hotspots_.hot_fraction();
+  const TickLedger& ledger = *ledger_;
+  result_.total_instructions = ledger.instructions[slot_];
+  result_.avg_chip_power_w = ledger.mean_power_w[slot_];
+  result_.avg_chip_bips = ledger.mean_bips[slot_];
+  result_.hotspot_fraction =
+      ledger.observed_s > 0.0 ? ledger.hot_s[slot_] / ledger.observed_s : 0.0;
+  const auto islands = [this](const std::vector<double>& column) {
+    return std::vector<double>(
+        column.begin() + static_cast<std::ptrdiff_t>(island0_),
+        column.begin() + static_cast<std::ptrdiff_t>(island0_ + n_));
+  };
+  result_.island_instructions = islands(ledger.island_instructions);
+  result_.island_energy_j = islands(ledger.island_energy_j);
+  result_.island_avg_bips = islands(ledger.island_bips);
   for (std::size_t i = 0; i < n_; ++i) {
     result_.island_avg_bips[i] /=
-        static_cast<double>(std::max<std::uint64_t>(1, tick_));
+        static_cast<double>(std::max<std::uint64_t>(1, ledger.ticks()));
     result_.dvfs_transitions += static_cast<double>(
         actuator(i).transition_count());
   }
   util::MetricsRegistry& registry = util::MetricsRegistry::global();
-  registry.add("chip.ticks", tick_);
+  registry.add("chip.ticks", ledger.ticks());
   registry.add("pic.invocations", pic_abs_error_stats_.count());
   registry.add("gpm.invocations", gpm_observed_power_stats_.count());
   if (maxbips_) registry.add("maxbips.solves", maxbips_->solves());
@@ -921,17 +923,26 @@ RunBatch::RunBatch(std::span<Simulation* const> sims,
   configs.reserve(sims.size());
   for (const Simulation* sim : sims) configs.push_back(&sim->config_);
   plant_ = std::make_unique<ChipPlant>(configs, sims.front()->power_model_);
+  std::vector<double> thresholds;
+  thresholds.reserve(sims.size());
+  for (const Simulation* sim : sims) {
+    thresholds.push_back(sim->config_.hotspot_threshold_c);
+  }
+  const sim::CmpConfig& cmp = sims.front()->config_.cmp;
+  ledger_ = std::make_unique<TickLedger>(*plant_, thresholds,
+                                         cmp.ticks_per_pic_interval,
+                                         cmp.pic_invocations_per_gpm());
   runs_.reserve(sims.size());
   handles_.reserve(sims.size());
   for (std::size_t k = 0; k < sims.size(); ++k) {
-    runs_.push_back(std::unique_ptr<SimulationRun>(
-        new SimulationRun(*sims[k], sinks[k], plant_.get(), k)));
+    runs_.push_back(std::unique_ptr<SimulationRun>(new SimulationRun(
+        *sims[k], sinks[k], plant_.get(), ledger_.get(), k)));
     handles_.push_back(runs_.back().get());
   }
 }
 
 void RunBatch::advance(double seconds) {
-  SimulationRun::advance_lockstep(*plant_, handles_, seconds);
+  SimulationRun::advance_lockstep(*plant_, *ledger_, handles_, seconds);
 }
 
 }  // namespace cpm::core

@@ -13,17 +13,17 @@ namespace {
 // Pass 2 of the tick: the core micro-model over the flat SoA arrays.
 // Bit-exactness contract with CoreModel::step, which the test tree's
 // reference chip steps: identical operations in identical order,
-// element-wise only (the congestion term `cong_term` and the instruction
-// scale are hoisted as the *same* scalar expressions, no sum is
+// element-wise only (each chip's congestion term `cong_term` and the
+// instruction scale are hoisted as the *same* scalar expressions, no sum is
 // reassociated, and both paths multiply by the island's reciprocal
 // frequency rather than dividing), so either ISA's wrapper and the
 // reference produce identical doubles. The reciprocal-frequency and
 // compute*`1/t` forms keep this loop at one division per core -- divides
-// are the only non-pipelining operation here. The nine arrays are distinct
+// are the only non-pipelining operation here. The ten arrays are distinct
 // ChipSoa columns; __restrict says so, which spares GCC the run-time alias
 // checks that otherwise stop it vectorizing the loop.
 CPM_ALWAYS_INLINE void micro_model_body(
-    std::size_t cores, double cong_term, double instr_scale,
+    std::size_t cores, const double* __restrict cong_term, double instr_scale,
     const double* __restrict cpi, const double* __restrict mem,
     const double* __restrict dbw, const double* __restrict invf,
     const double* __restrict run, double* __restrict instr,
@@ -32,7 +32,7 @@ CPM_ALWAYS_INLINE void micro_model_body(
   // vectorize: sim.micro_model
   for (std::size_t g = 0; g < cores; ++g) {
     const double compute_ns = cpi[g] * invf[g];
-    const double mem_ns = mem[g] * cong_term;
+    const double mem_ns = mem[g] * cong_term[g];
     const double t_instr_ns = compute_ns + mem_ns;
     // 1 ns/instruction == 1 BIPS, so BIPS while running is 1/t_instr_ns.
     const double bips_running = 1.0 / t_instr_ns;
@@ -47,8 +47,9 @@ CPM_ALWAYS_INLINE void micro_model_body(
 
 namespace kernels {
 
-void micro_model_sweep(util::Isa isa, std::size_t cores, double cong_term,
-                       double instr_scale, const double* cpi,
+void micro_model_sweep(util::Isa isa, std::size_t cores,
+                       const double* cong_term, double instr_scale,
+                       const double* cpi,
                        const double* mem, const double* dbw,
                        const double* invf, const double* run, double* instr,
                        double* bips, double* util, double* bw) noexcept {
@@ -69,6 +70,7 @@ void ChipSoa::resize(std::size_t cores) {
   voltage.assign(cores, 0.0);
   run_fraction.assign(cores, 1.0);
   stall_fraction.assign(cores, 0.0);
+  congestion_term.assign(cores, 0.0);
   activity_idle.assign(cores, 0.0);
   ceff_scale.assign(cores, 1.0);
   instructions.assign(cores, 0.0);
@@ -122,9 +124,33 @@ Chip::Chip(const CmpConfig& config, std::span<const ChipSpec> chips)
   }
   soa_.resize(demand_.size());
   broadcast_.resize(actuators_.size());
+  reductions_.island_bips.assign(actuators_.size(), 0.0);
+  reductions_.island_utilization.assign(actuators_.size(), 0.0);
+  reductions_.island_instructions.assign(actuators_.size(), 0.0);
+  reductions_.island_bandwidth.assign(actuators_.size(), 0.0);
+  reductions_.chip_bips.assign(chips.size(), 0.0);
+  reductions_.chip_instructions.assign(chips.size(), 0.0);
   ticks_.resize(chips.size());
   for (ChipTick& tick : ticks_) tick.islands.resize(islands);
   for (std::size_t g = 0; g < demand_.size(); ++g) sync_profile_constants(g);
+  // The first tick runs at zero congestion, like every memory system's.
+  for (std::size_t k = 0; k < memory_.size(); ++k) write_congestion_term(k);
+}
+
+void Chip::set_record_cores(bool record) {
+  record_cores_ = record;
+  for (ChipTick& tick : ticks_) {
+    tick.islands.assign(record ? config_.num_islands : 0, IslandTick{});
+  }
+}
+
+void Chip::write_congestion_term(std::size_t chip) {
+  const std::size_t cores = config_.total_cores();
+  const double term =
+      1.0 + config_.contention_gamma * std::max(0.0, memory_[chip].congestion());
+  std::fill_n(soa_.congestion_term.begin() +
+                  static_cast<std::ptrdiff_t>(chip * cores),
+              cores, term);
 }
 
 void Chip::sync_profile_constants(std::size_t g) {
@@ -210,82 +236,95 @@ const ChipTick& Chip::step(double dt_seconds) {
     }
   }
 
-  // ---- pass 2 (flat, vectorized): the core micro-model, one call per
-  // chip, since each chip has its own congestion.
-  for (std::size_t k = 0; k < ticks_.size(); ++k) {
-    const std::size_t c0 = k * cores;
-    const double congestion = memory_[k].congestion();
-    ticks_[k].congestion = congestion;
-    kernels::micro_model_sweep(
-        isa, cores, 1.0 + config_.contention_gamma * std::max(0.0, congestion),
-        1e9 * dt_seconds, soa_.demand_cpi.data() + c0,
-        soa_.demand_mem_ns.data() + c0, soa_.demand_bandwidth.data() + c0,
-        soa_.inv_freq.data() + c0, soa_.run_fraction.data() + c0,
-        soa_.instructions.data() + c0, soa_.bips.data() + c0,
-        soa_.utilization.data() + c0, soa_.bandwidth_demand.data() + c0);
-  }
+  // ---- pass 2 (flat, vectorized): the core micro-model, once over the
+  // batch; each chip's congestion reaches its cores through congestion_term.
+  kernels::micro_model_sweep(
+      isa, soa_.demand_cpi.size(), soa_.congestion_term.data(),
+      1e9 * dt_seconds, soa_.demand_cpi.data(), soa_.demand_mem_ns.data(),
+      soa_.demand_bandwidth.data(), soa_.inv_freq.data(),
+      soa_.run_fraction.data(), soa_.instructions.data(), soa_.bips.data(),
+      soa_.utilization.data(), soa_.bandwidth_demand.data());
 
+  // ---- pass 3: island sums in core order into the island columns, chip
+  // totals in island order, and each chip's congestion for the next tick.
   const double* instr = soa_.instructions.data();
   const double* bips = soa_.bips.data();
   const double* util = soa_.utilization.data();
   const double* bw = soa_.bandwidth_demand.data();
+  double* island_bips = reductions_.island_bips.data();
+  double* island_util = reductions_.island_utilization.data();
+  double* island_instr = reductions_.island_instructions.data();
+  double* island_bw = reductions_.island_bandwidth.data();
   for (std::size_t k = 0; k < ticks_.size(); ++k) {
-    ChipTick& tick = ticks_[k];
-    // ---- pass 3: island/chip reductions, per-core bookkeeping, views.
+    // The sums run in locals: the columns may alias each other as far as
+    // the compiler knows, so summing into them would store and reload every
+    // partial sum.
     double total_bips = 0.0;
     double total_instr = 0.0;
     double total_demand = 0.0;
     double chip_util = 0.0;
-    for (std::size_t i = 0; i < islands; ++i) {
-      const std::size_t g0 = offsets_[k * islands + i];
-      const std::size_t size = offsets_[k * islands + i + 1] - g0;
-      IslandTick& it = tick.islands[i];
-      // The sums run in locals: `it` and `tick` may alias the SoA columns as
-      // far as the compiler knows, so summing into their fields would store
-      // and reload every partial sum.
+    for (std::size_t j = k * islands; j < (k + 1) * islands; ++j) {
+      const std::size_t g0 = offsets_[j];
+      const std::size_t g1 = offsets_[j + 1];
       double isl_bips = 0.0;
       double isl_util = 0.0;
       double isl_instr = 0.0;
       double isl_bw = 0.0;
-      for (std::size_t c = 0; c < size; ++c) {
-        const std::size_t g = g0 + c;
+      for (std::size_t g = g0; g < g1; ++g) {
         isl_bips += bips[g];
         isl_util += util[g];
         isl_instr += instr[g];
         isl_bw += bw[g];
       }
       chip_util += isl_util;
-      it.bips = isl_bips;
-      it.utilization = isl_util / static_cast<double>(size);
-      it.instructions = isl_instr;
-      it.bandwidth_demand = isl_bw;
-      if (record_cores_) {
-        it.cores.resize(size);
-        for (std::size_t c = 0; c < size; ++c) {
-          const std::size_t g = g0 + c;
-          CoreTick& ct = it.cores[c];
-          ct.instructions = instr[g];
-          ct.bips = bips[g];
-          ct.utilization = util[g];
-          ct.activity = soa_.demand_activity[g];
-          ct.activity_idle = soa_.activity_idle[g];
-          ct.ceff_scale = soa_.ceff_scale[g];
-          ct.bandwidth_demand = bw[g];
-          ct.stall_fraction = soa_.stall_fraction[g];
-        }
-      } else {
-        it.cores.clear();
-      }
+      island_bips[j] = isl_bips;
+      island_util[j] = isl_util / static_cast<double>(g1 - g0);
+      island_instr[j] = isl_instr;
+      island_bw[j] = isl_bw;
       total_bips += isl_bips;
       total_instr += isl_instr;
       total_demand += isl_bw;
     }
+    reductions_.chip_bips[k] = total_bips;
+    reductions_.chip_instructions[k] = total_instr;
+    ChipTick& tick = ticks_[k];
     tick.total_bips = total_bips;
     tick.total_instructions = total_instr;
     tick.utilization = chip_util / static_cast<double>(cores);
+    tick.congestion = memory_[k].congestion();
     memory_[k].update(total_demand);
+    write_congestion_term(k);
   }
+  if (record_cores_) fill_island_records();
   return ticks_.front();
+}
+
+void Chip::fill_island_records() {
+  const std::size_t islands = config_.num_islands;
+  for (std::size_t k = 0; k < ticks_.size(); ++k) {
+    for (std::size_t i = 0; i < islands; ++i) {
+      const std::size_t j = k * islands + i;
+      const std::size_t g0 = offsets_[j];
+      IslandTick& it = ticks_[k].islands[i];
+      it.bips = reductions_.island_bips[j];
+      it.utilization = reductions_.island_utilization[j];
+      it.instructions = reductions_.island_instructions[j];
+      it.bandwidth_demand = reductions_.island_bandwidth[j];
+      it.cores.resize(offsets_[j + 1] - g0);
+      for (std::size_t c = 0; c < it.cores.size(); ++c) {
+        const std::size_t g = g0 + c;
+        CoreTick& ct = it.cores[c];
+        ct.instructions = soa_.instructions[g];
+        ct.bips = soa_.bips[g];
+        ct.utilization = soa_.utilization[g];
+        ct.activity = soa_.demand_activity[g];
+        ct.activity_idle = soa_.activity_idle[g];
+        ct.ceff_scale = soa_.ceff_scale[g];
+        ct.bandwidth_demand = soa_.bandwidth_demand[g];
+        ct.stall_fraction = soa_.stall_fraction[g];
+      }
+    }
+  }
 }
 
 }  // namespace cpm::sim

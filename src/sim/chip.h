@@ -16,14 +16,18 @@
 // structure-of-arrays in island-major flat core order: the workload demand
 // state in a workload::DemandBank, the rest in ChipSoa. Each core's state
 // lives there once. A tick steps the bank and then runs the core
-// micro-model as flat sweeps over those arrays, which GCC vectorizes (their
-// loops carry `// vectorize:` tags the vectorize_guard test checks) and
-// which run at the host's vector width (util/isa.h). The test tree's
-// reference chip (tests/support/reference_chip.h) steps the same model
-// object by object, one CoreModel per core under one DvfsActuator per
+// micro-model as one flat sweep over those arrays for the whole batch (each
+// chip's congestion reaches it through a per-core column), which GCC
+// vectorizes (the loops carry `// vectorize:` tags the vectorize_guard test
+// checks) and which runs at the host's vector width (util/isa.h). The
+// island and chip reductions then land in flat columns (ReductionSoa), where
+// core::TickLedger's sweeps add them up for every chip at once. The test
+// tree's reference chip (tests/support/reference_chip.h) steps the same
+// model object by object, one CoreModel per core under one DvfsActuator per
 // island; the tests and the fuzz harness run it in lockstep with this chip
 // and hold the two bit-identical. ChipTick / IslandTick are thin record
-// views filled from the SoA arrays each tick.
+// views filled from the columns each tick (IslandTick only while
+// record_cores() is on).
 #pragma once
 
 #include <cstddef>
@@ -61,6 +65,9 @@ struct ChipSoa {
   std::vector<double> voltage;         // operating-point voltage (for power)
   std::vector<double> run_fraction;    // 1 - clamped DVFS stall fraction
   std::vector<double> stall_fraction;  // the clamped stall fraction itself
+  // -- per-core memory congestion term, 1 + gamma * max(0, congestion) of
+  // the core's chip (written for the next tick when a tick ends) --
+  std::vector<double> congestion_term;
   // -- per-core profile constants (re-synced after thread migration) --
   std::vector<double> activity_idle;
   std::vector<double> ceff_scale;
@@ -75,21 +82,38 @@ struct ChipSoa {
   void resize(std::size_t cores);
 };
 
+/// The per-tick island and chip reductions of every chip of the batch, as
+/// flat columns written by each step(): flat island j (chip j / I's island j
+/// % I) at [j], chip k at [k]. Each island sums its cores in core order and
+/// each chip its islands in island order.
+struct ReductionSoa {
+  // -- per flat island --
+  std::vector<double> island_bips;          // summed over cores
+  std::vector<double> island_utilization;   // mean over cores
+  std::vector<double> island_instructions;  // summed
+  std::vector<double> island_bandwidth;     // summed bandwidth demand
+  // -- per chip --
+  std::vector<double> chip_bips;
+  std::vector<double> chip_instructions;
+};
+
 namespace kernels {
 
 /// Pass 2 of the tick, the core micro-model, over `cores` flat columns at
-/// `isa` (every ISA gives the same bits). `cong_term` is
+/// `isa` (every ISA gives the same bits). `cong_term` is each core's
 /// 1 + gamma * max(0, congestion) and `instr_scale` is 1e9 * dt, hoisted as
 /// CoreModel::step computes them. The outputs must not overlap the inputs.
-void micro_model_sweep(util::Isa isa, std::size_t cores, double cong_term,
-                       double instr_scale, const double* cpi,
+void micro_model_sweep(util::Isa isa, std::size_t cores,
+                       const double* cong_term, double instr_scale,
+                       const double* cpi,
                        const double* mem, const double* dbw,
                        const double* invf, const double* run, double* instr,
                        double* bips, double* util, double* bw) noexcept;
 
 }  // namespace kernels
 
-/// Aggregated island observation for one tick.
+/// Aggregated island observation for one tick (a record view of the
+/// chip's ReductionSoa columns).
 struct IslandTick {
   double bips = 0.0;              // summed over cores
   double utilization = 0.0;       // mean over cores
@@ -100,7 +124,7 @@ struct IslandTick {
 
 /// Full-chip observation for one tick.
 struct ChipTick {
-  std::vector<IslandTick> islands;
+  std::vector<IslandTick> islands;  // empty while record_cores() is false
   double total_bips = 0.0;
   double total_instructions = 0.0;
   /// Core-weighted mean utilization over the whole chip. (Unlike averaging
@@ -170,11 +194,14 @@ class Chip {
   const ChipSoa& soa() const noexcept { return soa_; }
   /// Mutable view of the per-core power slot for the power-model layer.
   std::span<double> core_power_w() noexcept { return soa_.power_w; }
+  /// The island and chip reductions of the last step().
+  const ReductionSoa& reductions() const noexcept { return reductions_; }
 
-  /// When false, step() leaves IslandTick::cores empty (the SoA arrays carry
-  /// the per-core detail) -- the hot-loop configuration. Default true for
-  /// record-surface compatibility.
-  void set_record_cores(bool record) noexcept { record_cores_ = record; }
+  /// When false, step() fills no IslandTick records and leaves
+  /// ChipTick::islands empty (the ReductionSoa and ChipSoa columns carry the
+  /// island and per-core detail) -- the hot-loop configuration. Default true
+  /// for record-surface compatibility.
+  void set_record_cores(bool record);
   bool record_cores() const noexcept { return record_cores_; }
 
   const CmpConfig& config() const noexcept { return config_; }
@@ -190,6 +217,11 @@ class Chip {
 
  private:
   void sync_profile_constants(std::size_t g);
+  /// Writes chip `chip`'s congestion term (from its memory system's current
+  /// congestion) into its cores' congestion_term slots.
+  void write_congestion_term(std::size_t chip);
+  /// Fills every ChipTick's IslandTick records from the columns.
+  void fill_island_records();
 
   CmpConfig config_;
   std::vector<DvfsActuator> actuators_;  // one per island
@@ -207,6 +239,7 @@ class Chip {
   workload::DemandBank demand_;       // every core's workload state
   std::vector<IslandBroadcast> broadcast_;
   ChipSoa soa_;
+  ReductionSoa reductions_;
   // One per chip, reused across step() calls (no per-tick allocation).
   std::vector<ChipTick> ticks_;
 };

@@ -13,12 +13,13 @@ namespace {
 // double compare (a bool or a count does not).
 CPM_ALWAYS_INLINE bool hotspot_body(std::size_t n,
                                     const double* __restrict temps,
-                                    double threshold, double dt_seconds,
+                                    const double* __restrict threshold,
+                                    double dt_seconds,
                                     double* __restrict core_hot) noexcept {
   std::uint64_t hot_seen = 0;
   // vectorize: thermal.hotspot
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t hot = temps[i] > threshold ? 1 : 0;
+    const std::uint64_t hot = temps[i] > threshold[i] ? 1 : 0;
     core_hot[i] += hot != 0 ? dt_seconds : 0.0;
     hot_seen |= hot;
   }
@@ -30,7 +31,7 @@ CPM_ALWAYS_INLINE bool hotspot_body(std::size_t n,
 namespace kernels {
 
 bool hotspot_accumulate(util::Isa isa, std::size_t n, const double* temps_c,
-                        double threshold_c, double dt_seconds,
+                        const double* threshold_c, double dt_seconds,
                         double* core_hot_s) noexcept {
   return util::dispatch_kernel<&hotspot_body>(isa, n, temps_c, threshold_c,
                                               dt_seconds, core_hot_s);
@@ -39,7 +40,7 @@ bool hotspot_accumulate(util::Isa isa, std::size_t n, const double* temps_c,
 }  // namespace kernels
 
 HotspotDetector::HotspotDetector(std::size_t num_cores, double threshold_c)
-    : threshold_c_(threshold_c), core_hot_s_(num_cores, 0.0) {
+    : threshold_c_(num_cores, threshold_c), core_hot_s_(num_cores, 0.0) {
   if (num_cores == 0) {
     throw std::invalid_argument("HotspotDetector: need at least one core");
   }
@@ -53,8 +54,8 @@ bool HotspotDetector::record(std::span<const double> temps_c,
   observed_s_ += dt_seconds;
   const bool any_hot =
       kernels::hotspot_accumulate(util::host_isa(), temps_c.size(),
-                                  temps_c.data(), threshold_c_, dt_seconds,
-                                  core_hot_s_.data());
+                                  temps_c.data(), threshold_c_.data(),
+                                  dt_seconds, core_hot_s_.data());
   if (any_hot) {
     hot_s_ += dt_seconds;
     if (!was_hot_) ++events_;

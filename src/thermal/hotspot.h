@@ -13,12 +13,12 @@ namespace cpm::thermal {
 
 namespace kernels {
 
-/// HotspotDetector::record's sweep over `n` cores at `isa` (every ISA gives
-/// the same bits): adds dt_seconds to core_hot_s[i] for every core hotter
-/// than threshold_c, and returns whether any was. core_hot_s must not
-/// overlap temps_c.
+/// The hotspot sweep over `n` cores at `isa` (every ISA gives the same
+/// bits): adds dt_seconds to core_hot_s[i] for every core hotter than its
+/// threshold_c[i], and returns whether any was. core_hot_s must not overlap
+/// the inputs.
 bool hotspot_accumulate(util::Isa isa, std::size_t n, const double* temps_c,
-                        double threshold_c, double dt_seconds,
+                        const double* threshold_c, double dt_seconds,
                         double* core_hot_s) noexcept;
 
 }  // namespace kernels
@@ -30,7 +30,7 @@ class HotspotDetector {
   /// Records one sample of duration dt; returns true if any core is hot.
   bool record(std::span<const double> temps_c, double dt_seconds);
 
-  double threshold_c() const noexcept { return threshold_c_; }
+  double threshold_c() const noexcept { return threshold_c_.front(); }
   /// Total observed time and time with >= 1 hot core.
   double observed_seconds() const noexcept { return observed_s_; }
   double hot_seconds() const noexcept { return hot_s_; }
@@ -45,7 +45,7 @@ class HotspotDetector {
   void reset();
 
  private:
-  double threshold_c_;
+  std::vector<double> threshold_c_;  // one per core, all equal
   double observed_s_ = 0.0;
   double hot_s_ = 0.0;
   std::vector<double> core_hot_s_;

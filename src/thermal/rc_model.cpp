@@ -90,8 +90,26 @@ std::vector<double> stacked_edges(const Floorplan& floorplan,
 RcThermalModel::RcThermalModel(Floorplan floorplan, ThermalParams params,
                                std::size_t chips)
     : floorplan_(std::move(floorplan)), params_(params), chips_(chips) {
-  if (params_.capacitance <= 0.0 || params_.vertical_conductance <= 0.0) {
+  // The explicit-Euler bound below must come out finite and positive: a
+  // negative or NaN bound would turn step()'s substep count negative or
+  // meaningless.
+  for (const double value :
+       {params_.ambient_c, params_.vertical_conductance,
+        params_.lateral_conductance, params_.capacitance,
+        params_.spreader_capacitance,
+        params_.spreader_to_ambient_conductance}) {
+    if (!std::isfinite(value)) {
+      throw std::invalid_argument("RcThermalModel: non-finite parameter");
+    }
+  }
+  if (params_.capacitance <= 0.0 || params_.vertical_conductance <= 0.0 ||
+      params_.lateral_conductance < 0.0) {
     throw std::invalid_argument("RcThermalModel: non-physical parameters");
+  }
+  if (params_.two_layer && (params_.spreader_capacitance <= 0.0 ||
+                            params_.spreader_to_ambient_conductance < 0.0)) {
+    throw std::invalid_argument(
+        "RcThermalModel: non-physical spreader parameters");
   }
   if (chips_ == 0) throw std::invalid_argument("RcThermalModel: 0 chips");
   const std::size_t cols = floorplan_.cols();

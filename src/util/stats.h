@@ -41,7 +41,14 @@ class RunningMean {
  public:
   void add(double x) noexcept {
     ++n_;
-    mean_ += (x - mean_) / static_cast<double>(n_);
+    mean_ = next(mean_, x, static_cast<double>(n_));
+  }
+  /// The update add() applies: the mean of n samples from `mean`, that of
+  /// the first n - 1, and the n-th sample `x`. Callers that keep many means
+  /// of one sample count in a flat column apply it lane by lane.
+  [[gnu::always_inline]] static double next(double mean, double x,
+                                            double n) noexcept {
+    return mean + (x - mean) / n;
   }
   double mean() const noexcept { return mean_; }
 

@@ -8,8 +8,11 @@
 // asserts five differential guarantees on top of the per-record invariants:
 //
 //   1. determinism  -- the same seed produces bit-identical results whether
-//                      the five variants run serially or via
-//                      util::parallel_map (full pipeline incl. calibration);
+//                      the five variants run serially, via
+//                      util::parallel_map (full pipeline incl. calibration)
+//                      or in lockstep as one core::RunBatch (they share one
+//                      plant configuration), and the serial and batched
+//                      runs' records hash to the same digest;
 //   2. trace fidelity -- CSV and JSONL round-trips through trace_io
 //                      reproduce every serialized field bit-exactly;
 //   3. time-slicing -- advance(T) is equivalent to any partition
@@ -40,12 +43,14 @@
 //
 //   fuzz_sim [--scenarios N] [--seed S] [--replay K] [--fail-fast]
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -263,7 +268,58 @@ std::string diff_results(const core::SimulationResult& a,
     return "island_instructions";
   }
   if (a.island_energy_j != b.island_energy_j) return "island_energy_j";
+  if (a.island_avg_bips != b.island_avg_bips) return "island_avg_bips";
+  if (a.island_level_residency != b.island_level_residency) {
+    return "island_level_residency";
+  }
+  if (a.hotspot_fraction != b.hotspot_fraction) return "hotspot_fraction";
+  if (a.migrations != b.migrations) return "migrations";
+  if (a.pic_records_seen != b.pic_records_seen) return "pic_records_seen";
+  if (a.gpm_records_seen != b.gpm_records_seen) return "gpm_records_seen";
   return {};
+}
+
+/// FNV-1a over the bit patterns of every field of every PIC and GPM record
+/// (signed zeros and NaN payloads included, which == does not tell apart).
+std::uint64_t record_digest(const core::SimulationResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto add = [&h](auto value) {
+    std::uint64_t bits = 0;
+    if constexpr (std::is_floating_point_v<decltype(value)>) {
+      bits = std::bit_cast<std::uint64_t>(static_cast<double>(value));
+    } else {
+      bits = static_cast<std::uint64_t>(value);
+    }
+    for (int b = 0; b < 8; ++b) {
+      h = (h ^ ((bits >> (8 * b)) & 0xFF)) * 0x100000001b3ULL;
+    }
+  };
+  const auto add_all = [&add](const std::vector<double>& values) {
+    add(values.size());
+    for (const double v : values) add(v);
+  };
+  for (const core::PicIntervalRecord& p : r.pic_records) {
+    add(p.time_s);
+    add(p.island);
+    add(p.target_w);
+    add(p.sensed_w);
+    add(p.actual_w);
+    add(p.utilization);
+    add(p.bips);
+    add(p.freq_ghz);
+    add(p.dvfs_level);
+  }
+  for (const core::GpmIntervalRecord& g : r.gpm_records) {
+    add(g.time_s);
+    add_all(g.island_alloc_w);
+    add_all(g.island_actual_w);
+    add_all(g.island_bips);
+    add(g.chip_actual_w);
+    add(g.chip_budget_w);
+    add(g.chip_bips);
+    add(g.max_temp_c);
+  }
+  return h;
 }
 
 // ---------------------------------------------------------------------------
@@ -419,6 +475,34 @@ bool FuzzRun::run_scenario(std::size_t index) {
     }
   } catch (const std::exception& e) {
     fail(index, "all", "parallel-exception", e.what());
+  }
+
+  // Differential: serial vs the five variants stepped in lockstep as one
+  // RunBatch through one batched plant and tick ledger.
+  try {
+    std::vector<core::InMemorySink> sinks(kNumVariants);
+    std::vector<core::Simulation*> sim_ptrs;
+    std::vector<core::RecordSink*> sink_ptrs;
+    for (std::size_t v = 0; v < kNumVariants; ++v) {
+      sim_ptrs.push_back(sims[v].get());
+      sink_ptrs.push_back(&sinks[v]);
+    }
+    core::RunBatch batch(sim_ptrs, sink_ptrs);
+    batch.advance(duration);
+    simulations_ += kNumVariants;
+    for (std::size_t v = 0; v < kNumVariants; ++v) {
+      const core::SimulationResult result = batch.run(v).finish();
+      std::string diff = diff_results(serial[v], result);
+      if (diff.empty() && record_digest(serial[v]) != record_digest(result)) {
+        diff = "record digest";
+      }
+      if (!diff.empty()) {
+        fail(index, kVariants[v].name, "batch-vs-serial",
+             "first divergence: " + diff);
+      }
+    }
+  } catch (const std::exception& e) {
+    fail(index, "all", "batch-exception", e.what());
   }
 
   // Differential: sim::Chip vs the reference chip, in lockstep over as

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -238,12 +240,100 @@ std::vector<SimulationConfig> batch_configs() {
   return configs;
 }
 
+/// The bit pattern of `x` (tells signed zeros apart, as == does not).
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+std::vector<std::uint64_t> bits(const std::vector<double>& xs) {
+  std::vector<std::uint64_t> out;
+  for (const double x : xs) out.push_back(bits(x));
+  return out;
+}
+
+/// Expects every field of two results, every record's included, to hold
+/// the same bits.
+void expect_same_result(const SimulationResult& a, const SimulationResult& b) {
+  EXPECT_EQ(a.pic_records_seen, b.pic_records_seen);
+  EXPECT_EQ(a.gpm_records_seen, b.gpm_records_seen);
+  EXPECT_EQ(bits(a.duration_s), bits(b.duration_s));
+  EXPECT_EQ(bits(a.max_chip_power_w), bits(b.max_chip_power_w));
+  EXPECT_EQ(bits(a.budget_w), bits(b.budget_w));
+  EXPECT_EQ(bits(a.total_instructions), bits(b.total_instructions));
+  EXPECT_EQ(bits(a.avg_chip_power_w), bits(b.avg_chip_power_w));
+  EXPECT_EQ(bits(a.avg_chip_bips), bits(b.avg_chip_bips));
+  EXPECT_EQ(bits(a.hotspot_fraction), bits(b.hotspot_fraction));
+  EXPECT_EQ(bits(a.dvfs_transitions), bits(b.dvfs_transitions));
+  EXPECT_EQ(a.migrations, b.migrations);
+  EXPECT_EQ(bits(a.island_instructions), bits(b.island_instructions));
+  EXPECT_EQ(bits(a.island_energy_j), bits(b.island_energy_j));
+  EXPECT_EQ(bits(a.island_avg_bips), bits(b.island_avg_bips));
+  ASSERT_EQ(a.island_level_residency.size(), b.island_level_residency.size());
+  for (std::size_t i = 0; i < a.island_level_residency.size(); ++i) {
+    EXPECT_EQ(bits(a.island_level_residency[i]),
+              bits(b.island_level_residency[i]))
+        << "island " << i;
+  }
+  const CalibrationResult& ca = a.calibration;
+  const CalibrationResult& cb = b.calibration;
+  ASSERT_EQ(ca.transducers.size(), cb.transducers.size());
+  for (std::size_t i = 0; i < ca.transducers.size(); ++i) {
+    EXPECT_EQ(bits(ca.transducers[i].k1), bits(cb.transducers[i].k1));
+    EXPECT_EQ(bits(ca.transducers[i].k0), bits(cb.transducers[i].k0));
+    EXPECT_EQ(bits(ca.transducers[i].r_squared),
+              bits(cb.transducers[i].r_squared));
+  }
+  EXPECT_EQ(bits(ca.plant_gains), bits(cb.plant_gains));
+  EXPECT_EQ(bits(ca.plant_gain_r2), bits(cb.plant_gain_r2));
+  EXPECT_EQ(bits(ca.island_peak_power_w), bits(cb.island_peak_power_w));
+  EXPECT_EQ(bits(ca.island_fmax_bips), bits(cb.island_fmax_bips));
+  EXPECT_EQ(bits(ca.island_fmax_leakage_w), bits(cb.island_fmax_leakage_w));
+  ASSERT_EQ(a.pic_records.size(), b.pic_records.size());
+  for (std::size_t i = 0; i < a.pic_records.size(); ++i) {
+    const PicIntervalRecord& x = a.pic_records[i];
+    const PicIntervalRecord& y = b.pic_records[i];
+    SCOPED_TRACE("pic record " + std::to_string(i));
+    ASSERT_EQ(bits(x.time_s), bits(y.time_s));
+    ASSERT_EQ(x.island, y.island);
+    ASSERT_EQ(bits(x.target_w), bits(y.target_w));
+    ASSERT_EQ(bits(x.sensed_w), bits(y.sensed_w));
+    ASSERT_EQ(bits(x.actual_w), bits(y.actual_w));
+    ASSERT_EQ(bits(x.utilization), bits(y.utilization));
+    ASSERT_EQ(bits(x.bips), bits(y.bips));
+    ASSERT_EQ(bits(x.freq_ghz), bits(y.freq_ghz));
+    ASSERT_EQ(x.dvfs_level, y.dvfs_level);
+  }
+  ASSERT_EQ(a.gpm_records.size(), b.gpm_records.size());
+  for (std::size_t i = 0; i < a.gpm_records.size(); ++i) {
+    const GpmIntervalRecord& x = a.gpm_records[i];
+    const GpmIntervalRecord& y = b.gpm_records[i];
+    SCOPED_TRACE("gpm record " + std::to_string(i));
+    ASSERT_EQ(bits(x.time_s), bits(y.time_s));
+    ASSERT_EQ(bits(x.island_alloc_w), bits(y.island_alloc_w));
+    ASSERT_EQ(bits(x.island_actual_w), bits(y.island_actual_w));
+    ASSERT_EQ(bits(x.island_bips), bits(y.island_bips));
+    ASSERT_EQ(bits(x.chip_actual_w), bits(y.chip_actual_w));
+    ASSERT_EQ(bits(x.chip_budget_w), bits(y.chip_budget_w));
+    ASSERT_EQ(bits(x.chip_bips), bits(y.chip_bips));
+    ASSERT_EQ(bits(x.max_temp_c), bits(y.max_temp_c));
+  }
+}
+
 TEST(RunBatch, MatchesSoloRunsBitExact) {
   // Runs stepped in lockstep through one batched plant are, record for
   // record, the runs each simulation gives alone, under uneven advances
-  // and a mid-run supervisor budget change.
+  // and a mid-run supervisor budget change. A fifth chip has uneven island
+  // sizes {2, 3, 1, 2} beside the others' {2, 2, 2, 2} under the same
+  // 8-core CmpConfig, and two chips watch for hotspots at thresholds of
+  // their own (the batch's per-core threshold column).
+  std::vector<SimulationConfig> configs = batch_configs();
+  SimulationConfig uneven = configs[0];
+  uneven.seed = 75;
+  uneven.mix.islands[1].push_back(uneven.mix.islands[2].back());
+  uneven.mix.islands[2].pop_back();
+  uneven.hotspot_threshold_c = 48.0;
+  configs.push_back(uneven);
+  configs[0].hotspot_threshold_c = 49.0;
   std::vector<std::unique_ptr<Simulation>> sims;
-  for (const SimulationConfig& cfg : batch_configs()) {
+  for (const SimulationConfig& cfg : configs) {
     sims.push_back(std::make_unique<Simulation>(cfg));
   }
   const double slices[] = {0.013, 0.0004, 0.021, 0.016};
@@ -274,30 +364,16 @@ TEST(RunBatch, MatchesSoloRunsBitExact) {
   drive([&batch](double t) { batch.advance(t); }, &batch.run(3));
   for (std::size_t k = 0; k < sims.size(); ++k) {
     SCOPED_TRACE("chip " + std::to_string(k));
-    const SimulationResult b = batch.run(k).finish();
-    const SimulationResult& a = solo[k];
-    EXPECT_EQ(a.total_instructions, b.total_instructions);
-    EXPECT_EQ(a.avg_chip_power_w, b.avg_chip_power_w);
-    EXPECT_EQ(a.avg_chip_bips, b.avg_chip_bips);
-    EXPECT_EQ(a.hotspot_fraction, b.hotspot_fraction);
-    EXPECT_EQ(a.dvfs_transitions, b.dvfs_transitions);
-    EXPECT_EQ(a.migrations, b.migrations);
-    EXPECT_EQ(a.island_energy_j, b.island_energy_j);
-    ASSERT_EQ(a.pic_records.size(), b.pic_records.size());
-    for (std::size_t i = 0; i < a.pic_records.size(); ++i) {
-      ASSERT_EQ(a.pic_records[i].actual_w, b.pic_records[i].actual_w) << i;
-      ASSERT_EQ(a.pic_records[i].sensed_w, b.pic_records[i].sensed_w) << i;
-      ASSERT_EQ(a.pic_records[i].dvfs_level, b.pic_records[i].dvfs_level);
-    }
-    ASSERT_EQ(a.gpm_records.size(), b.gpm_records.size());
-    for (std::size_t i = 0; i < a.gpm_records.size(); ++i) {
-      ASSERT_EQ(a.gpm_records[i].chip_actual_w, b.gpm_records[i].chip_actual_w);
-      ASSERT_EQ(a.gpm_records[i].max_temp_c, b.gpm_records[i].max_temp_c);
-      ASSERT_EQ(a.gpm_records[i].island_alloc_w,
-                b.gpm_records[i].island_alloc_w);
-    }
+    expect_same_result(solo[k], batch.run(k).finish());
   }
   EXPECT_GT(solo[2].migrations, 0u);
+  // The thresholds matter: chips 0 and 4 spend part of the run hot, the
+  // default 85 C keeps chip 1 cool.
+  EXPECT_GT(solo[0].hotspot_fraction, 0.0);
+  EXPECT_LT(solo[0].hotspot_fraction, 1.0);
+  EXPECT_GT(solo[4].hotspot_fraction, 0.0);
+  EXPECT_EQ(solo[1].hotspot_fraction, 0.0);
+  EXPECT_NE(solo[0].hotspot_fraction, solo[4].hotspot_fraction);
 }
 
 TEST(CalibrateChips, MatchesSoloAcrossLengthsAndPlants) {

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/tick_ledger.h"
 #include "power/model.h"
 #include "sim/chip.h"
 #include "thermal/hotspot.h"
@@ -27,6 +28,7 @@
 #include "thermal/rc_model.h"
 #include "util/isa.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "workload/demand_bank.h"
 
 namespace cpm {
@@ -184,13 +186,14 @@ TEST_F(KernelIsa, MicroModelSweep) {
     const auto dbw = in.column(n, 0.0, 1.0);
     const auto invf = in.column(n, 0.3, 1.0);
     const auto run_frac = in.column(n, 0.0, 1.0);
+    const auto cong = in.column(n, 1.0, 2.0);
     auto run = [&](Isa isa) {
       std::array<std::vector<double>, 4> out;
       for (auto& column : out) column.assign(n, 0.0);
       sim::kernels::micro_model_sweep(
-          isa, n, 1.3, 1e5, cpi.data(), mem.data(), dbw.data(), invf.data(),
-          run_frac.data(), out[0].data(), out[1].data(), out[2].data(),
-          out[3].data());
+          isa, n, cong.data(), 1e5, cpi.data(), mem.data(), dbw.data(),
+          invf.data(), run_frac.data(), out[0].data(), out[1].data(),
+          out[2].data(), out[3].data());
       return out;
     };
     const auto base = run(Isa::kBaseline);
@@ -242,15 +245,16 @@ TEST_F(KernelIsa, PowerSweep) {
 }
 
 TEST_F(KernelIsa, HotspotAccumulate) {
-  constexpr double kThreshold = 80.0;  // also one of the special values
   for (std::size_t n = 1; n <= kMaxLength; ++n) {
     Inputs in(4000 + n);
     const auto temps = in.column(n, 60.0, 100.0);
+    // Per-core thresholds, 80.0 (a special value too) among them.
+    const auto threshold = in.column(n, 75.0, 90.0);
     const auto hot0 = in.column(n, 0.0, 1.0);
     auto run = [&](Isa isa) {
       std::pair<bool, std::vector<double>> r{false, hot0};
       r.first = thermal::kernels::hotspot_accumulate(
-          isa, n, temps.data(), kThreshold, 1e-4, r.second.data());
+          isa, n, temps.data(), threshold.data(), 1e-4, r.second.data());
       return r;
     };
     const auto base = run(Isa::kBaseline);
@@ -259,6 +263,80 @@ TEST_F(KernelIsa, HotspotAccumulate) {
       EXPECT_EQ(base.first, any) << util::isa_name(isa) << " n " << n;
       EXPECT_EQ(bit_diff(base.second, hot), "")
           << util::isa_name(isa) << " n " << n;
+    }
+  }
+}
+
+TEST_F(KernelIsa, LedgerTick) {
+  for (std::size_t n = 1; n <= kMaxLength; ++n) {
+    Inputs in(8000 + n);
+    // n islands and n chips: every sweep sees every length.
+    std::array<std::vector<double>, 7> inputs;
+    for (auto& column : inputs) column = in.column(n, 0.0, 100.0);
+    std::array<std::vector<double>, 14> start;
+    for (auto& column : start) column = in.column(n, 0.0, 100.0);
+    for (int flags = 0; flags < 8; ++flags) {
+      const bool opens = (flags & 1) != 0;
+      const bool closes = (flags & 2) != 0;
+      const bool opens_window = (flags & 4) != 0;
+      auto run = [&](Isa isa) {
+        std::array<std::vector<double>, 14> out = start;
+        const core::kernels::LedgerTick tick{
+            .islands = n,
+            .chips = n,
+            .dt = 1e-4,
+            .opens_interval = opens,
+            .closes_interval = closes,
+            .opens_window = opens_window,
+            .count = 37.0,
+            .util = inputs[0].data(),
+            .bips = inputs[1].data(),
+            .instr = inputs[2].data(),
+            .power = inputs[3].data(),
+            .pic_util = out[0].data(),
+            .pic_bips = out[1].data(),
+            .pic_instr = out[2].data(),
+            .pic_power = out[3].data(),
+            .run_instr = out[4].data(),
+            .run_energy = out[5].data(),
+            .run_bips = out[6].data(),
+            .gpm_util = out[10].data(),
+            .gpm_bips = out[11].data(),
+            .gpm_instr = out[12].data(),
+            .gpm_power = out[13].data(),
+            .chip_power = inputs[4].data(),
+            .chip_bips = inputs[5].data(),
+            .chip_instr = inputs[6].data(),
+            .mean_power = out[7].data(),
+            .mean_bips = out[8].data(),
+            .chip_run_instr = out[9].data(),
+        };
+        core::kernels::ledger_tick(isa, &tick);
+        return out;
+      };
+      const auto base = run(Isa::kBaseline);
+      // The baseline is the scalar arithmetic it replaces: an interval's
+      // first tick adds to 0.0, each chip lane is RunningMean's update, and
+      // a closing interval joins the window (a fresh one at 0.0).
+      for (std::size_t k = 0; k < n; ++k) {
+        const double pic = (opens ? 0.0 : start[0][k]) + inputs[0][k];
+        EXPECT_EQ(bit_diff(std::vector{pic}, std::vector{base[0][k]}), "");
+        EXPECT_EQ(bit_diff(std::vector{util::RunningMean::next(
+                               start[7][k], inputs[4][k], 37.0)},
+                           std::vector{base[7][k]}),
+                  "");
+        const double gpm = !closes ? start[10][k]
+                                   : (opens_window ? 0.0 : start[10][k]) + pic;
+        EXPECT_EQ(bit_diff(std::vector{gpm}, std::vector{base[10][k]}), "");
+      }
+      for (const Isa isa : wide()) {
+        const auto out = run(isa);
+        for (std::size_t k = 0; k < out.size(); ++k) {
+          EXPECT_EQ(bit_diff(base[k], out[k]), "")
+              << util::isa_name(isa) << " n " << n << " out " << k
+              << " flags " << flags;
+        }
+      }
     }
   }
 }

@@ -128,8 +128,11 @@ std::string diff_core(const sim::CoreTick& a, const sim::CoreTick& b) {
   return {};
 }
 
-std::string diff_tick(const sim::ChipTick& a, const sim::ChipTick& b,
-                      bool record_cores) {
+/// Compares chip `k` of `chip` (its record and its reduction columns) with
+/// the reference's record `b`.
+std::string diff_tick(const sim::Chip& chip, std::size_t k,
+                      const sim::ChipTick& b) {
+  const sim::ChipTick& a = chip.tick(k);
   const std::pair<const char*, double sim::ChipTick::*> chip_fields[] = {
       {"total_bips", &sim::ChipTick::total_bips},
       {"total_instructions", &sim::ChipTick::total_instructions},
@@ -141,26 +144,44 @@ std::string diff_tick(const sim::ChipTick& a, const sim::ChipTick& b,
       return mismatch(std::string("tick.") + name, a.*field, b.*field);
     }
   }
-  if (a.islands.size() != b.islands.size()) return "tick.islands size";
+  const sim::ReductionSoa& r = chip.reductions();
+  if (!same(r.chip_bips[k], b.total_bips)) {
+    return mismatch("reductions.chip_bips", r.chip_bips[k], b.total_bips);
+  }
+  if (!same(r.chip_instructions[k], b.total_instructions)) {
+    return mismatch("reductions.chip_instructions", r.chip_instructions[k],
+                    b.total_instructions);
+  }
   const std::pair<const char*, double sim::IslandTick::*> island_fields[] = {
       {"bips", &sim::IslandTick::bips},
       {"utilization", &sim::IslandTick::utilization},
       {"instructions", &sim::IslandTick::instructions},
       {"bandwidth_demand", &sim::IslandTick::bandwidth_demand},
   };
-  for (std::size_t i = 0; i < a.islands.size(); ++i) {
+  const std::vector<double>* island_columns[] = {
+      &r.island_bips, &r.island_utilization, &r.island_instructions,
+      &r.island_bandwidth};
+  const std::size_t islands = b.islands.size();
+  if (a.islands.size() != (chip.record_cores() ? islands : 0)) {
+    return "tick.islands size";
+  }
+  for (std::size_t i = 0; i < islands; ++i) {
     const std::string where = "island " + std::to_string(i) + " ";
-    for (const auto& [name, field] : island_fields) {
-      if (!same(a.islands[i].*field, b.islands[i].*field)) {
+    for (std::size_t f = 0; f < std::size(island_fields); ++f) {
+      const auto& [name, field] = island_fields[f];
+      const double column = (*island_columns[f])[k * islands + i];
+      if (!same(column, b.islands[i].*field)) {
+        return mismatch(where + "column " + name, column,
+                        b.islands[i].*field);
+      }
+      if (chip.record_cores() &&
+          !same(a.islands[i].*field, b.islands[i].*field)) {
         return mismatch(where + name, a.islands[i].*field,
                         b.islands[i].*field);
       }
     }
+    if (!chip.record_cores()) continue;
     const std::vector<sim::CoreTick>& cores = a.islands[i].cores;
-    if (!record_cores) {
-      if (!cores.empty()) return where + "per-core record not cleared";
-      continue;
-    }
     if (cores.size() != b.islands[i].cores.size()) {
       return where + "per-core record size";
     }
@@ -252,7 +273,7 @@ std::string ChipLockstep::step(double dt_seconds) {
   for (std::size_t k = 0; k < references_.size(); ++k) {
     ReferenceChip& reference = *references_[k];
     const sim::ChipTick& b = reference.step(dt_seconds);
-    std::string diff = diff_tick(chip_.tick(k), b, chip_.record_cores());
+    std::string diff = diff_tick(chip_, k, b);
     if (diff.empty()) diff = diff_soa(chip_.soa(), k * cores_, reference.soa());
     for (std::size_t i = 0; diff.empty() && i < islands_; ++i) {
       diff = diff_actuator(chip_.actuator(k * islands_ + i),

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <span>
 #include <utility>
@@ -30,6 +31,61 @@ TEST(RcModel, RejectsNonPhysicalParams) {
   ThermalParams bad = params();
   bad.capacitance = 0.0;
   EXPECT_THROW(RcThermalModel(Floorplan(1, 1), bad), std::invalid_argument);
+}
+
+/// Expects the constructor to reject `field` set to each of `values`, in
+/// one- or two-layer mode, on a 1x2 floorplan.
+void expect_rejected(double ThermalParams::*field,
+                     std::initializer_list<double> values, bool two_layer) {
+  for (const double value : values) {
+    ThermalParams bad = params();
+    bad.two_layer = two_layer;
+    bad.*field = value;
+    EXPECT_THROW(RcThermalModel(Floorplan(1, 2), bad), std::invalid_argument)
+        << value;
+  }
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(RcModel, RejectsNonFiniteAmbient) {
+  expect_rejected(&ThermalParams::ambient_c, {kNaN, kInf, -kInf}, false);
+}
+
+TEST(RcModel, RejectsNonFiniteVerticalConductance) {
+  expect_rejected(&ThermalParams::vertical_conductance, {kNaN, kInf}, false);
+}
+
+TEST(RcModel, RejectsNegativeOrNonFiniteLateralConductance) {
+  // A negative lateral conductance made the stable-step bound negative, and
+  // step() then cast a negative substep count to size_t.
+  expect_rejected(&ThermalParams::lateral_conductance, {-1.0, kNaN, kInf},
+                  false);
+  ThermalParams none = params();
+  none.lateral_conductance = 0.0;  // isolated cores are physical
+  RcThermalModel model(Floorplan(1, 2), none);
+  model.step(std::vector<double>{1.0, 0.0}, 1.0);
+  EXPECT_GT(model.temperature(0), none.ambient_c);
+  EXPECT_EQ(model.temperature(1), none.ambient_c);
+}
+
+TEST(RcModel, RejectsNonFiniteCapacitance) {
+  expect_rejected(&ThermalParams::capacitance, {kNaN, kInf}, false);
+}
+
+TEST(RcModel, RejectsNonPositiveOrNonFiniteSpreaderCapacitance) {
+  expect_rejected(&ThermalParams::spreader_capacitance, {0.0, -2.0, kNaN},
+                  true);
+  // Non-finite is rejected in one-layer mode too.
+  expect_rejected(&ThermalParams::spreader_capacitance, {kNaN, kInf}, false);
+}
+
+TEST(RcModel, RejectsNegativeOrNonFiniteSpreaderToAmbientConductance) {
+  expect_rejected(&ThermalParams::spreader_to_ambient_conductance,
+                  {-1.0, kNaN, kInf}, true);
+  expect_rejected(&ThermalParams::spreader_to_ambient_conductance, {kNaN},
+                  false);
 }
 
 TEST(RcModel, StartsAtAmbient) {
@@ -309,9 +365,6 @@ const std::vector<std::pair<std::size_t, std::size_t>>& stencil_grids() {
       {1, 1}, {1, 7}, {7, 1}, {2, 2}, {2, 4}, {3, 5}, {8, 8}};
   return grids;
 }
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 TEST(RcStencil, MatchesCsrOracleBitForBit) {
   // Ticks 0-99 one substep each, 100-149 several, with non-finite and
