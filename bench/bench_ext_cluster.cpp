@@ -13,7 +13,9 @@
 // Short-epoch mode (--short): a dispatch-bound configuration -- a small
 // fleet, shard_size 1, up to 16-way parallelism (capped at the host's
 // threads, or CPM_THREADS), and millisecond epochs -- so per-epoch dispatch
-// overhead dominates the sharded sim work. Its shape
+// overhead dominates the sharded sim work. On a one-worker host (or
+// CPM_THREADS=1) there is nothing to dispatch: the fleet runs as one task,
+// stepping its 16 chips as one lockstep batch. Its shape
 // checks are the same as the full run's; the dispatch cost itself is timed
 // by the fleet_short workload of bench/e2e (see bench/e2e/README.md).
 //

@@ -50,7 +50,7 @@ if [[ "$FAST" == "0" ]]; then
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j"$(nproc)" \
     --target bench_fig13_island_size bench_fig17_interval_sensitivity \
-             fuzz_sim util_tests
+             fuzz_sim util_tests core_tests
   ./build-tsan/bench/bench_fig13_island_size
   ./build-tsan/bench/bench_fig17_interval_sensitivity
   # Concurrent publishers into the metrics registry and the per-thread trace
@@ -58,6 +58,9 @@ if [[ "$FAST" == "0" ]]; then
   # concurrency layer's data-race gate.
   ./build-tsan/tests/util_tests \
     --gtest_filter='MetricsRegistry.*:Trace.*:Parallel*:ThreadPool*:CpmThreadsEnv.*'
+  # Cluster runs on the worker path, on one worker, and nested inside a
+  # pool task.
+  ./build-tsan/tests/core_tests --gtest_filter='Cluster.*'
   ./build-tsan/tests/fuzz_sim --scenarios 60 --seed "$SEED"
 fi
 

@@ -37,8 +37,9 @@ ClusterPowerManager::ClusterPowerManager(
     throw std::invalid_argument(
         "ClusterPowerManager: budget fraction out of (0,1]");
   }
-  if (!(config_.epoch_s > 0.0)) {
-    throw std::invalid_argument("ClusterPowerManager: epoch must be positive");
+  if (!(config_.epoch_s > 0.0) || !std::isfinite(config_.epoch_s)) {
+    throw std::invalid_argument(
+        "ClusterPowerManager: epoch must be positive and finite");
   }
   for (const auto& chip : chips_) {
     // A shorter epoch can end before the chip completes a GPM window, so its
@@ -109,9 +110,15 @@ ClusterResult ClusterPowerManager::run(double duration_s) {
     }
   }
 
-  // Each shard's chips run as lockstep batches: every maximal run of
-  // consecutive chips with one plant configuration shares a ChipPlant.
-  const util::ShardPlan plan{k, config_.shard_size};
+  // The task plan follows the workers that will run the epoch: one worker
+  // (one thread, or a run nested in a pool task, which runs inline) gets a
+  // single task over the fleet; more workers get shards of shard_size chips.
+  // Each task's chips run as lockstep batches: every maximal run of
+  // consecutive chips with one plant configuration, up to kMaxLockstepChips,
+  // shares a ChipPlant.
+  const std::size_t workers = util::parallel_workers(
+      util::ShardPlan{k, config_.shard_size}.num_shards(), config_.threads);
+  const util::ShardPlan plan{k, workers == 1 ? k : config_.shard_size};
   std::vector<RunBatch> batches;
   // Shard s owns batches [shard_batches[s], shard_batches[s + 1]).
   std::vector<std::size_t> shard_batches{0};
@@ -120,8 +127,9 @@ ClusterResult ClusterPowerManager::run(double duration_s) {
   std::vector<RecordSink*> sink_ptrs;
   for (std::size_t s = 0; s < plan.num_shards(); ++s) {
     for (std::size_t c = plan.begin(s); c < plan.end(s);) {
+      const std::size_t last = std::min(plan.end(s), c + kMaxLockstepChips);
       std::size_t end = c + 1;
-      while (end < plan.end(s) &&
+      while (end < last &&
              same_plant(chips_[end]->config(), chips_[c]->config())) {
         ++end;
       }
@@ -188,10 +196,10 @@ ClusterResult ClusterPowerManager::run(double duration_s) {
     CPM_TRACE_SCOPE1("cluster", "cluster.epoch", "epoch", e);
 
     // Advance every chip by one epoch, a shard of chips per task, each
-    // batch of the shard in lockstep; each chip writes only its own
+    // batch of the task in lockstep; each chip writes only its own
     // observation slot.
     util::parallel_for_shards(
-        plan, config_.threads,
+        plan, workers,
         [&batches, &shard_batches, &runs, &obs, plan, this](std::size_t s) {
           for (std::size_t b = shard_batches[s]; b < shard_batches[s + 1];
                ++b) {

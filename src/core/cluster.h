@@ -17,14 +17,19 @@
 //     budget->power slope so the controller stays fast on compliant
 //     workloads and stable on saturating ones.
 //
-// Scale: each epoch advances the chips in shards across threads
+// Scale: each epoch advances the chips in tasks across threads
 // (util::parallel_for_shards), each chip writing only its own observation;
 // the epoch power is then summed in chip order on the calling thread, so a
-// 1000-chip run is bit-identical at any thread count and shard size. Within
-// a shard, consecutive chips with one plant configuration (same_plant) run
-// as one RunBatch: their ticks go through one batched ChipPlant in lockstep,
-// so each per-core kernel runs once over the batch instead of once per
-// small chip.
+// 1000-chip run is bit-identical at any thread count and shard size. The
+// task plan follows the workers that run the epoch (util::parallel_workers):
+// on one worker -- one thread, or a run nested in a pool task -- a single
+// task covers the fleet; on more, each task is a shard of `shard_size`
+// chips. Within a task, each maximal run of consecutive chips with one plant
+// configuration (same_plant), up to kMaxLockstepChips, runs as one RunBatch:
+// its ticks go through one batched ChipPlant in lockstep, so each per-core
+// kernel runs once over the batch instead of once per small chip. Records
+// and results are the same on either plan; trace span counts are not (one
+// SimulationRun::advance per batch, one parallel_map.shard per task).
 // Memory: each chip streams its per-interval records through a
 // core/record_sink.h sink (bounded by default), and the cluster's own epoch
 // series is stride-decimated once it exceeds `epoch_capacity` -- the whole
@@ -43,6 +48,11 @@
 #include "util/stats.h"
 
 namespace cpm::core {
+
+/// Most chips one cluster lockstep batch steps together. Wider batches
+/// measured no faster than 16 chips, and 16 keeps a default-sized shard
+/// (util::kDefaultShardSize) one batch.
+inline constexpr std::size_t kMaxLockstepChips = 16;
 
 /// How the cluster splits its budget across chips each epoch.
 enum class ClusterObjective {
@@ -81,10 +91,11 @@ struct ClusterConfig {
   /// Worker threads for the per-epoch chip advance (0 = hardware
   /// concurrency). Results are bit-identical at any value.
   std::size_t threads = 0;
-  /// Chips advanced by one parallel task per epoch (>= 1). Sets how the
-  /// work is split across threads, and the lockstep width: a shard's
-  /// consecutive chips of one plant configuration step through one batched
-  /// plant. Results are bit-identical at any value.
+  /// Chips per parallel task when the epoch runs on more than one worker
+  /// (>= 1). There it also bounds the lockstep width: a shard's consecutive
+  /// chips of one plant configuration step through one batched plant. On
+  /// one worker the fleet is one task and the value is unused. Results are
+  /// bit-identical at any value.
   std::size_t shard_size = 16;
   /// Keep each chip's full SimulationResult in ClusterResult::chip_results.
   /// Off by default: at cluster scale the per-chip stats are the product and

@@ -37,6 +37,16 @@
 
 namespace cpm::util {
 
+/// Workers a parallel call over `tasks` tasks requesting `threads` (0 = the
+/// default count) runs on: never more than the tasks, and 1 from inside a
+/// pool task, where a nested batch runs inline. Every primitive here and any
+/// caller that plans its work by the worker count (core/cluster.h) asks this
+/// one function, so they cannot disagree.
+inline std::size_t parallel_workers(std::size_t tasks, std::size_t threads) {
+  if (ThreadPool::on_worker_thread()) return 1;
+  return std::min(tasks, threads ? threads : default_thread_count());
+}
+
 /// Applies `fn(i)` for i in [0, count) on up to `threads` workers and
 /// returns the results in index order. `fn` must be safe to call
 /// concurrently for distinct indices. If any invocation throws, the first
@@ -48,8 +58,7 @@ std::vector<Result> parallel_map(std::size_t count, Fn&& fn,
                                  std::size_t threads = 0) {
   std::vector<Result> results(count);
   if (count == 0) return results;
-  const std::size_t workers =
-      std::min(count, threads ? threads : default_thread_count());
+  const std::size_t workers = parallel_workers(count, threads);
   // The per-task span lives inside the batch body, so the serial,
   // reentrant-inline, and pooled paths emit the same per-task events --
   // asserted by tests/integration/test_trace_determinism.cpp.
@@ -110,8 +119,7 @@ void parallel_for_shards(const ShardPlan& plan, std::size_t threads,
   }
   const std::size_t shards = plan.num_shards();
   if (shards == 0) return;
-  const std::size_t workers =
-      std::min(shards, threads ? threads : default_thread_count());
+  const std::size_t workers = parallel_workers(shards, threads);
   // Same per-shard spans on every path: a serial trace stays
   // event-equivalent to a parallel one (modulo tid/ts).
   auto body = [&work](std::size_t s) {

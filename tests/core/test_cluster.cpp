@@ -7,12 +7,16 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.h"
+#include "util/json.h"
 #include "util/parallel.h"
+#include "util/trace.h"
 #include "util/units.h"
 #include "workload/mixes.h"
 #include "workload/profile.h"
@@ -86,6 +90,10 @@ TEST(Cluster, RejectsNanBudgetFraction) {
 TEST(Cluster, RejectsNanEpoch) {
   ClusterConfig bad;
   bad.epoch_s = std::nan("");
+  EXPECT_THROW(ClusterPowerManager(bad, make_chips(1)), std::invalid_argument);
+  // An infinite epoch passes "> 0" and the GPM-interval bound, but no epoch
+  // of it could ever be advanced.
+  bad.epoch_s = std::numeric_limits<double>::infinity();
   EXPECT_THROW(ClusterPowerManager(bad, make_chips(1)), std::invalid_argument);
 }
 
@@ -175,39 +183,100 @@ TEST(Cluster, ThreadCountInvariant) {
   expect_identical(serial, eight);
 }
 
+/// Bit-exact equality of every chip's records and exact per-chip results,
+/// for runs made with keep_chip_results and in-memory sinks.
+void expect_identical_records(const ClusterResult& a, const ClusterResult& b) {
+  ASSERT_EQ(a.chip_results.size(), b.chip_results.size());
+  for (std::size_t c = 0; c < a.chip_results.size(); ++c) {
+    SCOPED_TRACE("chip " + std::to_string(c));
+    const SimulationResult& ra = a.chip_results[c];
+    const SimulationResult& rb = b.chip_results[c];
+    const auto pic = [](const PicIntervalRecord& r) {
+      return std::make_tuple(r.time_s, r.island, r.target_w, r.sensed_w,
+                             r.actual_w, r.utilization, r.bips, r.freq_ghz,
+                             r.dvfs_level);
+    };
+    ASSERT_EQ(ra.pic_records.size(), rb.pic_records.size());
+    for (std::size_t r = 0; r < ra.pic_records.size(); ++r) {
+      EXPECT_EQ(pic(ra.pic_records[r]), pic(rb.pic_records[r])) << "PIC " << r;
+    }
+    const auto gpm = [](const GpmIntervalRecord& r) {
+      return std::make_tuple(r.time_s, r.island_alloc_w, r.island_actual_w,
+                             r.island_bips, r.chip_actual_w, r.chip_budget_w,
+                             r.chip_bips, r.max_temp_c);
+    };
+    ASSERT_EQ(ra.gpm_records.size(), rb.gpm_records.size());
+    for (std::size_t r = 0; r < ra.gpm_records.size(); ++r) {
+      EXPECT_EQ(gpm(ra.gpm_records[r]), gpm(rb.gpm_records[r])) << "GPM " << r;
+    }
+    EXPECT_EQ(ra.hotspot_fraction, rb.hotspot_fraction);
+    EXPECT_EQ(ra.migrations, rb.migrations);
+    EXPECT_EQ(ra.island_energy_j, rb.island_energy_j);
+  }
+}
+
+/// Runs `run` twice as tasks of a 4-thread util::parallel_map, so each
+/// cluster run is nested in a pool task (where its own dispatch runs
+/// inline), and checks the two agree.
+template <typename Run>
+ClusterResult run_nested_in_pool_task(Run run) {
+  const std::vector<ClusterResult> nested = util::parallel_map<ClusterResult>(
+      2, [&run](std::size_t) { return run(); }, 4);
+  expect_identical(nested[0], nested[1]);
+  return nested[0];
+}
+
 TEST(Cluster, ShardSizeInvariant) {
-  // The shard size only splits the epoch's chip advances across tasks; the
+  // The shard size only splits the epoch's chip advances across tasks, and
+  // on one worker the fleet is one task of 16-chip lockstep batches; the
   // epoch power is summed in chip order, so every budget the integral trim
-  // provisions is bit-identical at any shard size and thread count.
+  // provisions and every chip record is bit-identical at any shard size and
+  // thread count. The reference runs batches of one: shard size 1 on an
+  // explicit 2 threads takes the per-shard worker path on any host. The
+  // 33-chip fleet crosses the lockstep cap (16 + 16 + 1 on one worker).
   SimulationConfig base = default_config(1.0, 1);
   base.cmp.num_islands = 2;
   base.cmp.cores_per_island = 2;
   base.mix = workload::mix1_regrouped(2);
   base.mix.islands.resize(2);
   base.calibration_seconds = 40.0 * base.cmp.pic_interval_s;
-  const auto fleet = make_cluster_chips(base, 24, /*seed=*/7);
-  auto run_with = [&fleet](std::size_t shard_size, std::size_t threads) {
-    std::vector<std::unique_ptr<Simulation>> chips;
-    for (const auto& chip : fleet) {
-      chips.push_back(std::make_unique<Simulation>(
-          chip->config(), chip->calibration(), chip->max_chip_power()));
+  for (const std::size_t fleet_size : {24, 33}) {
+    SCOPED_TRACE(std::to_string(fleet_size) + " chips");
+    const auto fleet = make_cluster_chips(base, fleet_size, /*seed=*/7);
+    auto run_with = [&fleet](std::size_t shard_size, std::size_t threads) {
+      std::vector<std::unique_ptr<Simulation>> chips;
+      for (const auto& chip : fleet) {
+        chips.push_back(std::make_unique<Simulation>(
+            chip->config(), chip->calibration(), chip->max_chip_power()));
+      }
+      ClusterConfig cfg;
+      cfg.integral_gain = 0.1;
+      cfg.epoch_s = fleet.front()->config().cmp.gpm_interval_s;
+      cfg.shard_size = shard_size;
+      cfg.threads = threads;
+      cfg.keep_chip_results = true;
+      cfg.sink_factory = [](std::size_t) {
+        return std::make_unique<InMemorySink>();
+      };
+      ClusterPowerManager cluster(cfg, std::move(chips));
+      return cluster.run(0.1);
+    };
+    const ClusterResult reference = run_with(1, 2);
+    EXPECT_GT(reference.epochs, 1u);
+    for (const std::size_t shard_size : {1, 3, 16}) {
+      for (const std::size_t threads : {1, 4}) {
+        SCOPED_TRACE("shard_size " + std::to_string(shard_size) +
+                     ", threads " + std::to_string(threads));
+        const ClusterResult run = run_with(shard_size, threads);
+        expect_identical(reference, run);
+        expect_identical_records(reference, run);
+      }
     }
-    ClusterConfig cfg;
-    cfg.integral_gain = 0.1;
-    cfg.epoch_s = fleet.front()->config().cmp.gpm_interval_s;
-    cfg.shard_size = shard_size;
-    cfg.threads = threads;
-    ClusterPowerManager cluster(cfg, std::move(chips));
-    return cluster.run(0.1);
-  };
-  const ClusterResult reference = run_with(1, 1);
-  EXPECT_GT(reference.epochs, 1u);
-  for (const std::size_t shard_size : {1, 3, 16}) {
-    for (const std::size_t threads : {1, 4}) {
-      SCOPED_TRACE("shard_size " + std::to_string(shard_size) + ", threads " +
-                   std::to_string(threads));
-      expect_identical(reference, run_with(shard_size, threads));
-    }
+    SCOPED_TRACE("nested in a pool task, shard_size 1, threads 4");
+    const ClusterResult nested =
+        run_nested_in_pool_task([&run_with] { return run_with(1, 4); });
+    expect_identical(reference, nested);
+    expect_identical_records(reference, nested);
   }
 }
 
@@ -225,7 +294,8 @@ TEST(Cluster, MixedPlantShardMatchesShardSizeOne) {
   // A shard whose chips differ in plant configuration (two topologies, two
   // thermal parameter sets, interleaved so consecutive runs are short) is
   // split into lockstep batches of equal plant configuration; every batch
-  // width must give the bits shard size 1 (batches of one) gives.
+  // width, and the one-worker plan that batches across shard lines, must
+  // give the bits batches of one give.
   std::vector<SimulationConfig> configs;
   for (std::size_t c = 0; c < 9; ++c) {
     SimulationConfig cfg = default_config(1.0, 40 + c);
@@ -267,7 +337,9 @@ TEST(Cluster, MixedPlantShardMatchesShardSizeOne) {
     ClusterPowerManager cluster(cfg, std::move(chips));
     return cluster.run(0.06);
   };
-  const ClusterResult reference = run_with(1, 1);
+  // Batches of one: shard size 1 on an explicit 2 threads takes the
+  // per-shard worker path on any host.
+  const ClusterResult reference = run_with(1, 2);
   EXPECT_GT(reference.total_instructions, 0.0);
   for (const std::size_t shard_size : {2, 4, 9}) {
     for (const std::size_t threads : {1, 3}) {
@@ -275,28 +347,60 @@ TEST(Cluster, MixedPlantShardMatchesShardSizeOne) {
                    std::to_string(threads));
       const ClusterResult batched = run_with(shard_size, threads);
       expect_identical(reference, batched);
-      ASSERT_EQ(batched.chip_results.size(), configs.size());
-      for (std::size_t c = 0; c < configs.size(); ++c) {
-        const SimulationResult& a = reference.chip_results[c];
-        const SimulationResult& b = batched.chip_results[c];
-        ASSERT_EQ(a.pic_records.size(), b.pic_records.size()) << "chip " << c;
-        for (std::size_t r = 0; r < a.pic_records.size(); ++r) {
-          EXPECT_EQ(a.pic_records[r].actual_w, b.pic_records[r].actual_w);
-          EXPECT_EQ(a.pic_records[r].freq_ghz, b.pic_records[r].freq_ghz);
-        }
-        ASSERT_EQ(a.gpm_records.size(), b.gpm_records.size()) << "chip " << c;
-        for (std::size_t r = 0; r < a.gpm_records.size(); ++r) {
-          EXPECT_EQ(a.gpm_records[r].max_temp_c, b.gpm_records[r].max_temp_c);
-          EXPECT_EQ(a.gpm_records[r].island_alloc_w,
-                    b.gpm_records[r].island_alloc_w);
-        }
-        EXPECT_EQ(a.hotspot_fraction, b.hotspot_fraction) << "chip " << c;
-        EXPECT_EQ(a.migrations, b.migrations) << "chip " << c;
-        EXPECT_EQ(a.island_energy_j, b.island_energy_j) << "chip " << c;
-      }
+      expect_identical_records(reference, batched);
     }
   }
+  SCOPED_TRACE("nested in a pool task, shard_size 1, threads 4");
+  const ClusterResult nested =
+      run_nested_in_pool_task([&run_with] { return run_with(1, 4); });
+  expect_identical(reference, nested);
+  expect_identical_records(reference, nested);
 }
+
+#if CPM_TRACING_ENABLED
+
+TEST(Cluster, OneWorkerEpochBatchesAcrossShardLines) {
+  // One epoch of a 33-chip same-plant fleet at shard size 1. On one worker
+  // the fleet is one task stepped as 16 + 16 + 1 lockstep batches; on four,
+  // every chip is its own shard and batch.
+  SimulationConfig base = default_config(1.0, 1);
+  base.cmp.num_islands = 2;
+  base.cmp.cores_per_island = 2;
+  base.mix = workload::mix1_regrouped(2);
+  base.mix.islands.resize(2);
+  base.calibration_seconds = 40.0 * base.cmp.pic_interval_s;
+  const auto fleet = make_cluster_chips(base, 33, /*seed=*/7);
+  // (SimulationRun::advance spans, parallel_map.shard spans) of one epoch.
+  auto span_counts = [&fleet](std::size_t threads) {
+    std::vector<std::unique_ptr<Simulation>> chips;
+    for (const auto& chip : fleet) {
+      chips.push_back(std::make_unique<Simulation>(
+          chip->config(), chip->calibration(), chip->max_chip_power()));
+    }
+    ClusterConfig cfg;
+    cfg.epoch_s = fleet.front()->config().cmp.gpm_interval_s;
+    cfg.shard_size = 1;
+    cfg.threads = threads;
+    ClusterPowerManager cluster(cfg, std::move(chips));
+    std::ostringstream out;
+    util::trace::start_session(out);
+    const ClusterResult result = cluster.run(cfg.epoch_s);
+    util::trace::stop_session();
+    EXPECT_EQ(result.epochs, 1u);
+    std::pair<std::size_t, std::size_t> counts{0, 0};
+    const util::json::Value doc = util::json::parse(out.str());
+    for (const util::json::Value& event : doc.find("traceEvents")->array) {
+      const std::string& name = event.find("name")->string;
+      if (name == "SimulationRun::advance") ++counts.first;
+      if (name == "parallel_map.shard") ++counts.second;
+    }
+    return counts;
+  };
+  EXPECT_EQ(span_counts(1), std::make_pair(std::size_t{3}, std::size_t{1}));
+  EXPECT_EQ(span_counts(4), std::make_pair(std::size_t{33}, std::size_t{33}));
+}
+
+#endif  // CPM_TRACING_ENABLED
 
 TEST(Cluster, MatchesRackContract) {
   // With the efficiency objective, no trim, and serial execution, the

@@ -30,13 +30,16 @@
 //                      at every tick: the tick record, the per-core SoA
 //                      columns and every actuator's state;
 //   5. cluster-threads / cluster-shards -- a ClusterPowerManager run over
-//                      a random fleet of 2-7 chips (randomized objective,
-//                      share floor, integral trim) produces bit-identical
-//                      results at 1 thread and at N threads with a drawn
-//                      shard size of 2 or more (the lockstep width: a
-//                      shard's chips step through one batched plant), and
-//                      again at N threads with shard size 1, with every
-//                      chip under an InvariantChecker in every run.
+//                      a random fleet of 2-7 chips, or 17-20 chips in one
+//                      scenario in eight (randomized objective, share
+//                      floor, integral trim), produces bit-identical
+//                      results at 1 thread (one task over the fleet, in
+//                      lockstep batches of at most 16 chips, so the large
+//                      fleets cross the cap) and at N threads with a drawn
+//                      shard size of 2 or more (a shard's chips step
+//                      through one batched plant), and again at N threads
+//                      with shard size 1, with every chip under an
+//                      InvariantChecker in every run.
 //
 // Every failure prints the master seed and a --replay command that reruns
 // just the offending scenario.
@@ -554,7 +557,10 @@ bool FuzzRun::run_scenario(std::size_t index) {
   // configs are identical), so the whole pipeline from provisioning to
   // per-chip traces must match bit-exactly.
   try {
-    const std::size_t fleet_size = 2 + index % 6;  // 2..7 chips
+    // 2..7 chips; one scenario in eight draws 17..20, past the 16-chip
+    // lockstep cap of the one-thread run.
+    const std::size_t fleet_size =
+        index % 8 == 7 ? 17 + rng.uniform_int(4) : 2 + index % 6;
     std::vector<core::SimulationConfig> chip_cfgs;
     for (std::size_t c = 0; c < fleet_size; ++c) {
       core::SimulationConfig cfg = base;
@@ -580,8 +586,8 @@ bool FuzzRun::run_scenario(std::size_t index) {
     if (rng.bernoulli(0.5)) cluster_cfg.integral_gain = rng.uniform(0.05, 0.3);
     cluster_cfg.keep_chip_results = true;
     const std::size_t n_threads = 2 + rng.uniform_int(3);  // 2..4
-    // A shard's chips share the scenario's plant configuration, so this is
-    // also the lockstep width.
+    // A shard's chips share the scenario's plant configuration, so on the
+    // N-thread run this is also the lockstep width, up to the 16-chip cap.
     const std::size_t width = 2 + rng.uniform_int(fleet_size - 1);
 
     std::vector<core::CalibrationResult> calibrations;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -60,6 +61,20 @@ TEST(Parallel, DefaultThreadCountSane) {
   EXPECT_GE(default_thread_count(), 1u);
   EXPECT_LE(default_thread_count(4), 4u);
   EXPECT_GE(default_thread_count(1), 1u);
+}
+
+TEST(Parallel, WorkerCountFollowsTasksThreadsAndNesting) {
+  EXPECT_EQ(parallel_workers(3, 8), 3u);
+  EXPECT_EQ(parallel_workers(100, 4), 4u);
+  EXPECT_EQ(parallel_workers(100, 0),
+            std::min<std::size_t>(100, default_thread_count()));
+  EXPECT_EQ(parallel_workers(0, 4), 0u);
+  // Inside a pool task a nested batch runs inline: one worker.
+  std::vector<std::size_t> nested(8, 0);
+  ThreadPool::global().run_batch(8, 4, [&nested](std::size_t i) {
+    nested[i] = parallel_workers(100, 4);
+  });
+  for (const std::size_t w : nested) EXPECT_EQ(w, 1u);
 }
 
 TEST(ShardPlan, CoversRangeExactlyOnce) {
